@@ -7,7 +7,6 @@ module checks the expectation identities behind the method, both in closed
 form and by Monte Carlo.
 """
 
-from .checkpoint import load_checkpoint, save_checkpoint
 from .data import DataFormatError, degrade, load, save, synth
 from .edge_classifier import (
     EdgeClassifier,
@@ -17,11 +16,8 @@ from .edge_classifier import (
     build_pairs,
     evaluate_quality,
     holdout_pairs,
-    load_classifier,
     make_scorer,
-    pair_features,
     quality_from_counts,
-    save_classifier,
     score,
     score_pairs,
     train,
@@ -42,11 +38,8 @@ from .models import (
     SgcModel,
     accuracy,
     gcn_fit,
-    load_model,
     predict,
-    save_model,
     sgc_fit,
-    write_predictions,
 )
 from .propagation import (
     EdgeFeatureConfig,
@@ -54,7 +47,6 @@ from .propagation import (
     binary_power,
     edge_input_features,
     propagate,
-    propagate_transpose,
     transpose,
 )
 from .refinement import (
@@ -120,23 +112,15 @@ __all__ = [
     "gcn_fit",
     "holdout_pairs",
     "load",
-    "load_checkpoint",
-    "load_classifier",
-    "load_model",
     "make_scorer",
     "mc_aggregate",
     "oracle_scorer",
-    "pair_features",
     "positive_ratio",
     "predict",
     "propagate",
-    "propagate_transpose",
     "quality_from_counts",
     "refine",
     "save",
-    "save_checkpoint",
-    "save_classifier",
-    "save_model",
     "score",
     "score_pairs",
     "sgc_fit",
@@ -145,5 +129,4 @@ __all__ = [
     "transpose",
     "two_hop_candidates",
     "unit_uniform",
-    "write_predictions",
 ]

@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import time
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ from .edge_classifier import (
 )
 from .graph import Graph, NodeTable, positive_ratio
 from .models import FitConfig, accuracy, gcn_fit, predict, sgc_fit
-from .propagation import EdgeFeatureConfig, edge_input_features
+from .propagation import EdgeFeatureConfig, PropagationConfig, edge_input_features
 from .refinement import OracleClassifier, RefinementConfig, oracle_scorer, refine
 from .theory import (
     GaussianMixtureParams,
@@ -133,6 +134,26 @@ def _merge(defaults, override, path="config"):
     return merged
 
 
+_COERCE = {int: int, float: float, bool: bool,
+           tuple[int, ...]: lambda v: tuple(int(w) for w in v)}
+
+
+def _build(cls, section: dict, path: str, **fixed):
+    """Instantiate config dataclass ``cls`` from the keys of a config section
+    that name its fields, each coerced to the field's declared type.
+
+    ``fixed`` supplies fields the section does not carry. Coercion and
+    ``__post_init__`` errors become a :class:`ConfigError` naming the section.
+    """
+    hints = typing.get_type_hints(cls)
+    try:
+        kwargs = {f.name: _COERCE.get(hints[f.name], lambda v: v)(section[f.name])
+                  for f in dataclasses.fields(cls) if f.name in section}
+        return cls(**kwargs, **fixed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved experiment settings plus the hash of their JSON form."""
@@ -141,6 +162,7 @@ class ExperimentConfig:
     edge_features: EdgeFeatureConfig
     edge_classifier: TrainConfig
     refinement: RefinementConfig
+    fit: FitConfig
     scorer: dict
     model: dict
     seeds: tuple[int, ...]
@@ -166,38 +188,26 @@ def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> Experimen
         raise ConfigError("dataset.kind must be 'synth' or 'files'")
     if ds["kind"] == "files" and not (ds["nodes_path"] and ds["edges_path"]):
         raise ConfigError("dataset.kind 'files' needs nodes_path and edges_path")
-    if resolved["scorer"]["kind"] not in ("trained", "oracle"):
+    scorer, model = resolved["scorer"], resolved["model"]
+    if scorer["kind"] not in ("trained", "oracle"):
         raise ConfigError("scorer.kind must be 'trained' or 'oracle'")
-    if resolved["model"]["kind"] not in ("sgc", "gcn"):
+    if scorer["kind"] == "oracle":
+        _build(OracleClassifier, scorer, "scorer")
+    if model["kind"] not in ("sgc", "gcn"):
         raise ConfigError("model.kind must be 'sgc' or 'gcn'")
+    if model["kind"] == "sgc":
+        _build(PropagationConfig, model, "model")
     seeds = tuple(int(s) for s in resolved["seeds"])
     if not seeds:
         raise ConfigError("seeds must be non-empty")
-    ef = resolved["edge_features"]
-    ec = resolved["edge_classifier"]
     return ExperimentConfig(
         dataset=ds,
-        edge_features=EdgeFeatureConfig(k=int(ef["k"]), norm=ef["norm"], binary=bool(ef["binary"])),
-        edge_classifier=TrainConfig(
-            proj_dim=int(ec["proj_dim"]),
-            hidden_widths=tuple(int(w) for w in ec["hidden_widths"]),
-            learning_rate=float(ec["learning_rate"]),
-            momentum=float(ec["momentum"]),
-            epochs=int(ec["epochs"]),
-            batch_size=int(ec["batch_size"]),
-            class_weighting=ec["class_weighting"],
-            include_two_hop=bool(ec["include_two_hop"]),
-            num_sampled=int(ec["num_sampled"]),
-            threshold=float(ec["threshold"]),
-        ),
-        refinement=RefinementConfig(
-            threshold=float(resolved["refinement"]["threshold"]),
-            n_max=int(resolved["refinement"]["n_max"]),
-            do_filter=bool(resolved["refinement"]["do_filter"]),
-            do_add=bool(resolved["refinement"]["do_add"]),
-        ),
-        scorer=resolved["scorer"],
-        model=resolved["model"],
+        edge_features=_build(EdgeFeatureConfig, resolved["edge_features"], "edge_features"),
+        edge_classifier=_build(TrainConfig, resolved["edge_classifier"], "edge_classifier"),
+        refinement=_build(RefinementConfig, resolved["refinement"], "refinement"),
+        fit=_build(FitConfig, model, "model"),
+        scorer=scorer,
+        model=model,
         seeds=seeds,
         output_dir=out,
         degrade_k=int(resolved["degrade_k"]),
@@ -267,33 +277,20 @@ def _load_dataset(cfg: ExperimentConfig, seed: int) -> tuple[Graph, NodeTable]:
                      undirected=bool(ds["undirected"]), normalize=bool(ds["normalize"]))
 
 
-def _fit_metrics(g: Graph, t: NodeTable, model_cfg: dict, seed: int) -> dict:
-    fit = FitConfig(learning_rate=float(model_cfg["learning_rate"]),
-                    epochs=int(model_cfg["epochs"]),
-                    weight_decay=float(model_cfg["weight_decay"]),
-                    hidden_width=int(model_cfg["hidden_width"]),
-                    seed=seed, norm=model_cfg["norm"],
-                    early_stop=bool(model_cfg["early_stop"]),
-                    patience=int(model_cfg["patience"]))
+def _fit_metrics(g: Graph, t: NodeTable, model_cfg: dict, fit: FitConfig) -> dict:
     if model_cfg["kind"] == "sgc":
         model = sgc_fit(g, t, fit, k=int(model_cfg["k"]))
     else:
         model = gcn_fit(g, t, fit)
     pred = predict(model, g, t)
-    return {"acc_train": accuracy(pred, t, "train"),
-            "acc_val": accuracy(pred, t, "val"),
-            "acc_test": accuracy(pred, t, "test")}
-
-
-def _one_hop_pairs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    edges = g.edge_array()
-    mask = edges[:, 0] < edges[:, 1]
-    return edges[mask, 0], edges[mask, 1]
+    return {f"acc_{split}": accuracy(pred, t, split) for split in ("train", "val", "test")}
 
 
 def _realized_filter_quality(g: Graph, t: NodeTable, scorer, threshold: float) -> tuple[float, float]:
     """Realized (p, q) of a scorer over the graph's non-self unordered edges."""
-    u, v = _one_hop_pairs(g)
+    edges = g.edge_array()
+    mask = edges[:, 0] < edges[:, 1]
+    u, v = edges[mask, 0], edges[mask, 1]
     known = t.known_mask()
     ok = known[u] & known[v]
     u, v = u[ok], v[ok]
@@ -306,37 +303,36 @@ def _realized_filter_quality(g: Graph, t: NodeTable, scorer, threshold: float) -
     return p, q
 
 
-def _classifier_for_seed(cfg: ExperimentConfig, g: Graph, t: NodeTable, seed: int):
-    """Train the edge classifier and report held-out quality."""
-    tc = dataclasses.replace(cfg.edge_classifier, seed=seed)
-    features = edge_input_features(g, t, cfg.edge_features)
-    pairs = build_pairs(g, t, tc)
-    clf = train(pairs, features, tc)
-    quality = evaluate_quality(clf, holdout_pairs(g, t, tc.include_two_hop), features)
-    return clf, features, quality
+def _oracle(g: Graph, t: NodeTable, oc: OracleClassifier, threshold: float):
+    """Oracle pair scorer plus its quality columns: the realized (p, q) in
+    filter mode, all NaN in add mode (p_pre comes from the refinement report)."""
+    scorer = oracle_scorer(t, oc)
+    p = q = float("nan")
+    if oc.mode == "filter":
+        p, q = _realized_filter_quality(g, t, scorer, threshold)
+    return scorer, {"p": p, "q": q, "p_pre": float("nan")}
 
 
 def _scorer_for_seed(cfg: ExperimentConfig, g: Graph, t: NodeTable, seed: int):
-    """Resolve the configured scorer.
+    """The configured scorer as ``(scorer_or_classifier, features, quality_cols)``.
 
-    Returns ``(scorer_or_classifier, features, quality_cols)`` where
-    ``quality_cols`` maps the p/q/p_pre columns (p_pre may be patched from
-    the refinement report later for oracle add mode).
+    A trained scorer reports its held-out p/q/p_pre; features are None for
+    oracles, which read labels instead.
     """
-    sc = cfg.scorer
-    if sc["kind"] == "trained":
-        clf, features, quality = _classifier_for_seed(cfg, g, t, seed)
-        return clf, features, {"p": quality.p, "q": quality.q, "p_pre": quality.p_pre}
-    oc = OracleClassifier(mode=sc["mode"], target_p=float(sc["target_p"]),
-                          target_q=float(sc["target_q"]),
-                          target_p_pre=float(sc["target_p_pre"]), seed=seed)
-    scorer = oracle_scorer(t, oc)
-    if oc.mode == "filter":
-        p, q = _realized_filter_quality(g, t, scorer, cfg.refinement.threshold)
-        cols = {"p": p, "q": q, "p_pre": float("nan")}
-    else:
-        cols = {"p": float("nan"), "q": float("nan"), "p_pre": float("nan")}
-    return scorer, None, cols
+    if cfg.scorer["kind"] == "oracle":
+        oc = _build(OracleClassifier, cfg.scorer, "scorer", seed=seed)
+        scorer, cols = _oracle(g, t, oc, cfg.refinement.threshold)
+        return scorer, None, cols
+    tc = dataclasses.replace(cfg.edge_classifier, seed=seed)
+    features = edge_input_features(g, t, cfg.edge_features)
+    clf = train(build_pairs(g, t, tc), features, tc)
+    quality = evaluate_quality(clf, holdout_pairs(g, t, tc.include_two_hop), features)
+    return clf, features, {"p": quality.p, "q": quality.q, "p_pre": quality.p_pre}
+
+
+def _describe(exc: BaseException) -> str:
+    """``module.Class: message``, the form of every failure and error line."""
+    return f"{exc.__class__.__module__}.{exc.__class__.__qualname__}: {exc}"
 
 
 def _row(experiment, arm, seed, cfg, ratio_before, ratio_after, quality_cols, metrics) -> dict:
@@ -345,8 +341,8 @@ def _row(experiment, arm, seed, cfg, ratio_before, ratio_after, quality_cols, me
            "p": float("nan"), "q": float("nan"), "p_pre": float("nan"),
            "acc_train": float("nan"), "acc_val": float("nan"), "acc_test": float("nan"),
            "config_hash": cfg.config_hash}
-    row.update(quality_cols or {})
-    row.update(metrics or {})
+    row.update(quality_cols)
+    row.update(metrics)
     return row
 
 
@@ -361,13 +357,15 @@ class _ArmRunner:
         self.reports: dict[str, dict] = {}
         self.failures: list[str] = []
 
+    def fail(self, arm: str, seed: int, exc: Exception) -> None:
+        self.failures.append(f"{self.experiment}/{arm}/seed{seed}: {_describe(exc)}")
+
     def run(self, arm: str, seed: int, fn) -> None:
         start = time.perf_counter()
         try:
             row = fn()
         except Exception as exc:  # noqa: BLE001 - arm failures are enumerated
-            qual = f"{exc.__class__.__module__}.{exc.__class__.__qualname__}"
-            self.failures.append(f"{self.experiment}/{arm}/seed{seed}: {qual}: {exc}")
+            self.fail(arm, seed, exc)
             return
         wall_ms = (time.perf_counter() - start) * 1000.0
         self.rows.append(row)
@@ -394,55 +392,66 @@ class _ArmRunner:
         return 0
 
 
-def _refined_arm(runner: _ArmRunner, cfg: ExperimentConfig, arm: str, seed: int,
-                 g: Graph, t: NodeTable, scorer, features, quality_cols: dict,
-                 rcfg: RefinementConfig) -> None:
-    def body():
-        refined, report = refine(g, t, scorer, rcfg, features=features,
-                                 feature_cfg=cfg.edge_features)
-        cols = dict(quality_cols)
-        if math.isnan(cols.get("p_pre", float("nan"))) and rcfg.do_add:
-            cols["p_pre"] = report.added_precision
-        runner.reports[f"seed{seed}/{arm}"] = report.to_dict()
-        metrics = _fit_metrics(refined, t, cfg.model, seed)
-        if cfg.dump_refined:
-            base = os.path.join(cfg.output_dir, f"{runner.experiment}_{arm}_seed{seed}")
-            os.makedirs(cfg.output_dir, exist_ok=True)
-            data.save(refined, t, base + ".nodes.tsv", base + ".edges.tsv")
-        return _row(runner.experiment, arm, seed, cfg,
-                    report.ratio_before, report.ratio_after, cols, metrics)
+def _run_experiment(cfg: ExperimentConfig, experiment: str, arm_names, make_arms,
+                    degrade_k: int = 0) -> tuple[list[dict], int]:
+    """The one experiment loop behind ``pipeline``, ``degrade``, ``ablation`` and ``sweep``.
 
-    runner.run(arm, seed, body)
+    Per seed: build the dataset (wiring ``degrade_k`` different-label
+    neighbors per node when >= 1), fit the origin arm on it, then refine and
+    fit each arm that ``make_arms(g, t, seed)`` returns as
+    ``(arm, RefinementConfig, scorer, features, quality_cols)``. If
+    ``make_arms`` raises, every name in ``arm_names`` fails for that seed.
+    """
+    runner = _ArmRunner(cfg, experiment)
+    for seed in cfg.seeds:
+        try:
+            g, t = _load_dataset(cfg, seed)
+            if degrade_k >= 1:
+                g = data.degrade(g, t, degrade_k, seed)
+        except Exception as exc:  # noqa: BLE001
+            runner.fail("dataset", seed, exc)
+            continue
+        fit = dataclasses.replace(cfg.fit, seed=seed)
+        ratio = positive_ratio(g, t).graph_ratio
+        runner.run("origin", seed,
+                   lambda: _row(experiment, "origin", seed, cfg, ratio, ratio, {},
+                                _fit_metrics(g, t, cfg.model, fit)))
+        try:
+            arms = make_arms(g, t, seed)
+        except Exception as exc:  # noqa: BLE001
+            for arm in arm_names:
+                runner.fail(arm, seed, exc)
+            continue
+        for arm, rcfg, scorer, features, cols in arms:
+            def refined_arm():
+                refined, report = refine(g, t, scorer, rcfg, features=features,
+                                         feature_cfg=cfg.edge_features)
+                runner.reports[f"seed{seed}/{arm}"] = report.to_dict()
+                metrics = _fit_metrics(refined, t, cfg.model, fit)
+                if cfg.dump_refined:
+                    base = os.path.join(cfg.output_dir, f"{experiment}_{arm}_seed{seed}")
+                    os.makedirs(cfg.output_dir, exist_ok=True)
+                    data.save(refined, t, base + ".nodes.tsv", base + ".edges.tsv")
+                p_pre = cols["p_pre"]
+                if rcfg.do_add and math.isnan(p_pre):
+                    p_pre = report.added_precision
+                return _row(experiment, arm, seed, cfg, report.ratio_before,
+                            report.ratio_after, dict(cols, p_pre=p_pre), metrics)
+
+            runner.run(arm, seed, refined_arm)
+    code = runner.finalize()
+    return runner.rows, code
 
 
 def run_pipeline(cfg: ExperimentConfig, experiment: str = "pipeline",
                  degrade_k: int | None = None) -> tuple[list[dict], int]:
     """Baseline model on the input graph vs the same model on the refined one."""
-    runner = _ArmRunner(cfg, experiment)
+    def arms(g, t, seed):
+        scorer, features, cols = _scorer_for_seed(cfg, g, t, seed)
+        return [("refined", cfg.refinement, scorer, features, cols)]
+
     k = cfg.degrade_k if degrade_k is None else degrade_k
-    for seed in cfg.seeds:
-        try:
-            g, t = _load_dataset(cfg, seed)
-            if k >= 1:
-                g = data.degrade(g, t, k, seed)
-        except Exception as exc:  # noqa: BLE001
-            qual = f"{exc.__class__.__module__}.{exc.__class__.__qualname__}"
-            runner.failures.append(f"{experiment}/dataset/seed{seed}: {qual}: {exc}")
-            continue
-        ratio = positive_ratio(g, t).graph_ratio
-        runner.run("origin", seed,
-                   lambda: _row(experiment, "origin", seed, cfg, ratio, ratio, {},
-                                _fit_metrics(g, t, cfg.model, seed)))
-        try:
-            scorer, features, quality_cols = _scorer_for_seed(cfg, g, t, seed)
-        except Exception as exc:  # noqa: BLE001
-            qual = f"{exc.__class__.__module__}.{exc.__class__.__qualname__}"
-            runner.failures.append(f"{experiment}/refined/seed{seed}: {qual}: {exc}")
-            continue
-        _refined_arm(runner, cfg, "refined", seed, g, t, scorer, features,
-                     quality_cols, cfg.refinement)
-    code = runner.finalize()
-    return runner.rows, code
+    return _run_experiment(cfg, experiment, ("refined",), arms, k)
 
 
 def run_degradation(cfg: ExperimentConfig, k: int | None = None) -> tuple[list[dict], int]:
@@ -460,30 +469,12 @@ ABLATION_ARMS = (
 
 def run_ablation(cfg: ExperimentConfig) -> tuple[list[dict], int]:
     """origin / filter-only / add-only / filter+add, sharing one classifier per seed."""
-    runner = _ArmRunner(cfg, "ablation")
-    for seed in cfg.seeds:
-        try:
-            g, t = _load_dataset(cfg, seed)
-        except Exception as exc:  # noqa: BLE001
-            qual = f"{exc.__class__.__module__}.{exc.__class__.__qualname__}"
-            runner.failures.append(f"ablation/dataset/seed{seed}: {qual}: {exc}")
-            continue
-        ratio = positive_ratio(g, t).graph_ratio
-        runner.run("origin", seed,
-                   lambda: _row("ablation", "origin", seed, cfg, ratio, ratio, {},
-                                _fit_metrics(g, t, cfg.model, seed)))
-        try:
-            scorer, features, quality_cols = _scorer_for_seed(cfg, g, t, seed)
-        except Exception as exc:  # noqa: BLE001
-            qual = f"{exc.__class__.__module__}.{exc.__class__.__qualname__}"
-            for arm, _, _ in ABLATION_ARMS:
-                runner.failures.append(f"ablation/{arm}/seed{seed}: {qual}: {exc}")
-            continue
-        for arm, do_filter, do_add in ABLATION_ARMS:
-            rcfg = dataclasses.replace(cfg.refinement, do_filter=do_filter, do_add=do_add)
-            _refined_arm(runner, cfg, arm, seed, g, t, scorer, features, quality_cols, rcfg)
-    code = runner.finalize()
-    return runner.rows, code
+    def arms(g, t, seed):
+        scorer, features, cols = _scorer_for_seed(cfg, g, t, seed)
+        return [(arm, dataclasses.replace(cfg.refinement, do_filter=do_filter, do_add=do_add),
+                 scorer, features, cols) for arm, do_filter, do_add in ABLATION_ARMS]
+
+    return _run_experiment(cfg, "ablation", [arm for arm, _, _ in ABLATION_ARMS], arms)
 
 
 def run_oracle_sweep(cfg: ExperimentConfig, sweep: dict | None = None) -> tuple[list[dict], int]:
@@ -499,39 +490,26 @@ def run_oracle_sweep(cfg: ExperimentConfig, sweep: dict | None = None) -> tuple[
     values = [float(x) for x in sweep.get("values", DEFAULT_CONFIG["sweep"]["values"])]
     if any(not 0.0 <= v <= 1.0 for v in values):
         raise ConfigError("sweep values must lie in [0, 1]")
-    short = "pmq" if kind == "p_minus_q" else "ppre"
-    experiment = f"sweep_{short}"
     if kind == "p_pre" and cfg.refinement.threshold > 0.5:
         raise ConfigError("p_pre sweep needs refinement.threshold <= 0.5 (oracle ranks in (0.5, 1])")
-    runner = _ArmRunner(cfg, experiment)
-    for seed in cfg.seeds:
-        try:
-            g, t = _load_dataset(cfg, seed)
-        except Exception as exc:  # noqa: BLE001
-            qual = f"{exc.__class__.__module__}.{exc.__class__.__qualname__}"
-            runner.failures.append(f"{experiment}/dataset/seed{seed}: {qual}: {exc}")
-            continue
-        ratio = positive_ratio(g, t).graph_ratio
-        runner.run("origin", seed,
-                   lambda: _row(experiment, "origin", seed, cfg, ratio, ratio, {},
-                                _fit_metrics(g, t, cfg.model, seed)))
-        for value in values:
-            arm = f"{short}={value:.2f}"
-            if kind == "p_minus_q":
+    short = "pmq" if kind == "p_minus_q" else "ppre"
+    names = [f"{short}={value:.2f}" for value in values]
+
+    def arms(g, t, seed):
+        filtering = kind == "p_minus_q"
+        rcfg = dataclasses.replace(cfg.refinement, do_filter=filtering, do_add=not filtering)
+        out = []
+        for arm, value in zip(names, values):
+            if filtering:
                 oc = OracleClassifier(mode="filter", target_p=(1.0 + value) / 2.0,
                                       target_q=(1.0 - value) / 2.0, seed=seed)
-                rcfg = dataclasses.replace(cfg.refinement, do_filter=True, do_add=False)
-                scorer = oracle_scorer(t, oc)
-                p, q = _realized_filter_quality(g, t, scorer, rcfg.threshold)
-                cols = {"p": p, "q": q, "p_pre": float("nan")}
             else:
                 oc = OracleClassifier(mode="add", target_p_pre=value, seed=seed)
-                rcfg = dataclasses.replace(cfg.refinement, do_filter=False, do_add=True)
-                scorer = oracle_scorer(t, oc)
-                cols = {"p": float("nan"), "q": float("nan"), "p_pre": float("nan")}
-            _refined_arm(runner, cfg, arm, seed, g, t, scorer, None, cols, rcfg)
-    code = runner.finalize()
-    return runner.rows, code
+            scorer, cols = _oracle(g, t, oc, rcfg.threshold)
+            out.append((arm, rcfg, scorer, None, cols))
+        return out
+
+    return _run_experiment(cfg, f"sweep_{short}", names, arms)
 
 
 THEORY_SWEEP_HEADER = ("mode", "n_plus", "n_minus", "n_added", "p", "q", "p_pre",
@@ -595,11 +573,11 @@ def run_theory(cfg: ExperimentConfig) -> int:
 
 def run_synth_export(cfg: ExperimentConfig) -> int:
     """Generate one synthetic dataset and write it as nodes/edges TSV."""
+    if cfg.dataset["kind"] != "synth":
+        raise ConfigError("synth command needs dataset.kind == 'synth'")
     os.makedirs(cfg.output_dir, exist_ok=True)
     seed = cfg.seeds[0]
     g, t = _load_dataset(cfg, seed)
-    if cfg.dataset["kind"] != "synth":
-        raise ConfigError("synth command needs dataset.kind == 'synth'")
     nodes_path = os.path.join(cfg.output_dir, "nodes.tsv")
     edges_path = os.path.join(cfg.output_dir, "edges.tsv")
     data.save(g, t, nodes_path, edges_path)
@@ -666,9 +644,8 @@ def main(argv=None) -> int:
         if args.command == "theory" and args.trials is not None:
             overrides["theory_trials"] = args.trials
         cfg = load_config(args.config, args.output_dir, overrides)
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
-        qual = f"{exc.__class__.__module__}.{exc.__class__.__qualname__}"
-        print(f"error: {qual}: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:  # ConfigError and JSONDecodeError included
+        print(f"error: {_describe(exc)}", file=sys.stderr)
         return 2
 
     try:
@@ -685,7 +662,7 @@ def main(argv=None) -> int:
         else:
             code = run_synth_export(cfg)
     except ConfigError as exc:
-        print(f"error: {exc.__class__.__module__}.{exc.__class__.__qualname__}: {exc}", file=sys.stderr)
+        print(f"error: {_describe(exc)}", file=sys.stderr)
         return 2
     return code
 

@@ -4,6 +4,7 @@ homophily degradation."""
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
@@ -44,6 +45,8 @@ def _parse_nodes(path, num_classes):
                 row = [float(x) for x in parts[3].split(",")]
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: malformed feature list") from exc
+            if not all(map(math.isfinite, row)):
+                raise DataFormatError(f"{path}:{lineno}: non-finite feature value")
             if dim is None:
                 dim = len(row)
             elif len(row) != dim:
@@ -103,7 +106,8 @@ def load(node_file_path, edge_file_path, *, undirected: bool = True,
     ``#`` starts a comment. Edges are mirrored when ``undirected`` is set,
     deduplicated (the removed count is logged), and self loops are added
     exactly once. Features are L1-normalized per row unless ``normalize`` is
-    off; zero rows are left untouched.
+    off; zero rows are left untouched. A NaN or infinite feature value is
+    rejected with its file and line.
     """
     features, labels, split, num_classes = _parse_nodes(node_file_path, num_classes)
     n = features.shape[0]

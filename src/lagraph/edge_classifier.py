@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
 from .graph import Graph, NodeTable, two_hop_candidates
 
 ONE_HOP, TWO_HOP, SAMPLED = 0, 1, 2
@@ -96,19 +95,6 @@ class EdgeClassifier:
     threshold: float = 0.5
     final_loss: float = float("nan")
     loss_history: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-
-def pair_features(e_u: np.ndarray, e_v: np.ndarray) -> np.ndarray:
-    """Symmetric features of an embedding pair: |u-v| ++ (u+v) ++ (u*v).
-
-    Accepts single vectors or batches of matching shape; the output is
-    invariant under swapping the two arguments.
-    """
-    e_u = np.asarray(e_u, dtype=np.float64)
-    e_v = np.asarray(e_v, dtype=np.float64)
-    if e_u.shape != e_v.shape:
-        raise ValueError("embedding shapes must match")
-    return np.concatenate([np.abs(e_u - e_v), e_u + e_v, e_u * e_v], axis=-1)
 
 
 def build_pairs(g: Graph, t: NodeTable, cfg: TrainConfig) -> PairSet:
@@ -420,19 +406,3 @@ def evaluate_quality(clf: EdgeClassifier, labeled_pairs: PairSet, features: np.n
     fn = int(np.count_nonzero(~pred & truth))
     tn = int(np.count_nonzero(~pred & ~truth))
     return quality_from_counts(tp, fp, fn, tn)
-
-
-def save_classifier(clf: EdgeClassifier, path) -> None:
-    arrays = {"proj": clf.proj}
-    for i, (W, b) in enumerate(clf.layers):
-        arrays[f"W{i}"] = W
-        arrays[f"b{i}"] = b
-    meta = {"num_layers": len(clf.layers), "threshold": clf.threshold, "final_loss": clf.final_loss}
-    save_checkpoint(path, "edge-classifier", arrays, meta)
-
-
-def load_classifier(path) -> EdgeClassifier:
-    arrays, meta = load_checkpoint(path, "edge-classifier")
-    layers = [(arrays[f"W{i}"], arrays[f"b{i}"]) for i in range(int(meta["num_layers"]))]
-    return EdgeClassifier(proj=arrays["proj"], layers=layers,
-                          threshold=float(meta["threshold"]), final_loss=float(meta["final_loss"]))

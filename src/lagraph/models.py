@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
 from .graph import Graph, NodeTable
 from .propagation import NORMS, PropagationConfig, gather_sum, propagate, transpose
 
@@ -256,33 +255,3 @@ def accuracy(pred: np.ndarray, t: NodeTable, split: str) -> float:
     if not np.any(mask):
         raise ValueError(f"split {split!r} has no labeled nodes")
     return float(np.mean(pred[mask] == t.labels[mask]))
-
-
-def save_model(model, path) -> None:
-    if isinstance(model, SgcModel):
-        arrays = {"weights": model.weights, "bias": model.bias}
-        meta = {"arch": "sgc", "k": model.k, "norm": model.norm}
-    elif isinstance(model, GcnModel):
-        arrays = {"w1": model.w1, "b1": model.b1, "w2": model.w2, "b2": model.b2}
-        meta = {"arch": "gcn", "norm": model.norm}
-    else:
-        raise TypeError("model must be SgcModel or GcnModel")
-    save_checkpoint(path, "node-model", arrays, meta)
-
-
-def load_model(path):
-    arrays, meta = load_checkpoint(path, "node-model")
-    if meta["arch"] == "sgc":
-        return SgcModel(weights=arrays["weights"], bias=arrays["bias"],
-                        k=int(meta["k"]), norm=meta["norm"])
-    if meta["arch"] == "gcn":
-        return GcnModel(w1=arrays["w1"], b1=arrays["b1"], w2=arrays["w2"], b2=arrays["b2"],
-                        norm=meta["norm"])
-    raise ValueError(f"{path}: unknown model architecture {meta['arch']!r}")
-
-
-def write_predictions(pred: np.ndarray, path) -> None:
-    """One ``id<TAB>class`` line per node."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, c in enumerate(np.asarray(pred, dtype=np.int64)):
-            fh.write(f"{i}\t{int(c)}\n")

@@ -63,19 +63,6 @@ def propagate(g: Graph, x: np.ndarray, cfg: PropagationConfig = PropagationConfi
     return out
 
 
-def propagate_transpose(g: Graph, x: np.ndarray, norm: str = "row-mean") -> np.ndarray:
-    """One aggregation step of the transposed operator (used by backprop)."""
-    x = _check_inputs(g, x)
-    if norm not in NORMS:
-        raise ValueError(f"norm must be one of {NORMS}")
-    deg = g.out_degrees().astype(np.float64)
-    gt = transpose(g)
-    if norm == "row-mean":
-        return gather_sum(gt, x / deg[:, None])
-    scale = 1.0 / np.sqrt(deg)
-    return scale[:, None] * gather_sum(gt, x * scale[:, None])
-
-
 def transpose(g: Graph) -> Graph:
     """Graph with every directed edge reversed."""
     edges = g.edge_array()

@@ -4,9 +4,9 @@ import csv
 import json
 import math
 
-import numpy as np
 import pytest
 
+import lagraph.cli as cli
 from lagraph import load
 from lagraph.cli import (
     DEFAULT_CONFIG,
@@ -14,6 +14,7 @@ from lagraph.cli import (
     OUTPUT_DIR_ENV,
     TIMINGS_HEADER,
     ConfigError,
+    ExperimentConfig,
     _merge,
     append_summary_rows,
     config_from_dict,
@@ -102,10 +103,25 @@ class TestConfigResolution:
         ({"scorer": {"kind": "psychic"}}, "scorer.kind"),
         ({"model": {"kind": "tree"}}, "model.kind"),
         ({"seeds": []}, "seeds"),
+        ({"model": {"learning_rate": -1}}, "model: learning_rate"),
+        ({"model": {"k": 99}}, "model: k must lie"),
+        ({"scorer": {"kind": "oracle", "mode": "bogus"}}, "scorer: mode"),
+        ({"scorer": {"kind": "oracle", "target_q": 2.0}}, "scorer: target_q"),
+        ({"edge_classifier": {"hidden_widths": 16}}, "edge_classifier"),
+        ({"refinement": {"threshold": "high"}}, "refinement"),
     ])
     def test_validation(self, raw, match):
         with pytest.raises(ConfigError, match=match):
             config_from_dict(raw)
+
+    def test_sections_build_their_configs(self):
+        cfg = config_from_dict({"edge_classifier": {"hidden_widths": [8, "4"]},
+                                "model": {"epochs": "7", "early_stop": 1}})
+        assert cfg.edge_classifier.hidden_widths == (8, 4)
+        assert cfg.fit.epochs == 7 and cfg.fit.early_stop is True
+        assert cfg.fit.learning_rate == DEFAULT_CONFIG["model"]["learning_rate"]
+        # an unused scorer section is not checked
+        assert config_from_dict({"scorer": {"mode": "bogus"}}).scorer["mode"] == "bogus"
 
     def test_load_config_file_and_overrides(self, tmp_path):
         path = write_json(tmp_path, {"seeds": [3, 4], "degrade_k": 1})
@@ -245,6 +261,15 @@ class TestErrorExits:
         assert main(["pipeline", "--dataset", "nodes_only"]) == 2
         assert "NODES:EDGES" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section", [{"scorer": {"kind": "oracle", "mode": "bogus"}},
+                                         {"model": {"learning_rate": -1}}])
+    def test_bad_scorer_or_model_exits_2_before_any_arm(self, tmp_path, capsys, section):
+        cfg_path = write_json(tmp_path, fast_config(**section))
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", cfg_path, "--output-dir", str(out)]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_p_pre_sweep_threshold_guard(self, tmp_path, capsys):
         raw = fast_config(refinement={"threshold": 0.7},
                           sweep={"kind": "p_pre", "values": [0.5]})
@@ -352,6 +377,14 @@ class TestSynthCommand:
         rows = read_rows(run_dir / "pipeline.csv")
         assert {r["arm"] for r in rows} == {"origin", "refined"}
 
+    def test_synth_checks_kind_before_reading_files(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        code = main(["synth", "--output-dir", str(tmp_path / "o"),
+                     "--dataset", f"{missing}/n.tsv:{missing}/e.tsv"])
+        assert code == 2
+        assert "synth" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_synth_requires_synth_dataset(self, tmp_path, capsys):
         cfg_path = write_json(tmp_path, fast_config())
         out = tmp_path / "o"
@@ -383,3 +416,26 @@ class TestTheoryCommand:
                      "--seeds", "1"]) == 0
         rows = read_rows(out / "theory_sweep.csv")
         assert len(rows) == 45
+
+
+class TestDispatch:
+    """The benchmark times a run by replacing these module attributes, so
+    ``main`` must look them up when it runs, not bind them at import."""
+
+    @pytest.mark.parametrize("command,attr", [("pipeline", "run_pipeline"),
+                                              ("ablation", "run_ablation"),
+                                              ("sweep", "run_oracle_sweep"),
+                                              ("theory", "run_theory")])
+    def test_main_calls_the_current_module_attribute(self, tmp_path, monkeypatch, command, attr):
+        calls = []
+
+        def stub(*args, **kwargs):
+            calls.append(args)
+            return 0 if command == "theory" else ([], 0)
+
+        monkeypatch.setattr(cli, attr, stub)
+        assert main([command, "--output-dir", str(tmp_path), "--seeds", "3"]) == 0
+        assert len(calls) == 1
+        cfg = calls[0][0]
+        assert isinstance(cfg, ExperimentConfig)
+        assert cfg.seeds == (3,) and cfg.output_dir == str(tmp_path)

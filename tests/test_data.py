@@ -99,6 +99,12 @@ class TestLoadErrors:
         with pytest.raises(DataFormatError, match=r":1: malformed feature list"):
             load(*paths)
 
+    @pytest.mark.parametrize("feats", ["1.0,nan", "inf,1.0", "1.0,-inf"])
+    def test_non_finite_feature_names_line(self, tmp_path, feats):
+        paths = self.write(tmp_path, nodes=f"0\t0\ttrain\t1.0,2.0\n1\t0\ttest\t{feats}\n")
+        with pytest.raises(DataFormatError, match=r":2: non-finite feature value"):
+            load(*paths)
+
     def test_inconsistent_feature_dim(self, tmp_path):
         paths = self.write(tmp_path, nodes="0\t0\ttrain\t1.0,2.0\n1\t0\ttest\t1.0\n")
         with pytest.raises(DataFormatError, match=r":2: feature dim 1 != 2"):

@@ -15,11 +15,8 @@ from lagraph import (
     build_pairs,
     evaluate_quality,
     holdout_pairs,
-    load_classifier,
     make_scorer,
-    pair_features,
     quality_from_counts,
-    save_classifier,
     score,
     score_pairs,
     synth,
@@ -29,6 +26,7 @@ from lagraph.edge_classifier import (
     ONE_HOP,
     SAMPLED,
     TWO_HOP,
+    _forward,
     init_classifier,
     loss_and_grad,
     pair_weights,
@@ -41,10 +39,19 @@ from conftest import (
 )
 
 
+def pair_features(e_u, e_v):
+    """The pair features ``_forward`` feeds the MLP, read through an identity projection."""
+    e_u, e_v = np.atleast_2d(e_u), np.atleast_2d(e_v)
+    d = e_u.shape[1]
+    clf = EdgeClassifier(proj=np.eye(d), layers=[(np.zeros((3 * d, 1)), np.zeros(1))])
+    _, (_, _, _, _, hiddens) = _forward(clf, e_u, e_v)
+    return hiddens[0]
+
+
 class TestPairFeatures:
     def test_hand_computed(self):
         out = pair_features(np.array([1.0, 2.0]), np.array([3.0, -1.0]))
-        assert out.tolist() == [2.0, 3.0, 4.0, 1.0, 3.0, -2.0]
+        assert out.tolist() == [[2.0, 3.0, 4.0, 1.0, 3.0, -2.0]]
 
     def test_batch_shape(self):
         u = np.arange(6.0).reshape(2, 3)
@@ -387,22 +394,6 @@ class TestQuality:
         q = evaluate_quality(clf, pairs, np.zeros((1, 1)))
         assert q.total == 0
         assert all(math.isnan(x) for x in (q.p, q.q, q.p_pre, q.base_rate))
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path, rng):
-        features, pairs = TestTraining().separable_problem(rng, n=12)
-        clf = train(pairs, features, TrainConfig(proj_dim=3, hidden_widths=(4,), epochs=3, seed=0))
-        path = tmp_path / "clf.npz"
-        save_classifier(clf, path)
-        loaded = load_classifier(path)
-        assert np.array_equal(loaded.proj, clf.proj)
-        assert len(loaded.layers) == len(clf.layers)
-        for (w1, b1), (w2, b2) in zip(loaded.layers, clf.layers):
-            assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
-        assert loaded.threshold == clf.threshold
-        a, b = rng.normal(size=(2, 1)), rng.normal(size=(2, 1))
-        assert np.array_equal(score(loaded, a, b), score(clf, a, b))
 
 
 class TestPairSetValidation:

@@ -11,14 +11,10 @@ from lagraph import (
     SgcModel,
     accuracy,
     gcn_fit,
-    load_model,
     predict,
-    save_model,
     sgc_fit,
     synth,
-    write_predictions,
 )
-from lagraph.checkpoint import save_checkpoint
 from lagraph.models import gcn_forward, gcn_loss_and_grad, sgc_loss_and_grad
 
 from conftest import (
@@ -264,42 +260,3 @@ class TestPredictAndAccuracy:
             accuracy(np.zeros(2, dtype=np.int64), t, "train")
         with pytest.raises(ValueError, match="no labeled nodes"):
             accuracy(np.zeros(3, dtype=np.int64), t, "val")
-
-
-class TestCheckpointAndOutput:
-    def test_sgc_round_trip(self, tmp_path, rng):
-        g, t = synth(n=60, c=2, d=3, homophily=0.6, avg_degree=4.0, feature_sep=2.0, seed=1)
-        model = sgc_fit(g, t, FitConfig(epochs=10), k=3)
-        path = tmp_path / "sgc.npz"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert isinstance(loaded, SgcModel)
-        assert loaded.k == 3 and loaded.norm == model.norm
-        assert np.array_equal(loaded.weights, model.weights)
-        assert np.array_equal(predict(loaded, g, t), predict(model, g, t))
-
-    def test_gcn_round_trip(self, tmp_path, rng):
-        g, t = synth(n=60, c=2, d=3, homophily=0.6, avg_degree=4.0, feature_sep=2.0, seed=1)
-        model = gcn_fit(g, t, FitConfig(learning_rate=0.05, epochs=10, hidden_width=4))
-        path = tmp_path / "gcn.npz"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert isinstance(loaded, GcnModel)
-        for name in ("w1", "b1", "w2", "b2"):
-            assert np.array_equal(getattr(loaded, name), getattr(model, name))
-
-    def test_unknown_arch_rejected(self, tmp_path):
-        path = tmp_path / "odd.npz"
-        save_checkpoint(path, "node-model", {"weights": np.zeros((2, 2))},
-                        {"arch": "mystery", "norm": "row-mean"})
-        with pytest.raises(ValueError, match="unknown model architecture"):
-            load_model(path)
-
-    def test_save_rejects_other_types(self, tmp_path):
-        with pytest.raises(TypeError):
-            save_model({"weights": 1}, tmp_path / "x.npz")
-
-    def test_write_predictions_format(self, tmp_path):
-        path = tmp_path / "pred.tsv"
-        write_predictions(np.array([2, 0, 1]), path)
-        assert path.read_text(encoding="utf-8") == "0\t2\n1\t0\n2\t1\n"
