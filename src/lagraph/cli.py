@@ -188,6 +188,11 @@ def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> Experimen
         raise ConfigError("dataset.kind must be 'synth' or 'files'")
     if ds["kind"] == "files" and not (ds["nodes_path"] and ds["edges_path"]):
         raise ConfigError("dataset.kind 'files' needs nodes_path and edges_path")
+    if ds["kind"] == "synth":
+        try:
+            data.check_synth_args(**_synth_args(ds))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"dataset: {exc}") from exc
     scorer, model = resolved["scorer"], resolved["model"]
     if scorer["kind"] not in ("trained", "oracle"):
         raise ConfigError("scorer.kind must be 'trained' or 'oracle'")
@@ -219,15 +224,25 @@ def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> Experimen
     )
 
 
+def _deep_update(base: dict, override: dict) -> dict:
+    """Write ``override`` into ``base``, descending into sections both hold."""
+    for key, val in override.items():
+        if isinstance(val, dict) and isinstance(base.get(key), dict):
+            _deep_update(base[key], val)
+        else:
+            base[key] = val
+    return base
+
+
 def load_config(path: str | None, output_dir_flag: str | None = None,
                 overrides: dict | None = None) -> ExperimentConfig:
+    """Read the JSON config at ``path`` (if any), merge flag ``overrides``
+    into it key by key, and resolve the result against the defaults."""
     raw: dict = {}
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    for key, val in (overrides or {}).items():
-        raw[key] = val
-    return config_from_dict(raw, output_dir_flag)
+    return config_from_dict(_deep_update(raw, overrides or {}), output_dir_flag)
 
 
 def _fmt(x) -> str:
@@ -267,12 +282,17 @@ def append_summary_rows(rows: list[dict]) -> list[dict]:
     return out
 
 
+def _synth_args(ds: dict) -> dict:
+    """The ``data.synth`` arguments of a ``dataset`` section, seed excepted."""
+    return {"n": int(ds["n"]), "c": int(ds["c"]), "d": int(ds["d"]),
+            "homophily": float(ds["homophily"]), "avg_degree": float(ds["avg_degree"]),
+            "feature_sep": float(ds["feature_sep"])}
+
+
 def _load_dataset(cfg: ExperimentConfig, seed: int) -> tuple[Graph, NodeTable]:
     ds = cfg.dataset
     if ds["kind"] == "synth":
-        return data.synth(n=int(ds["n"]), c=int(ds["c"]), d=int(ds["d"]),
-                          homophily=float(ds["homophily"]), avg_degree=float(ds["avg_degree"]),
-                          feature_sep=float(ds["feature_sep"]), seed=seed)
+        return data.synth(**_synth_args(ds), seed=seed)
     return data.load(ds["nodes_path"], ds["edges_path"],
                      undirected=bool(ds["undirected"]), normalize=bool(ds["normalize"]))
 
@@ -443,9 +463,19 @@ def _run_experiment(cfg: ExperimentConfig, experiment: str, arm_names, make_arms
     return runner.rows, code
 
 
+def _check_filter_scorer(cfg: ExperimentConfig) -> None:
+    """Reject an add-mode oracle for a run whose arms filter: it scores one
+    candidate pool at a time and cannot score the edges of the graph."""
+    if cfg.scorer["kind"] == "oracle" and cfg.scorer["mode"] == "add":
+        raise ConfigError("scorer: an add-mode oracle cannot score the filter stage")
+
+
 def run_pipeline(cfg: ExperimentConfig, experiment: str = "pipeline",
                  degrade_k: int | None = None) -> tuple[list[dict], int]:
     """Baseline model on the input graph vs the same model on the refined one."""
+    if cfg.refinement.do_filter:
+        _check_filter_scorer(cfg)
+
     def arms(g, t, seed):
         scorer, features, cols = _scorer_for_seed(cfg, g, t, seed)
         return [("refined", cfg.refinement, scorer, features, cols)]
@@ -469,6 +499,8 @@ ABLATION_ARMS = (
 
 def run_ablation(cfg: ExperimentConfig) -> tuple[list[dict], int]:
     """origin / filter-only / add-only / filter+add, sharing one classifier per seed."""
+    _check_filter_scorer(cfg)
+
     def arms(g, t, seed):
         scorer, features, cols = _scorer_for_seed(cfg, g, t, seed)
         return [(arm, dataclasses.replace(cfg.refinement, do_filter=do_filter, do_add=do_add),
@@ -636,9 +668,7 @@ def main(argv=None) -> int:
             if args.values is not None:
                 sweep_over["values"] = [float(v) for v in args.values.split(",") if v != ""]
             if sweep_over:
-                base = dict(DEFAULT_CONFIG["sweep"])
-                base.update(sweep_over)
-                overrides["sweep"] = base
+                overrides["sweep"] = sweep_over
         if args.command == "degrade" and args.k is not None:
             overrides["degrade_k"] = args.k
         if args.command == "theory" and args.trials is not None:

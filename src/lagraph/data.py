@@ -153,6 +153,21 @@ def save(g: Graph, t: NodeTable, node_file_path, edge_file_path) -> None:
             fh.write(f"{int(u)}\t{int(v)}\n")
 
 
+def check_synth_args(n: int, c: int, d: int, homophily: float, avg_degree: float,
+                     feature_sep: float) -> None:
+    """Raise ``ValueError`` unless the arguments describe a graph :func:`synth` can build."""
+    if n < c or c < 1:
+        raise ValueError("need n >= c >= 1")
+    if d < 1:
+        raise ValueError("feature dim must be >= 1")
+    if not 0.0 <= homophily <= 1.0:
+        raise ValueError("homophily must lie in [0, 1]")
+    if avg_degree < 1.0:
+        raise ValueError("avg_degree must be >= 1")
+    if feature_sep < 0.0:
+        raise ValueError("feature_sep must be non-negative")
+
+
 def synth(n: int, c: int, d: int, homophily: float, avg_degree: float,
           feature_sep: float, seed: int) -> tuple[Graph, NodeTable]:
     """Generate a homophily-controlled benchmark graph.
@@ -174,16 +189,7 @@ def synth(n: int, c: int, d: int, homophily: float, avg_degree: float,
     Returns:
         ``(Graph, NodeTable)`` with symmetric edges and self loops.
     """
-    if n < c or c < 1:
-        raise ValueError("need n >= c >= 1")
-    if d < 1:
-        raise ValueError("feature dim must be >= 1")
-    if not 0.0 <= homophily <= 1.0:
-        raise ValueError("homophily must lie in [0, 1]")
-    if avg_degree < 1.0:
-        raise ValueError("avg_degree must be >= 1")
-    if feature_sep < 0.0:
-        raise ValueError("feature_sep must be non-negative")
+    check_synth_args(n, c, d, homophily, avg_degree, feature_sep)
     rng = np.random.default_rng(seed)
 
     labels = np.arange(n, dtype=np.int64) % c

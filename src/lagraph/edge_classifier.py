@@ -230,6 +230,12 @@ def _forward(clf: EdgeClassifier, xu: np.ndarray, xv: np.ndarray):
     return logits, cache
 
 
+def _sigmoid(logits: np.ndarray) -> np.ndarray:
+    # exp(-logit) overflows to inf below about -709, where 1/(1+inf) is the exact limit 0.0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-logits))
+
+
 def pair_weights(pairset: PairSet, class_weighting: str) -> np.ndarray:
     """Per-pair loss weights; 'balanced' equalizes the two class masses."""
     n = len(pairset)
@@ -262,7 +268,7 @@ def loss_and_grad(clf: EdgeClassifier, features: np.ndarray, pairset: PairSet,
     batch = float(idx.shape[0])
     # bce via logits: softplus(o) - y*o
     loss = float(np.mean(w * (np.logaddexp(0.0, logits) - y * logits)))
-    probs = 1.0 / (1.0 + np.exp(-logits))
+    probs = _sigmoid(logits)
     delta = (w * (probs - y) / batch)[:, None]
 
     grad_layers: list[tuple[np.ndarray, np.ndarray]] = [None] * len(clf.layers)
@@ -341,7 +347,7 @@ def score(clf: EdgeClassifier, e_u: np.ndarray, e_v: np.ndarray):
     xu = np.atleast_2d(e_u)
     xv = np.atleast_2d(e_v)
     logits, _ = _forward(clf, xu, xv)
-    probs = 1.0 / (1.0 + np.exp(-logits))
+    probs = _sigmoid(logits)
     return float(probs[0]) if single else probs
 
 

@@ -11,6 +11,7 @@ step the two-layer model needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -166,24 +167,50 @@ def _aggregators(g: Graph, norm: str):
     return agg, agg_t
 
 
+@dataclass(frozen=True)
+class _GcnInputs:
+    """What every epoch of one fit shares: the aggregation pair of the graph,
+    the labeled train nodes, and the first-layer aggregate of the features."""
+
+    agg: Callable[[np.ndarray], np.ndarray]
+    agg_t: Callable[[np.ndarray], np.ndarray]
+    idx: np.ndarray
+    y: np.ndarray
+    a1: np.ndarray
+
+
+def _gcn_inputs(g: Graph, t: NodeTable, norm: str) -> _GcnInputs:
+    agg, agg_t = _aggregators(g, norm)
+    idx, y = _train_targets(t)
+    return _GcnInputs(agg, agg_t, idx, y, agg(t.features))
+
+
+def _gcn_layers(model: GcnModel, agg, a1: np.ndarray):
+    """Layer-one pre-activation, second-layer aggregate, and logits, given
+    the first-layer aggregate ``a1``."""
+    s1 = a1 @ model.w1 + model.b1
+    a2 = agg(np.maximum(s1, 0.0))
+    return s1, a2, a2 @ model.w2 + model.b2
+
+
 def gcn_forward(model: GcnModel, g: Graph, x: np.ndarray) -> np.ndarray:
     """Logits of the two-layer model for every node."""
     agg, _ = _aggregators(g, model.norm)
-    h = np.maximum(agg(x) @ model.w1 + model.b1, 0.0)
-    return agg(h) @ model.w2 + model.b2
+    return _gcn_layers(model, agg, agg(x))[2]
 
 
-def gcn_loss_and_grad(model: GcnModel, g: Graph, t: NodeTable, weight_decay: float):
+def gcn_loss_and_grad(model: GcnModel, g: Graph, t: NodeTable, weight_decay: float,
+                      _inputs: _GcnInputs | None = None):
     """Loss and parameter gradients; backprop crosses both aggregation steps
-    via the transposed operator."""
-    agg, agg_t = _aggregators(g, model.norm)
-    idx, y = _train_targets(t)
+    via the transposed operator.
+
+    ``_inputs`` is what :func:`gcn_fit` prepares once per fit; without it
+    they are derived from ``g``, ``t`` and ``model.norm`` on every call.
+    """
+    inputs = _gcn_inputs(g, t, model.norm) if _inputs is None else _inputs
+    idx, y, a1 = inputs.idx, inputs.y, inputs.a1
     n = idx.shape[0]
-    a1 = agg(t.features)
-    s1 = a1 @ model.w1 + model.b1
-    h1 = np.maximum(s1, 0.0)
-    a2 = agg(h1)
-    logits = a2 @ model.w2 + model.b2
+    s1, a2, logits = _gcn_layers(model, inputs.agg, a1)
     probs = _softmax(logits[idx])
     loss = _cross_entropy(probs, y)
     loss += 0.5 * weight_decay * float(np.sum(model.w1 ** 2) + np.sum(model.w2 ** 2))
@@ -194,7 +221,7 @@ def gcn_loss_and_grad(model: GcnModel, g: Graph, t: NodeTable, weight_decay: flo
     g_logits[idx] = delta / n
     grad_w2 = a2.T @ g_logits + weight_decay * model.w2
     grad_b2 = g_logits.sum(axis=0)
-    g_h1 = agg_t(g_logits @ model.w2.T)
+    g_h1 = inputs.agg_t(g_logits @ model.w2.T)
     g_s1 = g_h1 * (s1 > 0.0)
     grad_w1 = a1.T @ g_s1 + weight_decay * model.w1
     grad_b1 = g_s1.sum(axis=0)
@@ -202,16 +229,21 @@ def gcn_loss_and_grad(model: GcnModel, g: Graph, t: NodeTable, weight_decay: flo
 
 
 def gcn_fit(g: Graph, t: NodeTable, cfg: FitConfig = FitConfig(learning_rate=0.05)) -> GcnModel:
-    """Fit the two-layer model full-batch; deterministic given ``cfg.seed``."""
+    """Fit the two-layer model full-batch; deterministic given ``cfg.seed``.
+
+    The aggregation pair (one transpose of ``g``), the train targets and the
+    first-layer aggregate are built once and shared by every epoch.
+    """
     rng = np.random.default_rng(cfg.seed)
     d, h, c = t.feature_dim, cfg.hidden_width, t.num_classes
     model = GcnModel(w1=_uniform_init(rng, d, (d, h)), b1=np.zeros(h),
                      w2=_uniform_init(rng, h, (h, c)), b2=np.zeros(c), norm=cfg.norm)
+    inputs = _gcn_inputs(g, t, cfg.norm)
     best = None
     best_acc = -1.0
     stale = 0
     for _ in range(cfg.epochs):
-        loss, gw1, gb1, gw2, gb2 = gcn_loss_and_grad(model, g, t, cfg.weight_decay)
+        loss, gw1, gb1, gw2, gb2 = gcn_loss_and_grad(model, g, t, cfg.weight_decay, _inputs=inputs)
         if not np.isfinite(loss):
             raise RuntimeError(f"training diverged: non-finite loss (lr={cfg.learning_rate})")
         model.w1 = model.w1 - cfg.learning_rate * gw1
@@ -219,7 +251,8 @@ def gcn_fit(g: Graph, t: NodeTable, cfg: FitConfig = FitConfig(learning_rate=0.0
         model.w2 = model.w2 - cfg.learning_rate * gw2
         model.b2 = model.b2 - cfg.learning_rate * gb2
         if cfg.early_stop:
-            acc = _val_accuracy(lambda: np.argmax(gcn_forward(model, g, t.features), axis=1), t)
+            acc = _val_accuracy(
+                lambda: np.argmax(_gcn_layers(model, inputs.agg, inputs.a1)[2], axis=1), t)
             if acc > best_acc:
                 best_acc = acc
                 best = (model.w1.copy(), model.b1.copy(), model.w2.copy(), model.b2.copy())

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .graph import Graph, NodeTable
 
@@ -43,8 +44,9 @@ def _check_inputs(g: Graph, x: np.ndarray) -> np.ndarray:
 
 def gather_sum(g: Graph, x: np.ndarray) -> np.ndarray:
     """Row v of the result sums ``x`` over the targets of v."""
-    # reduceat needs every row non-empty; self loops guarantee that
-    return np.add.reduceat(x[g.col_targets], g.row_offsets[:-1], axis=0)
+    n = g.num_nodes
+    adjacency = csr_array((np.ones(g.num_edges), g.col_targets, g.row_offsets), shape=(n, n))
+    return adjacency @ x
 
 
 def propagate(g: Graph, x: np.ndarray, cfg: PropagationConfig = PropagationConfig()) -> np.ndarray:

@@ -15,6 +15,7 @@ from lagraph.cli import (
     TIMINGS_HEADER,
     ConfigError,
     ExperimentConfig,
+    _deep_update,
     _merge,
     append_summary_rows,
     config_from_dict,
@@ -28,15 +29,6 @@ from lagraph.cli import (
 )
 
 
-def deep_update(base, override):
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(base.get(key), dict):
-            deep_update(base[key], val)
-        else:
-            base[key] = val
-    return base
-
-
 def fast_config(**override):
     """Small dataset and short training so subcommand tests stay quick."""
     base = {
@@ -47,7 +39,7 @@ def fast_config(**override):
         "model": {"epochs": 40},
         "seeds": [0],
     }
-    return deep_update(base, override)
+    return _deep_update(base, override)
 
 
 def write_json(tmp_path, payload, name="config.json"):
@@ -109,6 +101,7 @@ class TestConfigResolution:
         ({"scorer": {"kind": "oracle", "target_q": 2.0}}, "scorer: target_q"),
         ({"edge_classifier": {"hidden_widths": 16}}, "edge_classifier"),
         ({"refinement": {"threshold": "high"}}, "refinement"),
+        ({"dataset": {"n": 2, "c": 4}}, "dataset: need n >= c >= 1"),
     ])
     def test_validation(self, raw, match):
         with pytest.raises(ConfigError, match=match):
@@ -129,6 +122,11 @@ class TestConfigResolution:
         assert cfg.seeds == (3, 4)
         assert cfg.degrade_k == 5
         assert cfg.edge_classifier.proj_dim == DEFAULT_CONFIG["edge_classifier"]["proj_dim"]
+
+    def test_flag_overrides_merge_into_sections(self, tmp_path):
+        path = write_json(tmp_path, {"dataset": {"n": 200}})
+        cfg = load_config(path, None, {"dataset": {"kind": "synth"}})
+        assert cfg.dataset["kind"] == "synth" and cfg.dataset["n"] == 200
 
 
 class TestCsvWriting:
@@ -270,6 +268,20 @@ class TestErrorExits:
         assert "ConfigError" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["pipeline", "degrade", "ablation"])
+    def test_add_oracle_for_a_filter_stage_exits_2_before_any_arm(self, tmp_path, capsys, command):
+        cfg_path = write_json(tmp_path, fast_config(scorer={"kind": "oracle", "mode": "add"}))
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg_path, "--output-dir", str(out)]) == 2
+        assert "add-mode oracle" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_add_oracle_without_filter_runs(self, tmp_path):
+        raw = fast_config(scorer={"kind": "oracle", "mode": "add"},
+                          refinement={"do_filter": False})
+        cfg_path = write_json(tmp_path, raw)
+        assert main(["pipeline", "--config", cfg_path, "--output-dir", str(tmp_path / "o")]) == 0
+
     def test_p_pre_sweep_threshold_guard(self, tmp_path, capsys):
         raw = fast_config(refinement={"threshold": 0.7},
                           sweep={"kind": "p_pre", "values": [0.5]})
@@ -324,6 +336,12 @@ class TestSweepCommand:
         rows = read_rows(out / "sweep_pmq.csv")
         arms = {r["arm"] for r in rows}
         assert arms == {"origin", "pmq=1.00"}
+
+    def test_kind_flag_keeps_config_values(self, tmp_path):
+        cfg_path = write_json(tmp_path, fast_config(sweep={"values": [0.5]}))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg_path, "--output-dir", str(out), "--kind", "p_pre"]) == 0
+        assert {r["arm"] for r in read_rows(out / "sweep_ppre.csv")} == {"origin", "ppre=0.50"}
 
     def test_bad_values_rejected(self, tmp_path):
         raw = fast_config(sweep={"kind": "p_minus_q", "values": [1.5]})

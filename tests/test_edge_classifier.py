@@ -185,6 +185,15 @@ class TestForwardFixture:
         got = score(clf, np.array([0.3]), np.array([-0.7]))
         assert got == pytest.approx(1.0 / (1.0 + math.exp(-0.7)), abs=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    def test_saturated_logit_scores_zero_without_warning(self):
+        # logit -800 for every pair: exp(800) overflows, the probability is exactly 0.0
+        clf = EdgeClassifier(proj=np.eye(1), layers=[(np.zeros((3, 1)), np.array([-800.0]))])
+        assert score(clf, np.array([0.3]), np.array([-0.7])) == 0.0
+        pairs = PairSet(u=[0], v=[1], labels=[0], provenance=[ONE_HOP])
+        _, grad_proj, grad_layers = loss_and_grad(clf, np.ones((2, 1)), pairs, np.ones(1))
+        assert not grad_proj.any() and not grad_layers[0][1].any()
+
     def test_batch_matches_single(self):
         clf = self.fixture_classifier()
         xs = np.array([[0.3], [1.0]])

@@ -15,7 +15,8 @@ from lagraph import (
     sgc_fit,
     synth,
 )
-from lagraph.models import gcn_forward, gcn_loss_and_grad, sgc_loss_and_grad
+import lagraph.models as models
+from lagraph.models import _uniform_init, gcn_forward, gcn_loss_and_grad, sgc_loss_and_grad
 
 from conftest import (
     assert_gradients_match,
@@ -223,6 +224,65 @@ class TestFitting:
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
             FitConfig(**kwargs)
+
+
+def reference_gcn_fit(g, t, cfg):
+    """``gcn_fit`` as a loop over the public per-epoch calls, each of which
+    rebuilds the aggregators and the first-layer aggregate from scratch."""
+    rng = np.random.default_rng(cfg.seed)
+    d, h, c = t.feature_dim, cfg.hidden_width, t.num_classes
+    model = GcnModel(w1=_uniform_init(rng, d, (d, h)), b1=np.zeros(h),
+                     w2=_uniform_init(rng, h, (h, c)), b2=np.zeros(c), norm=cfg.norm)
+    val = t.split_mask("val") & t.known_mask()
+    best, best_acc, stale = None, -1.0, 0
+    for _ in range(cfg.epochs):
+        _, gw1, gb1, gw2, gb2 = gcn_loss_and_grad(model, g, t, cfg.weight_decay)
+        model.w1 = model.w1 - cfg.learning_rate * gw1
+        model.b1 = model.b1 - cfg.learning_rate * gb1
+        model.w2 = model.w2 - cfg.learning_rate * gw2
+        model.b2 = model.b2 - cfg.learning_rate * gb2
+        if cfg.early_stop:
+            pred = np.argmax(gcn_forward(model, g, t.features), axis=1)
+            acc = float(np.mean(pred[val] == t.labels[val]))
+            if acc > best_acc:
+                best_acc, stale = acc, 0
+                best = (model.w1.copy(), model.b1.copy(), model.w2.copy(), model.b2.copy())
+            else:
+                stale += 1
+                if stale >= cfg.patience:
+                    break
+    if cfg.early_stop and best is not None:
+        model.w1, model.b1, model.w2, model.b2 = best
+    return model
+
+
+class TestGcnFitPreparesOnce:
+    def problem(self):
+        return synth(n=200, c=3, d=6, homophily=0.6, avg_degree=5.0, feature_sep=2.0, seed=1)
+
+    def test_one_transpose_and_one_loss_call_per_epoch(self, monkeypatch):
+        g, t = self.problem()
+        calls = {"transpose": 0, "gcn_loss_and_grad": 0}
+        for name in calls:
+            original = getattr(models, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(models, name, counted)
+        gcn_fit(g, t, FitConfig(learning_rate=0.05, epochs=7))
+        assert calls == {"transpose": 1, "gcn_loss_and_grad": 7}
+
+    @pytest.mark.parametrize("norm", ["row-mean", "symmetric"])
+    @pytest.mark.parametrize("early_stop", [False, True])
+    def test_weights_match_the_public_per_epoch_loop(self, norm, early_stop):
+        g, t = self.problem()
+        cfg = FitConfig(learning_rate=0.3, epochs=40, seed=4, norm=norm,
+                        early_stop=early_stop, patience=3)
+        got, want = gcn_fit(g, t, cfg), reference_gcn_fit(g, t, cfg)
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class TestPredictAndAccuracy:
