@@ -30,6 +30,7 @@ from .graph import (
     PositiveRatioReport,
     positive_ratio,
     two_hop_candidates,
+    two_hop_pools,
 )
 from .hashing import unit_uniform
 from .models import (
@@ -128,5 +129,6 @@ __all__ = [
     "train",
     "transpose",
     "two_hop_candidates",
+    "two_hop_pools",
     "unit_uniform",
 ]

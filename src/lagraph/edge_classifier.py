@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, NodeTable, two_hop_candidates
+from .graph import Graph, NodeTable, two_hop_pools
+# bound for the benchmark tracer (perfbench/spans.py wraps this module's name); unused here
+from .graph import two_hop_candidates  # noqa: F401
 
 ONE_HOP, TWO_HOP, SAMPLED = 0, 1, 2
 
@@ -107,30 +109,34 @@ def build_pairs(g: Graph, t: NodeTable, cfg: TrainConfig) -> PairSet:
     out). Each unordered pair appears once; labels compare node classes.
     """
     train = t.split_mask("train") & t.known_mask()
-    edges = g.edge_array()
-    mask = (edges[:, 0] < edges[:, 1]) & train[edges[:, 0]] & train[edges[:, 1]]
-    one_hop = edges[mask]
-    us, vs, prov = [one_hop[:, 0]], [one_hop[:, 1]], [np.full(one_hop.shape[0], ONE_HOP, dtype=np.int8)]
-    if cfg.include_two_hop:
-        for v in np.flatnonzero(train):
-            cand = two_hop_candidates(g, int(v))
-            cand = cand[(cand > v) & train[cand]]
-            if cand.size:
-                us.append(np.full(cand.shape[0], v, dtype=np.int64))
-                vs.append(cand)
-                prov.append(np.full(cand.shape[0], TWO_HOP, dtype=np.int8))
-    u = np.concatenate(us)
-    v = np.concatenate(vs)
+    u, v, prov = _structural_pairs(g, cfg.include_two_hop, lambda a, b: train[a] & train[b])
     if cfg.num_sampled > 0:
         su, sv = _sample_pairs(np.flatnonzero(train), u, v, cfg.num_sampled, cfg.seed)
-        if su.size:
-            u = np.concatenate([u, su])
-            v = np.concatenate([v, sv])
-            prov.append(np.full(su.shape[0], SAMPLED, dtype=np.int8))
+        u = np.concatenate([u, su])
+        v = np.concatenate([v, sv])
+        prov = np.concatenate([prov, np.full(su.shape[0], SAMPLED, dtype=np.int8)])
     if u.size == 0:
         raise ValueError("no eligible training pairs (need train-train edges)")
     labels = (t.labels[u] == t.labels[v]).astype(np.int64)
-    return PairSet(u=u, v=v, labels=labels, provenance=np.concatenate(prov))
+    return PairSet(u=u, v=v, labels=labels, provenance=prov)
+
+
+def _structural_pairs(g: Graph, include_two_hop: bool, eligible) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs ``u < v`` that ``eligible(u, v)`` keeps: first those joined by an
+    edge, then (with ``include_two_hop``) those at distance exactly two, each
+    block ordered by u, then v. Returns ``(u, v, provenance)``."""
+    edges = g.edge_array()
+    blocks = [(edges[:, 0], edges[:, 1], ONE_HOP)]
+    if include_two_hop:
+        indptr, cand = two_hop_pools(g)
+        blocks.append((np.repeat(np.arange(g.num_nodes, dtype=np.int64), np.diff(indptr)), cand, TWO_HOP))
+    us, vs, prov = [], [], []
+    for a, b, tag in blocks:
+        keep = (a < b) & eligible(a, b)
+        us.append(a[keep])
+        vs.append(b[keep].astype(np.int64))
+        prov.append(np.full(us[-1].shape[0], tag, dtype=np.int8))
+    return np.concatenate(us), np.concatenate(vs), np.concatenate(prov)
 
 
 def _sample_pairs(train_ids: np.ndarray, used_u: np.ndarray, used_v: np.ndarray,
@@ -168,31 +174,12 @@ def holdout_pairs(g: Graph, t: NodeTable, include_two_hop: bool = True) -> PairS
     """Labeled pairs at distance <= 2 with at least one non-train endpoint."""
     known = t.known_mask()
     train = t.split_mask("train")
-    edges = g.edge_array()
-    mask = (edges[:, 0] < edges[:, 1]) & known[edges[:, 0]] & known[edges[:, 1]]
-    mask &= ~(train[edges[:, 0]] & train[edges[:, 1]])
-    one_hop = edges[mask]
-    us, vs, prov = [one_hop[:, 0]], [one_hop[:, 1]], [np.full(one_hop.shape[0], ONE_HOP, dtype=np.int8)]
-    if include_two_hop:
-        for v in range(g.num_nodes):
-            if not known[v]:
-                continue
-            cand = two_hop_candidates(g, v)
-            cand = cand[(cand > v) & known[cand]]
-            if not train[v]:
-                keep = cand
-            else:
-                keep = cand[~train[cand]]
-            if keep.size:
-                us.append(np.full(keep.shape[0], v, dtype=np.int64))
-                vs.append(keep)
-                prov.append(np.full(keep.shape[0], TWO_HOP, dtype=np.int8))
-    u = np.concatenate(us)
-    v = np.concatenate(vs)
+    u, v, prov = _structural_pairs(g, include_two_hop,
+                                   lambda a, b: known[a] & known[b] & ~(train[a] & train[b]))
     if u.size == 0:
         raise ValueError("no eligible held-out pairs")
     labels = (t.labels[u] == t.labels[v]).astype(np.int64)
-    return PairSet(u=u, v=v, labels=labels, provenance=np.concatenate(prov))
+    return PairSet(u=u, v=v, labels=labels, provenance=prov)
 
 
 def init_classifier(feature_dim: int, cfg: TrainConfig) -> EdgeClassifier:
@@ -249,6 +236,11 @@ def pair_weights(pairset: PairSet, class_weighting: str) -> np.ndarray:
     return w
 
 
+def _weighted_bce(logits: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
+    # bce via logits: softplus(o) - y*o
+    return float(np.mean(w * (np.logaddexp(0.0, logits) - y * logits)))
+
+
 def loss_and_grad(clf: EdgeClassifier, features: np.ndarray, pairset: PairSet,
                   weights: np.ndarray, idx: np.ndarray | None = None):
     """Weighted BCE over the (sub)batch and its gradient in every parameter.
@@ -266,8 +258,7 @@ def loss_and_grad(clf: EdgeClassifier, features: np.ndarray, pairset: PairSet,
     xv = features[v]
     logits, (eu, ev, sgn, pre_acts, hiddens) = _forward(clf, xu, xv)
     batch = float(idx.shape[0])
-    # bce via logits: softplus(o) - y*o
-    loss = float(np.mean(w * (np.logaddexp(0.0, logits) - y * logits)))
+    loss = _weighted_bce(logits, y, w)
     probs = _sigmoid(logits)
     delta = (w * (probs - y) / batch)[:, None]
 
@@ -306,6 +297,13 @@ def train(pairset: PairSet, features: np.ndarray, cfg: TrainConfig = TrainConfig
     n = len(pairset)
     batch = min(cfg.batch_size, n)
 
+    y = pairset.labels.astype(np.float64)
+
+    def full_loss() -> float:
+        # forward only: the logged loss needs no gradient
+        logits, _ = _forward(clf, features[pairset.u], features[pairset.v])
+        return _weighted_bce(logits, y, weights)
+
     vel_proj = np.zeros_like(clf.proj)
     vel_layers = [(np.zeros_like(W), np.zeros_like(b)) for W, b in clf.layers]
     history = []
@@ -329,12 +327,8 @@ def train(pairset: PairSet, features: np.ndarray, cfg: TrainConfig = TrainConfig
                 new_vel.append((vW, vb))
             clf.layers = new_layers
             vel_layers = new_vel
-        epoch_loss, _, _ = loss_and_grad(clf, features, pairset, weights)
-        history.append(epoch_loss)
-    if history:
-        clf.final_loss = history[-1]
-    else:
-        clf.final_loss, _, _ = loss_and_grad(clf, features, pairset, weights)
+        history.append(full_loss())
+    clf.final_loss = history[-1] if history else full_loss()
     clf.loss_history = np.asarray(history)
     return clf
 

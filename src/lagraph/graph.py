@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array, eye_array
 
 UNKNOWN_LABEL = -1
 
@@ -223,3 +224,27 @@ def two_hop_candidates(g: Graph, v: int) -> np.ndarray:
     mask = ~np.isin(cand, one_hop)
     mask &= cand != v
     return cand[mask]
+
+
+def two_hop_pools(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's :func:`two_hop_candidates` as one int32 CSR ``(indptr, indices)``.
+
+    Row ``v`` is ``indices[indptr[v]:indptr[v + 1]]``: the nodes at distance
+    exactly two from ``v``, ascending. With ``A`` the boolean adjacency
+    without self loops, the pools are the entries of ``A @ A`` outside ``A + I``.
+    """
+    n = g.num_nodes
+    sources = g.edge_sources()
+    nonself = sources != g.col_targets
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(sources[nonself], minlength=n), out=indptr[1:])
+    a = csr_array((np.ones(int(indptr[-1]), dtype=bool), g.col_targets[nonself].astype(np.int32), indptr),
+                  shape=(n, n))
+    del sources, nonself
+    reach = a @ a
+    near = a + eye_array(n, dtype=bool, format="csr")
+    del a
+    pools = reach > near
+    del reach, near
+    pools.sort_indices()
+    return pools.indptr, pools.indices

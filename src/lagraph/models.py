@@ -144,9 +144,11 @@ def sgc_fit(g: Graph, t: NodeTable, cfg: FitConfig = FitConfig(), k: int = 2) ->
     return model
 
 
-def _aggregators(g: Graph, norm: str):
+def _aggregators(g: Graph, norm: str, backward: bool = True):
+    """The normalized aggregation step of ``g`` and its transpose; the
+    transpose (and the reversed graph it needs) only when ``backward``."""
     deg = g.out_degrees().astype(np.float64)
-    gt = transpose(g)
+    gt = transpose(g) if backward else None
     if norm == "row-mean":
 
         def agg(x):
@@ -164,7 +166,7 @@ def _aggregators(g: Graph, norm: str):
         def agg_t(x):
             return scale[:, None] * gather_sum(gt, x * scale[:, None])
 
-    return agg, agg_t
+    return agg, agg_t if backward else None
 
 
 @dataclass(frozen=True)
@@ -195,7 +197,7 @@ def _gcn_layers(model: GcnModel, agg, a1: np.ndarray):
 
 def gcn_forward(model: GcnModel, g: Graph, x: np.ndarray) -> np.ndarray:
     """Logits of the two-layer model for every node."""
-    agg, _ = _aggregators(g, model.norm)
+    agg, _ = _aggregators(g, model.norm, backward=False)
     return _gcn_layers(model, agg, agg(x))[2]
 
 

@@ -17,7 +17,9 @@ from typing import Callable
 import numpy as np
 
 from .edge_classifier import EdgeClassifier, make_scorer
-from .graph import Graph, NodeTable, positive_ratio, two_hop_candidates
+from .graph import Graph, NodeTable, positive_ratio, two_hop_pools
+# bound for the benchmark tracer (perfbench/spans.py wraps this module's name); unused here
+from .graph import two_hop_candidates  # noqa: F401
 from .hashing import unit_uniform
 from .propagation import EdgeFeatureConfig, edge_input_features
 
@@ -120,12 +122,13 @@ def add_edges(g: Graph, scorer: PairScorer, n_max: int, threshold: float) -> tup
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     degrees = g.nonself_degrees().astype(np.int64)
+    indptr, pools = two_hop_pools(g)
     added_adj: list[set[int]] = [set() for _ in range(g.num_nodes)]
     added: list[tuple[int, int]] = []
     for v in range(g.num_nodes):
         if degrees[v] >= n_max:
             continue
-        cand = two_hop_candidates(g, v)
+        cand = pools[indptr[v]:indptr[v + 1]].astype(np.int64)
         if added_adj[v]:
             cand = cand[~np.isin(cand, np.fromiter(added_adj[v], dtype=np.int64))]
         if cand.size == 0:

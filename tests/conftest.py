@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from lagraph import Graph
+from lagraph import Graph, NodeTable, PairSet, two_hop_candidates
+from lagraph.edge_classifier import ONE_HOP, SAMPLED, TWO_HOP, _sample_pairs
 
 
 def undirected_graph(num_nodes, pairs, add_self_loops=True):
@@ -12,6 +14,31 @@ def undirected_graph(num_nodes, pairs, add_self_loops=True):
     if arr.size:
         arr = np.concatenate([arr, arr[:, ::-1]], axis=0)
     return Graph.from_edges(num_nodes, arr, add_self_loops=add_self_loops)
+
+
+def draw_graph(data, max_nodes=40, max_pairs=120):
+    """A hypothesis-drawn graph on 1..``max_nodes`` nodes.
+
+    Edges are one-directional or mirrored, and self loops sit on every node,
+    on none, or on the few nodes a drawn pair happens to loop on.
+    """
+    n = data.draw(st.integers(1, max_nodes), label="nodes")
+    node = st.integers(0, n - 1)
+    pairs = np.asarray(data.draw(st.lists(st.tuples(node, node), max_size=max_pairs), label="pairs"),
+                       dtype=np.int64).reshape(-1, 2)
+    if data.draw(st.booleans(), label="mirrored"):
+        pairs = np.concatenate([pairs, pairs[:, ::-1]], axis=0)
+    return Graph.from_edges(n, pairs, add_self_loops=data.draw(st.booleans(), label="self loops"))
+
+
+def draw_table(data, n, allow_unknown=True):
+    """A hypothesis-drawn node table: labels (some unknown if allowed) and splits."""
+    c = data.draw(st.integers(1, 3), label="classes")
+    low = -1 if allow_unknown else 0
+    labels = data.draw(st.lists(st.integers(low, c - 1), min_size=n, max_size=n), label="labels")
+    split = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n), label="split")
+    return NodeTable(features=np.zeros((n, 1)), labels=np.asarray(labels, dtype=np.int64),
+                     num_classes=c, split=np.asarray(split, dtype=np.int8))
 
 
 def dense_adjacency(g):
@@ -67,6 +94,95 @@ def assert_gradients_match(analytic_flat, fd_grads, rel_tol=1e-4):
         denom = max(abs(an), abs(fd), 1e-8)
         assert abs(an - fd) / denom < rel_tol, (
             f"coordinate {idx}: analytic {an!r} vs finite-difference {fd!r}")
+
+
+def reference_build_pairs(g, t, cfg):
+    """``build_pairs`` as a per-node loop over ``two_hop_candidates``."""
+    train = t.split_mask("train") & t.known_mask()
+    edges = g.edge_array()
+    mask = (edges[:, 0] < edges[:, 1]) & train[edges[:, 0]] & train[edges[:, 1]]
+    one_hop = edges[mask]
+    us, vs, prov = [one_hop[:, 0]], [one_hop[:, 1]], [np.full(one_hop.shape[0], ONE_HOP, dtype=np.int8)]
+    if cfg.include_two_hop:
+        for v in np.flatnonzero(train):
+            cand = two_hop_candidates(g, int(v))
+            cand = cand[(cand > v) & train[cand]]
+            if cand.size:
+                us.append(np.full(cand.shape[0], v, dtype=np.int64))
+                vs.append(cand)
+                prov.append(np.full(cand.shape[0], TWO_HOP, dtype=np.int8))
+    u = np.concatenate(us)
+    v = np.concatenate(vs)
+    if cfg.num_sampled > 0:
+        su, sv = _sample_pairs(np.flatnonzero(train), u, v, cfg.num_sampled, cfg.seed)
+        if su.size:
+            u = np.concatenate([u, su])
+            v = np.concatenate([v, sv])
+            prov.append(np.full(su.shape[0], SAMPLED, dtype=np.int8))
+    if u.size == 0:
+        raise ValueError("no eligible training pairs (need train-train edges)")
+    labels = (t.labels[u] == t.labels[v]).astype(np.int64)
+    return PairSet(u=u, v=v, labels=labels, provenance=np.concatenate(prov))
+
+
+def reference_holdout_pairs(g, t, include_two_hop=True):
+    """``holdout_pairs`` as a per-node loop over ``two_hop_candidates``."""
+    known = t.known_mask()
+    train = t.split_mask("train")
+    edges = g.edge_array()
+    mask = (edges[:, 0] < edges[:, 1]) & known[edges[:, 0]] & known[edges[:, 1]]
+    mask &= ~(train[edges[:, 0]] & train[edges[:, 1]])
+    one_hop = edges[mask]
+    us, vs, prov = [one_hop[:, 0]], [one_hop[:, 1]], [np.full(one_hop.shape[0], ONE_HOP, dtype=np.int8)]
+    if include_two_hop:
+        for v in range(g.num_nodes):
+            if not known[v]:
+                continue
+            cand = two_hop_candidates(g, v)
+            cand = cand[(cand > v) & known[cand]]
+            keep = cand if not train[v] else cand[~train[cand]]
+            if keep.size:
+                us.append(np.full(keep.shape[0], v, dtype=np.int64))
+                vs.append(keep)
+                prov.append(np.full(keep.shape[0], TWO_HOP, dtype=np.int8))
+    u = np.concatenate(us)
+    v = np.concatenate(vs)
+    if u.size == 0:
+        raise ValueError("no eligible held-out pairs")
+    labels = (t.labels[u] == t.labels[v]).astype(np.int64)
+    return PairSet(u=u, v=v, labels=labels, provenance=np.concatenate(prov))
+
+
+def reference_add_edges(g, scorer, n_max, threshold):
+    """``add_edges`` as a per-node loop over ``two_hop_candidates``; returns
+    the refined graph and the added ``(active, passive)`` pairs."""
+    degrees = g.nonself_degrees().astype(np.int64)
+    added_adj = [set() for _ in range(g.num_nodes)]
+    added = []
+    for v in range(g.num_nodes):
+        if degrees[v] >= n_max:
+            continue
+        cand = two_hop_candidates(g, v)
+        if added_adj[v]:
+            cand = cand[~np.isin(cand, np.fromiter(added_adj[v], dtype=np.int64))]
+        if cand.size == 0:
+            continue
+        scores = np.asarray(scorer(np.full(cand.shape[0], v, dtype=np.int64), cand), dtype=np.float64)
+        eligible = scores >= threshold
+        cand = cand[eligible]
+        scores = scores[eligible]
+        for w in cand[np.lexsort((cand, -scores))]:
+            if degrees[v] >= n_max:
+                break
+            w = int(w)
+            added.append((v, w))
+            added_adj[v].add(w)
+            added_adj[w].add(v)
+            degrees[v] += 1
+            degrees[w] += 1
+    arr = np.asarray(added, dtype=np.int64).reshape(-1, 2)
+    edges = np.concatenate([g.edge_array(), arr, arr[:, ::-1]], axis=0)
+    return Graph.from_edges(g.num_nodes, edges, add_self_loops=False), arr
 
 
 @pytest.fixture

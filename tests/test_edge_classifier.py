@@ -22,6 +22,7 @@ from lagraph import (
     synth,
     train,
 )
+import lagraph.edge_classifier as edge_classifier
 from lagraph.edge_classifier import (
     ONE_HOP,
     SAMPLED,
@@ -35,7 +36,11 @@ from lagraph.edge_classifier import (
 from conftest import (
     assert_gradients_match,
     central_difference,
+    draw_graph,
+    draw_table,
     flatten_params,
+    reference_build_pairs,
+    reference_holdout_pairs,
 )
 
 
@@ -168,6 +173,52 @@ class TestHoldoutPairs:
             assert b in adj[a] or (adj[a] & adj[b])
 
 
+def pairs_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def assert_same_pairset(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    for name in ("u", "v", "labels", "provenance"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestPoolsMatchPerNodeLoop:
+    """``build_pairs`` and ``holdout_pairs`` read every pool from one CSR; the
+    pairs, in order, must be those of the per-node ``two_hop_candidates`` loop."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_build_pairs(self, data):
+        g = draw_graph(data)
+        t = draw_table(data, g.num_nodes)
+        cfg = TrainConfig(include_two_hop=data.draw(st.booleans()),
+                          num_sampled=data.draw(st.sampled_from([0, 7])), seed=data.draw(st.integers(0, 9)))
+        assert_same_pairset(pairs_or_error(build_pairs, g, t, cfg),
+                            pairs_or_error(reference_build_pairs, g, t, cfg))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_holdout_pairs(self, data):
+        g = draw_graph(data)
+        t = draw_table(data, g.num_nodes)
+        two_hop = data.draw(st.booleans())
+        assert_same_pairset(pairs_or_error(holdout_pairs, g, t, two_hop),
+                            pairs_or_error(reference_holdout_pairs, g, t, two_hop))
+
+    def test_synthetic_graph(self):
+        g, t = synth(n=400, c=4, d=4, homophily=0.4, avg_degree=8.0, feature_sep=1.0, seed=5)
+        cfg = TrainConfig(num_sampled=50)
+        assert_same_pairset(build_pairs(g, t, cfg), reference_build_pairs(g, t, cfg))
+        assert_same_pairset(holdout_pairs(g, t), reference_holdout_pairs(g, t))
+
+
 class TestForwardFixture:
     def fixture_classifier(self):
         return EdgeClassifier(
@@ -259,6 +310,31 @@ class TestGradients:
         assert_gradients_match(flatten_params(analytic), fd, rel_tol=1e-4)
 
 
+def reference_train(pairset, features, cfg):
+    """``train`` with the epoch loss taken from a full-batch ``loss_and_grad``."""
+    clf = init_classifier(features.shape[1], cfg)
+    weights = pair_weights(pairset, cfg.class_weighting)
+    rng = np.random.default_rng(cfg.seed + 1)
+    n = len(pairset)
+    batch = min(cfg.batch_size, n)
+    vel_proj = np.zeros_like(clf.proj)
+    vel_layers = [(np.zeros_like(W), np.zeros_like(b)) for W, b in clf.layers]
+    history = []
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, batch):
+            _, g_proj, g_layers = loss_and_grad(clf, features, pairset, weights, perm[start:start + batch])
+            vel_proj = cfg.momentum * vel_proj - cfg.learning_rate * g_proj
+            clf.proj = clf.proj + vel_proj
+            vel_layers = [(cfg.momentum * vW - cfg.learning_rate * gW, cfg.momentum * vb - cfg.learning_rate * gb)
+                          for (gW, gb), (vW, vb) in zip(g_layers, vel_layers)]
+            clf.layers = [(W + vW, b + vb) for (W, b), (vW, vb) in zip(clf.layers, vel_layers)]
+        history.append(loss_and_grad(clf, features, pairset, weights)[0])
+    clf.final_loss = history[-1] if history else loss_and_grad(clf, features, pairset, weights)[0]
+    clf.loss_history = np.asarray(history)
+    return clf
+
+
 class TestTraining:
     def separable_problem(self, rng, n=40):
         labels = np.arange(n) % 2
@@ -286,6 +362,30 @@ class TestTraining:
             assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
         assert math.isfinite(clf.final_loss)
         assert clf.loss_history.size == 0
+
+    @pytest.mark.parametrize("epochs", [0, 4])
+    def test_forward_only_epoch_loss_matches_reference(self, rng, monkeypatch, epochs):
+        features, pairs = self.separable_problem(rng, n=30)
+        features = np.concatenate([features, rng.normal(size=features.shape)], axis=1)
+        cfg = TrainConfig(proj_dim=3, hidden_widths=(5, 4), epochs=epochs, seed=2, batch_size=64)
+        want = reference_train(pairs, features, cfg)
+        batches = []
+        original = edge_classifier.loss_and_grad
+
+        def counted(*args, **kwargs):
+            batches.append(args[4] if len(args) > 4 else kwargs.get("idx"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(edge_classifier, "loss_and_grad", counted)
+        got = train(pairs, features, cfg)
+        assert np.array_equal(got.loss_history, want.loss_history)
+        assert got.final_loss == want.final_loss
+        assert np.array_equal(got.proj, want.proj)
+        for (w1, b1), (w2, b2) in zip(got.layers, want.layers):
+            assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
+        # only the index batches whose gradients are applied
+        assert len(batches) == epochs * math.ceil(len(pairs) / cfg.batch_size)
+        assert all(idx is not None for idx in batches)
 
     def test_bitwise_deterministic(self, rng):
         features, pairs = self.separable_problem(rng, n=16)

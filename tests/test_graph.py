@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagraph import Graph, NodeTable, positive_ratio, two_hop_candidates
+from lagraph import Graph, NodeTable, positive_ratio, two_hop_candidates, two_hop_pools
 from lagraph.graph import SPLIT_CODES
 
-from conftest import dense_adjacency, undirected_graph
+from conftest import dense_adjacency, draw_graph, undirected_graph
 
 
 def small_graph():
@@ -207,3 +207,37 @@ class TestTwoHop:
         got = two_hop_candidates(g, v)
         assert got.tolist() == bfs_two_hop(g, v)
         assert np.all(np.diff(got) > 0)  # ascending, unique
+
+
+def pool_rows(g):
+    indptr, indices = two_hop_pools(g)
+    assert indptr.shape == (g.num_nodes + 1,)
+    return [indices[indptr[v]:indptr[v + 1]].tolist() for v in range(g.num_nodes)]
+
+
+class TestTwoHopPools:
+    def test_directed_path_hand_checked(self):
+        # 0 -> 1 -> 2 -> 3, no self loops: only forward two-step walks count
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)], add_self_loops=False)
+        indptr, indices = two_hop_pools(g)
+        assert indptr.tolist() == [0, 1, 2, 2, 2]
+        assert indices.tolist() == [2, 3]
+        assert indices.dtype == np.int32
+
+    def test_triangle_and_tail(self):
+        # 0-1-2 triangle with tail 2-3: 3 is two hops from 0 and 1, nothing else is
+        g = undirected_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        assert pool_rows(g) == [[3], [3], [], [0, 1]]
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_no_edges(self, n):
+        for loops in (True, False):
+            g = Graph.from_edges(n, np.zeros((0, 2), dtype=np.int64), add_self_loops=loops)
+            indptr, indices = two_hop_pools(g)
+            assert indptr.tolist() == [0] * (n + 1) and indices.size == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rows_match_bfs_oracle(self, data):
+        g = draw_graph(data)
+        assert pool_rows(g) == [bfs_two_hop(g, v) for v in range(g.num_nodes)]

@@ -274,6 +274,21 @@ class TestGcnFitPreparesOnce:
         gcn_fit(g, t, FitConfig(learning_rate=0.05, epochs=7))
         assert calls == {"transpose": 1, "gcn_loss_and_grad": 7}
 
+    def test_predict_builds_no_transpose(self, monkeypatch):
+        g, t = self.problem()
+        model = gcn_fit(g, t, FitConfig(learning_rate=0.05, epochs=3))
+        calls = []
+        original = models.transpose
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(models, "transpose", counted)
+        pred = predict(model, g, t)
+        assert calls == []
+        assert np.array_equal(pred, np.argmax(gcn_forward(model, g, t.features), axis=1))
+
     @pytest.mark.parametrize("norm", ["row-mean", "symmetric"])
     @pytest.mark.parametrize("early_stop", [False, True])
     def test_weights_match_the_public_per_epoch_loop(self, norm, early_stop):

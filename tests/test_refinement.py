@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagraph import (
     EdgeFeatureConfig,
@@ -18,10 +20,11 @@ from lagraph import (
     positive_ratio,
     refine,
     synth,
+    unit_uniform,
 )
 from lagraph.edge_classifier import TrainConfig, init_classifier, make_scorer
 
-from conftest import path_graph, undirected_graph
+from conftest import draw_graph, draw_table, path_graph, reference_add_edges, undirected_graph
 
 
 def dict_scorer(table, default=0.0):
@@ -110,6 +113,50 @@ class TestAddEdges:
     def test_rejects_bad_n_max(self):
         with pytest.raises(ValueError, match="n_max"):
             add_edges(path_graph(3), dict_scorer({}), n_max=0, threshold=0.5)
+
+
+def coarse_hash_scorer(seed):
+    """Symmetric per-pair scores on a grid of quarters, so ties are common."""
+    def scorer(u, v):
+        return np.floor(4.0 * unit_uniform(seed, np.minimum(u, v), np.maximum(u, v))) / 4.0
+    return scorer
+
+
+def assert_same_additions(g, scorer, n_max, threshold):
+    got, report = add_edges(g, scorer, n_max, threshold)
+    want, want_pairs = reference_add_edges(g, scorer, n_max, threshold)
+    assert report.added_pairs.dtype == want_pairs.dtype
+    assert np.array_equal(report.added_pairs, want_pairs)
+    assert np.array_equal(got.row_offsets, want.row_offsets)
+    assert np.array_equal(got.col_targets, want.col_targets)
+    assert got.has_self_loops == want.has_self_loops
+
+
+class TestAddEdgesMatchesPerNodeLoop:
+    """``add_edges`` slices each pool from one CSR; the added pairs, their
+    order and the refined graph must be those of the per-node loop."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_per_pair_scorer(self, data):
+        g = draw_graph(data)
+        scorer = coarse_hash_scorer(data.draw(st.integers(0, 99), label="seed"))
+        assert_same_additions(g, scorer, data.draw(st.integers(1, 4), label="n_max"),
+                              data.draw(st.sampled_from([0.0, 0.5, 0.75]), label="threshold"))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_add_mode_oracle(self, data):
+        g = draw_graph(data)
+        t = draw_table(data, g.num_nodes, allow_unknown=False)
+        oc = OracleClassifier(mode="add", target_p_pre=data.draw(st.sampled_from([0.0, 0.5, 0.8, 1.0])),
+                              seed=data.draw(st.integers(0, 99), label="seed"))
+        assert_same_additions(g, oracle_scorer(t, oc), data.draw(st.integers(1, 4), label="n_max"), 0.5)
+
+    def test_synthetic_graph(self):
+        g, t = synth(n=400, c=4, d=4, homophily=0.4, avg_degree=8.0, feature_sep=1.0, seed=5)
+        assert_same_additions(g, coarse_hash_scorer(3), 6, 0.5)
+        assert_same_additions(g, oracle_scorer(t, OracleClassifier(mode="add", target_p_pre=0.7)), 6, 0.5)
 
 
 class TestRefine:
