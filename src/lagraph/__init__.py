@@ -18,7 +18,6 @@ from .edge_classifier import (
     holdout_pairs,
     make_scorer,
     quality_from_counts,
-    score,
     score_pairs,
     train,
 )
@@ -45,7 +44,6 @@ from .models import (
 from .propagation import (
     EdgeFeatureConfig,
     PropagationConfig,
-    binary_power,
     edge_input_features,
     propagate,
     transpose,
@@ -100,7 +98,6 @@ __all__ = [
     "TrainConfig",
     "accuracy",
     "add_edges",
-    "binary_power",
     "build_pairs",
     "check_propositions",
     "degrade",
@@ -122,7 +119,6 @@ __all__ = [
     "quality_from_counts",
     "refine",
     "save",
-    "score",
     "score_pairs",
     "sgc_fit",
     "synth",

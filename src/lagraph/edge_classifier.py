@@ -333,20 +333,11 @@ def train(pairset: PairSet, features: np.ndarray, cfg: TrainConfig = TrainConfig
     return clf
 
 
-def score(clf: EdgeClassifier, e_u: np.ndarray, e_v: np.ndarray):
-    """Probability that the pair is same-label; symmetric in its arguments."""
-    e_u = np.asarray(e_u, dtype=np.float64)
-    e_v = np.asarray(e_v, dtype=np.float64)
-    single = e_u.ndim == 1
-    xu = np.atleast_2d(e_u)
-    xv = np.atleast_2d(e_v)
-    logits, _ = _forward(clf, xu, xv)
-    probs = _sigmoid(logits)
-    return float(probs[0]) if single else probs
-
-
 def score_pairs(clf: EdgeClassifier, features: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return score(clf, features[np.asarray(u)], features[np.asarray(v)])
+    """Probability that each pair ``(u[i], v[i])`` is same-label; symmetric
+    in ``u`` and ``v``."""
+    logits, _ = _forward(clf, features[np.asarray(u)], features[np.asarray(v)])
+    return _sigmoid(logits)
 
 
 def make_scorer(clf: EdgeClassifier, features: np.ndarray):
@@ -354,7 +345,7 @@ def make_scorer(clf: EdgeClassifier, features: np.ndarray):
     features = np.asarray(features, dtype=np.float64)
 
     def scorer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.atleast_1d(score_pairs(clf, features, u, v))
+        return score_pairs(clf, features, u, v)
 
     return scorer
 

@@ -16,7 +16,9 @@ from typing import Callable
 import numpy as np
 
 from .graph import Graph, NodeTable
-from .propagation import NORMS, PropagationConfig, gather_sum, propagate, transpose
+from .propagation import NORMS, PropagationConfig, _check_inputs, aggregation, propagate
+# bound for the benchmark tracer (perfbench/spans.py wraps this module's names); unused here
+from .propagation import gather_sum, transpose  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -100,12 +102,40 @@ def sgc_loss_and_grad(model: SgcModel, z_train: np.ndarray, y_train: np.ndarray,
     return loss, grad_w, grad_b
 
 
-def _val_accuracy(pred_fn, t: NodeTable) -> float:
-    mask = t.split_mask("val") & t.known_mask()
-    if not np.any(mask):
-        raise ValueError("early stopping needs a labeled val split")
-    pred = pred_fn()
-    return float(np.mean(pred[mask] == t.labels[mask]))
+def _descend(model, fields: tuple[str, ...], t: NodeTable, cfg: FitConfig, loss_and_grad, logits):
+    """Full-batch gradient descent on the named ``fields`` of ``model``.
+
+    ``loss_and_grad()`` returns the loss and one gradient per field. With
+    ``cfg.early_stop``, training stops after ``cfg.patience`` epochs without
+    a gain in the val accuracy of ``logits()``, and the best epoch's fields
+    are restored.
+    """
+    val = t.split_mask("val") & t.known_mask()
+    best = None
+    best_acc = -1.0
+    stale = 0
+    for _ in range(cfg.epochs):
+        loss, *grads = loss_and_grad()
+        if not np.isfinite(loss):
+            raise RuntimeError(f"training diverged: non-finite loss (lr={cfg.learning_rate})")
+        for name, grad in zip(fields, grads):
+            setattr(model, name, getattr(model, name) - cfg.learning_rate * grad)
+        if cfg.early_stop:
+            if not np.any(val):
+                raise ValueError("early stopping needs a labeled val split")
+            acc = float(np.mean(np.argmax(logits(), axis=1)[val] == t.labels[val]))
+            if acc > best_acc:
+                best_acc = acc
+                best = [getattr(model, name).copy() for name in fields]
+                stale = 0
+            else:
+                stale += 1
+                if stale >= cfg.patience:
+                    break
+    if best is not None:
+        for name, value in zip(fields, best):
+            setattr(model, name, value)
+    return model
 
 
 def sgc_fit(g: Graph, t: NodeTable, cfg: FitConfig = FitConfig(), k: int = 2) -> SgcModel:
@@ -120,53 +150,9 @@ def sgc_fit(g: Graph, t: NodeTable, cfg: FitConfig = FitConfig(), k: int = 2) ->
     d = t.feature_dim
     model = SgcModel(weights=_uniform_init(rng, d, (d, t.num_classes)),
                      bias=np.zeros(t.num_classes), k=k, norm=cfg.norm)
-    best = None
-    best_acc = -1.0
-    stale = 0
-    for _ in range(cfg.epochs):
-        loss, grad_w, grad_b = sgc_loss_and_grad(model, z_train, y, cfg.weight_decay)
-        if not np.isfinite(loss):
-            raise RuntimeError(f"training diverged: non-finite loss (lr={cfg.learning_rate})")
-        model.weights = model.weights - cfg.learning_rate * grad_w
-        model.bias = model.bias - cfg.learning_rate * grad_b
-        if cfg.early_stop:
-            acc = _val_accuracy(lambda: np.argmax(z @ model.weights + model.bias, axis=1), t)
-            if acc > best_acc:
-                best_acc = acc
-                best = (model.weights.copy(), model.bias.copy())
-                stale = 0
-            else:
-                stale += 1
-                if stale >= cfg.patience:
-                    break
-    if cfg.early_stop and best is not None:
-        model.weights, model.bias = best
-    return model
-
-
-def _aggregators(g: Graph, norm: str, backward: bool = True):
-    """The normalized aggregation step of ``g`` and its transpose; the
-    transpose (and the reversed graph it needs) only when ``backward``."""
-    deg = g.out_degrees().astype(np.float64)
-    gt = transpose(g) if backward else None
-    if norm == "row-mean":
-
-        def agg(x):
-            return gather_sum(g, x) / deg[:, None]
-
-        def agg_t(x):
-            return gather_sum(gt, x / deg[:, None])
-
-    else:
-        scale = 1.0 / np.sqrt(deg)
-
-        def agg(x):
-            return scale[:, None] * gather_sum(g, x * scale[:, None])
-
-        def agg_t(x):
-            return scale[:, None] * gather_sum(gt, x * scale[:, None])
-
-    return agg, agg_t if backward else None
+    return _descend(model, ("weights", "bias"), t, cfg,
+                    lambda: sgc_loss_and_grad(model, z_train, y, cfg.weight_decay),
+                    lambda: z @ model.weights + model.bias)
 
 
 @dataclass(frozen=True)
@@ -182,9 +168,9 @@ class _GcnInputs:
 
 
 def _gcn_inputs(g: Graph, t: NodeTable, norm: str) -> _GcnInputs:
-    agg, agg_t = _aggregators(g, norm)
+    agg, agg_t = aggregation(g, norm, backward=True)
     idx, y = _train_targets(t)
-    return _GcnInputs(agg, agg_t, idx, y, agg(t.features))
+    return _GcnInputs(agg, agg_t, idx, y, agg(_check_inputs(g, t.features)))
 
 
 def _gcn_layers(model: GcnModel, agg, a1: np.ndarray):
@@ -197,8 +183,8 @@ def _gcn_layers(model: GcnModel, agg, a1: np.ndarray):
 
 def gcn_forward(model: GcnModel, g: Graph, x: np.ndarray) -> np.ndarray:
     """Logits of the two-layer model for every node."""
-    agg, _ = _aggregators(g, model.norm, backward=False)
-    return _gcn_layers(model, agg, agg(x))[2]
+    agg, _ = aggregation(g, model.norm)
+    return _gcn_layers(model, agg, agg(_check_inputs(g, x)))[2]
 
 
 def gcn_loss_and_grad(model: GcnModel, g: Graph, t: NodeTable, weight_decay: float,
@@ -241,31 +227,9 @@ def gcn_fit(g: Graph, t: NodeTable, cfg: FitConfig = FitConfig(learning_rate=0.0
     model = GcnModel(w1=_uniform_init(rng, d, (d, h)), b1=np.zeros(h),
                      w2=_uniform_init(rng, h, (h, c)), b2=np.zeros(c), norm=cfg.norm)
     inputs = _gcn_inputs(g, t, cfg.norm)
-    best = None
-    best_acc = -1.0
-    stale = 0
-    for _ in range(cfg.epochs):
-        loss, gw1, gb1, gw2, gb2 = gcn_loss_and_grad(model, g, t, cfg.weight_decay, _inputs=inputs)
-        if not np.isfinite(loss):
-            raise RuntimeError(f"training diverged: non-finite loss (lr={cfg.learning_rate})")
-        model.w1 = model.w1 - cfg.learning_rate * gw1
-        model.b1 = model.b1 - cfg.learning_rate * gb1
-        model.w2 = model.w2 - cfg.learning_rate * gw2
-        model.b2 = model.b2 - cfg.learning_rate * gb2
-        if cfg.early_stop:
-            acc = _val_accuracy(
-                lambda: np.argmax(_gcn_layers(model, inputs.agg, inputs.a1)[2], axis=1), t)
-            if acc > best_acc:
-                best_acc = acc
-                best = (model.w1.copy(), model.b1.copy(), model.w2.copy(), model.b2.copy())
-                stale = 0
-            else:
-                stale += 1
-                if stale >= cfg.patience:
-                    break
-    if cfg.early_stop and best is not None:
-        model.w1, model.b1, model.w2, model.b2 = best
-    return model
+    return _descend(model, ("w1", "b1", "w2", "b2"), t, cfg,
+                    lambda: gcn_loss_and_grad(model, g, t, cfg.weight_decay, _inputs=inputs),
+                    lambda: _gcn_layers(model, inputs.agg, inputs.a1)[2])
 
 
 def predict(model, g: Graph, t: NodeTable) -> np.ndarray:

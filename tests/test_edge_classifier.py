@@ -17,7 +17,6 @@ from lagraph import (
     holdout_pairs,
     make_scorer,
     quality_from_counts,
-    score,
     score_pairs,
     synth,
     train,
@@ -233,25 +232,26 @@ class TestForwardFixture:
         # e_u = 0.6, e_v = -1.4 -> z = (2.0, -0.8, -0.84)
         # layer 1: (0.3, -3.04) -> relu (0.3, 0) -> logit 0.3*1.5 + 0.25 = 0.7
         clf = self.fixture_classifier()
-        got = score(clf, np.array([0.3]), np.array([-0.7]))
-        assert got == pytest.approx(1.0 / (1.0 + math.exp(-0.7)), abs=1e-15)
+        got = score_pairs(clf, np.array([[0.3], [-0.7]]), np.array([0]), np.array([1]))
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(1.0 / (1.0 + math.exp(-0.7)), abs=1e-15)
 
     @pytest.mark.filterwarnings("error")
     def test_saturated_logit_scores_zero_without_warning(self):
         # logit -800 for every pair: exp(800) overflows, the probability is exactly 0.0
         clf = EdgeClassifier(proj=np.eye(1), layers=[(np.zeros((3, 1)), np.array([-800.0]))])
-        assert score(clf, np.array([0.3]), np.array([-0.7])) == 0.0
+        got = score_pairs(clf, np.array([[0.3], [-0.7]]), np.array([0]), np.array([1]))
+        assert got.shape == (1,) and got[0] == 0.0
         pairs = PairSet(u=[0], v=[1], labels=[0], provenance=[ONE_HOP])
         _, grad_proj, grad_layers = loss_and_grad(clf, np.ones((2, 1)), pairs, np.ones(1))
         assert not grad_proj.any() and not grad_layers[0][1].any()
 
     def test_batch_matches_single(self):
         clf = self.fixture_classifier()
-        xs = np.array([[0.3], [1.0]])
-        ys = np.array([[-0.7], [0.2]])
-        batch = score(clf, xs, ys)
-        assert batch[0] == score(clf, xs[0], ys[0])
-        assert batch[1] == score(clf, xs[1], ys[1])
+        features = np.array([[0.3], [1.0], [-0.7], [0.2]])
+        batch = score_pairs(clf, features, np.array([0, 1]), np.array([2, 3]))
+        assert batch[0] == score_pairs(clf, features, np.array([0]), np.array([2]))[0]
+        assert batch[1] == score_pairs(clf, features, np.array([1]), np.array([3]))[0]
 
 
 def random_pairset(rng, n_nodes, n_pairs):
@@ -416,6 +416,7 @@ class TestTraining:
         with pytest.raises(ValueError, match="single class"):
             train(pairs, features)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostics(self, rng):
         features = rng.normal(size=(6, 2))
         features[0, 0] = np.inf
@@ -437,8 +438,9 @@ class TestScoreSymmetry:
         rng = np.random.default_rng(seed)
         cfg = TrainConfig(proj_dim=3, hidden_widths=(5,), seed=seed)
         clf = init_classifier(4, cfg)
-        a, b = rng.normal(size=4), rng.normal(size=4)
-        assert score(clf, a, b) == score(clf, b, a)
+        features = rng.normal(size=(2, 4))
+        a, b = np.array([0]), np.array([1])
+        assert score_pairs(clf, features, a, b)[0] == score_pairs(clf, features, b, a)[0]
 
     def test_scorer_adapter_matches_score(self, rng):
         clf = init_classifier(3, TrainConfig(proj_dim=2, hidden_widths=(4,), seed=0))

@@ -16,7 +16,9 @@ from lagraph import (
     synth,
 )
 import lagraph.models as models
+import lagraph.propagation as propagation
 from lagraph.models import _uniform_init, gcn_forward, gcn_loss_and_grad, sgc_loss_and_grad
+from lagraph.propagation import PropagationConfig, propagate
 
 from conftest import (
     assert_gradients_match,
@@ -212,6 +214,7 @@ class TestFitting:
         with pytest.raises(ValueError, match="val split"):
             sgc_fit(g, t, FitConfig(epochs=5, early_stop=True))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self):
         g, t = self.easy_problem()
         with pytest.raises(RuntimeError, match="training diverged"):
@@ -263,14 +266,14 @@ class TestGcnFitPreparesOnce:
     def test_one_transpose_and_one_loss_call_per_epoch(self, monkeypatch):
         g, t = self.problem()
         calls = {"transpose": 0, "gcn_loss_and_grad": 0}
-        for name in calls:
-            original = getattr(models, name)
+        for module, name in ((propagation, "transpose"), (models, "gcn_loss_and_grad")):
+            original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(models, name, counted)
+            monkeypatch.setattr(module, name, counted)
         gcn_fit(g, t, FitConfig(learning_rate=0.05, epochs=7))
         assert calls == {"transpose": 1, "gcn_loss_and_grad": 7}
 
@@ -278,13 +281,13 @@ class TestGcnFitPreparesOnce:
         g, t = self.problem()
         model = gcn_fit(g, t, FitConfig(learning_rate=0.05, epochs=3))
         calls = []
-        original = models.transpose
+        original = propagation.transpose
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(models, "transpose", counted)
+        monkeypatch.setattr(propagation, "transpose", counted)
         pred = predict(model, g, t)
         assert calls == []
         assert np.array_equal(pred, np.argmax(gcn_forward(model, g, t.features), axis=1))
@@ -298,6 +301,100 @@ class TestGcnFitPreparesOnce:
         got, want = gcn_fit(g, t, cfg), reference_gcn_fit(g, t, cfg)
         for name in ("w1", "b1", "w2", "b2"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def reference_sgc_fit(g, t, cfg, k):
+    """``sgc_fit`` as a loop over the public per-epoch calls, with early
+    stopping on ``predict``, which propagates the features again."""
+    z = propagate(g, t.features, PropagationConfig(k=k, norm=cfg.norm))
+    idx = np.flatnonzero(t.split_mask("train") & t.known_mask())
+    rng = np.random.default_rng(cfg.seed)
+    d, c = t.feature_dim, t.num_classes
+    model = SgcModel(weights=_uniform_init(rng, d, (d, c)), bias=np.zeros(c), k=k, norm=cfg.norm)
+    val = t.split_mask("val") & t.known_mask()
+    best, best_acc, stale = None, -1.0, 0
+    for _ in range(cfg.epochs):
+        _, gw, gb = sgc_loss_and_grad(model, z[idx], t.labels[idx], cfg.weight_decay)
+        model.weights = model.weights - cfg.learning_rate * gw
+        model.bias = model.bias - cfg.learning_rate * gb
+        if cfg.early_stop:
+            pred = predict(model, g, t)
+            acc = float(np.mean(pred[val] == t.labels[val]))
+            if acc > best_acc:
+                best_acc, stale = acc, 0
+                best = (model.weights.copy(), model.bias.copy())
+            else:
+                stale += 1
+                if stale >= cfg.patience:
+                    break
+    if cfg.early_stop and best is not None:
+        model.weights, model.bias = best
+    return model
+
+
+class TestSgcFitMatchesReference:
+    problem = TestGcnFitPreparesOnce.problem
+
+    @pytest.mark.parametrize("norm", ["row-mean", "symmetric"])
+    @pytest.mark.parametrize("early_stop", [False, True])
+    def test_weights_match_the_public_per_epoch_loop(self, norm, early_stop):
+        g, t = self.problem()
+        cfg = FitConfig(learning_rate=0.5, epochs=60, seed=4, norm=norm,
+                        early_stop=early_stop, patience=3)
+        got, want = sgc_fit(g, t, cfg, k=2), reference_sgc_fit(g, t, cfg, k=2)
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.bias, want.bias)
+
+    def test_one_loss_call_per_epoch(self, monkeypatch):
+        g, t = self.problem()
+        calls = []
+        original = models.sgc_loss_and_grad
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(models, "sgc_loss_and_grad", counted)
+        sgc_fit(g, t, FitConfig(epochs=7))
+        assert len(calls) == 7
+
+
+class TestInputChecks:
+    """Bad graphs and feature matrices are rejected before the first epoch."""
+
+    def path_graph(self, add_self_loops):
+        # 4 nodes, edges 0-1-2 mirrored, node 3 isolated
+        edges = np.array([[0, 1], [1, 0], [1, 2], [2, 1]])
+        return Graph.from_edges(4, edges, add_self_loops=add_self_loops)
+
+    def table(self, n):
+        return NodeTable(features=np.arange(2.0 * n).reshape(n, 2),
+                         labels=np.array([0, 1] * (n // 2) + [0] * (n % 2), dtype=np.int64),
+                         num_classes=2, split=np.zeros(n, dtype=np.int8))
+
+    def gcn_model(self):
+        return GcnModel(w1=np.ones((2, 3)), b1=np.zeros(3), w2=np.ones((3, 2)), b2=np.zeros(2))
+
+    def test_graph_without_self_loops_rejected(self):
+        g, t = self.path_graph(add_self_loops=False), self.table(4)
+        calls = [lambda: sgc_fit(g, t, FitConfig(epochs=3)),
+                 lambda: gcn_fit(g, t, FitConfig(epochs=3)),
+                 lambda: gcn_fit(g, t, FitConfig(epochs=0)),
+                 lambda: gcn_forward(self.gcn_model(), g, t.features),
+                 lambda: predict(self.gcn_model(), g, t)]
+        for call in calls:
+            with pytest.raises(ValueError, match="propagation requires a graph with self loops"):
+                call()
+
+    def test_feature_rows_must_match_nodes(self):
+        g, t = self.path_graph(add_self_loops=True), self.table(5)
+        calls = [lambda: sgc_fit(g, t, FitConfig(epochs=3)),
+                 lambda: gcn_fit(g, t, FitConfig(epochs=3)),
+                 lambda: gcn_forward(self.gcn_model(), g, t.features),
+                 lambda: predict(self.gcn_model(), g, t)]
+        for call in calls:
+            with pytest.raises(ValueError, match="feature matrix must have one row per node"):
+                call()
 
 
 class TestPredictAndAccuracy:
