@@ -40,7 +40,9 @@ from .propagation import EdgeFeatureConfig, PropagationConfig, edge_input_featur
 from .refinement import OracleClassifier, RefinementConfig, oracle_scorer, refine
 from .theory import (
     GaussianMixtureParams,
+    McArm,
     NeighborhoodSpec,
+    SharedPass,
     check_propositions,
     e_add,
     e_filter,
@@ -205,6 +207,9 @@ def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> Experimen
     seeds = tuple(int(s) for s in resolved["seeds"])
     if not seeds:
         raise ConfigError("seeds must be non-empty")
+    theory_trials = int(resolved["theory_trials"])
+    if theory_trials < 2:
+        raise ConfigError("theory_trials must be >= 2")
     return ExperimentConfig(
         dataset=ds,
         edge_features=_build(EdgeFeatureConfig, resolved["edge_features"], "edge_features"),
@@ -218,7 +223,7 @@ def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> Experimen
         degrade_k=int(resolved["degrade_k"]),
         sweep=resolved["sweep"],
         dump_refined=bool(resolved["dump_refined"]),
-        theory_trials=int(resolved["theory_trials"]),
+        theory_trials=theory_trials,
         resolved=resolved,
         config_hash=cfg_hash,
     )
@@ -568,30 +573,34 @@ def run_theory(cfg: ExperimentConfig) -> int:
     trials = cfg.theory_trials
     rows = []
 
-    def base_row(mode, spec, analytic, res, p=None, q=None, p_pre=None):
-        return {"mode": mode, "n_plus": spec.n_plus, "n_minus": spec.n_minus,
-                "n_added": spec.n_added, "p": p, "q": q, "p_pre": p_pre,
-                "mu_plus": gm.mu_plus, "mu_minus": gm.mu_minus, "sigma2": gm.sigma2,
-                "tau": gm.tau, "analytic": analytic, "mc_mean": res.mean_estimate,
-                "mc_std_error": res.std_error,
-                "mc_misclassification": res.misclassification_rate,
-                "mc_misclassification_std_error": res.misclassification_std_error,
-                "mc_conditional_mean": res.conditional_mean,
-                "gap": res.conditional_mean - res.mean_estimate,
-                "config_hash": cfg.config_hash}
+    def analytic(arm):
+        if arm.mode == "filter":
+            return e_filter(arm.spec, gm, arm.p, arm.q)
+        if arm.mode == "add":
+            return e_add(arm.spec, gm, arm.p_pre)
+        return e_origin(arm.spec, gm)
 
     for n_plus in (1, 3, 5):
         for n_minus in (1, 3, 5):
             spec = NeighborhoodSpec(n_plus=n_plus, n_minus=n_minus)
-            res = mc_aggregate(spec, gm, mode="origin", trials=trials, seed=seed)
-            rows.append(base_row("origin", spec, e_origin(spec, gm), res))
-            for p, q in ((0.9, 0.1), (0.7, 0.3)):
-                res = mc_aggregate(spec, gm, mode="filter", trials=trials, seed=seed, p=p, q=q)
-                rows.append(base_row("filter", spec, e_filter(spec, gm, p, q), res, p=p, q=q))
             spec_add = NeighborhoodSpec(n_plus=n_plus, n_minus=n_minus, n_added=4)
-            for p_pre in (0.25, 0.75):
-                res = mc_aggregate(spec_add, gm, mode="add", trials=trials, seed=seed, p_pre=p_pre)
-                rows.append(base_row("add", spec_add, e_add(spec_add, gm, p_pre), res, p_pre=p_pre))
+            # one simulation pass per neighborhood serves all five arms
+            shared = SharedPass([McArm(spec), McArm(spec, "filter", p=0.9, q=0.1),
+                                 McArm(spec, "filter", p=0.7, q=0.3),
+                                 McArm(spec_add, "add", p_pre=0.25), McArm(spec_add, "add", p_pre=0.75)])
+            for arm in shared.arms:
+                res = mc_aggregate(arm.spec, gm, mode=arm.mode, trials=trials, seed=seed,
+                                   p=arm.p, q=arm.q, p_pre=arm.p_pre, shared=shared)
+                rows.append({"mode": arm.mode, "n_plus": n_plus, "n_minus": n_minus,
+                             "n_added": arm.spec.n_added, "p": arm.p, "q": arm.q,
+                             "p_pre": arm.p_pre, "mu_plus": gm.mu_plus, "mu_minus": gm.mu_minus,
+                             "sigma2": gm.sigma2, "tau": gm.tau, "analytic": analytic(arm),
+                             "mc_mean": res.mean_estimate, "mc_std_error": res.std_error,
+                             "mc_misclassification": res.misclassification_rate,
+                             "mc_misclassification_std_error": res.misclassification_std_error,
+                             "mc_conditional_mean": res.conditional_mean,
+                             "gap": res.conditional_mean - res.mean_estimate,
+                             "config_hash": cfg.config_hash})
 
     sweep_path = os.path.join(cfg.output_dir, "theory_sweep.csv")
     write_csv(sweep_path, THEORY_SWEEP_HEADER, rows)

@@ -55,6 +55,8 @@ def transpose(g: Graph) -> Graph:
 def aggregation(g: Graph, norm: str, backward: bool = False):
     """The normalized aggregation step of ``g`` and, when ``backward``, its
     adjoint (the step over the reversed graph) for backprop; else ``None``."""
+    if norm not in NORMS:
+        raise ValueError(f"norm must be one of {NORMS}")
     if not g.has_self_loops:
         raise ValueError("propagation requires a graph with self loops")
     deg = g.out_degrees().astype(np.float64)
@@ -67,7 +69,7 @@ def aggregation(g: Graph, norm: str, backward: bool = False):
         def agg_t(x):
             return gather_sum(gt, x / deg[:, None])
 
-    else:
+    else:  # symmetric
         scale = 1.0 / np.sqrt(deg)
 
         def agg(x):

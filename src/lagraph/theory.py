@@ -5,7 +5,10 @@ its negative neighbors from Norm(mu_minus, sigma2). Closed forms give the
 expected aggregate for the original neighborhood, after filtering with a
 classifier of true/false positive rates (p, q), and after adding neighbors
 at precision p_pre. A counter-based Monte Carlo sampler verifies each
-formula and estimates the misclassification probability P(F < tau).
+formula and estimates the misclassification probability P(F < tau). Every
+draw is keyed by (seed, trial, slot), so the arms of one neighborhood can
+share one blocked pass over the draws (:class:`SharedPass`) and still get
+exactly the values a separate run would.
 
 The filtered formula is a ratio of expectations, not the expectation of the
 per-neighborhood ratio; ``mc_aggregate`` therefore reports both a matching
@@ -23,6 +26,11 @@ import numpy as np
 from scipy.special import ndtri
 
 from .hashing import unit_uniform
+
+# trial rows per block of the Monte Carlo pass: sets its working memory and
+# cache fit, never its output (of 2048-32768, 4096 ran `theory` fastest on a
+# 2-core Xeon)
+MC_BLOCK_ROWS = 4_096
 
 
 @dataclass(frozen=True)
@@ -131,10 +139,113 @@ def _trial_uniforms(seed: int, rows: np.ndarray, slot0: int, count: int) -> np.n
     return unit_uniform(seed, rows[:, None], slots)
 
 
+def _emission_means(spec: NeighborhoodSpec, gm: GaussianMixtureParams) -> np.ndarray:
+    return np.concatenate([np.full(spec.n_plus, gm.mu_plus), np.full(spec.n_minus, gm.mu_minus)])
+
+
+@dataclass(frozen=True)
+class McArm:
+    """One ``mc_aggregate`` configuration: a neighborhood, a mode and the
+    rates that mode reads (``p``/``q`` for filter, ``p_pre`` for add)."""
+
+    spec: NeighborhoodSpec
+    mode: str = "origin"
+    p: float | None = None
+    q: float | None = None
+    p_pre: float | None = None
+
+    def __post_init__(self):
+        if self.mode not in ("origin", "filter", "add"):
+            raise ValueError("mode must be 'origin', 'filter', or 'add'")
+        if self.mode == "filter":
+            p, q = self.p, self.q
+            if p is None or q is None:
+                raise ValueError("filter mode needs p and q")
+            if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
+                raise ValueError("p and q must lie in [0, 1]")
+            if (1.0 - p) ** self.spec.n_plus * (1.0 - q) ** self.spec.n_minus >= 1.0:
+                raise ValueError("filtering keeps no neighbor with probability 1")
+        elif self.mode == "add":
+            if self.p_pre is None:
+                raise ValueError("add mode needs p_pre")
+            if not 0.0 <= self.p_pre <= 1.0:
+                raise ValueError("p_pre must lie in [0, 1]")
+
+    def keep_prob(self) -> np.ndarray:
+        return np.concatenate([np.full(self.spec.n_plus, self.p), np.full(self.spec.n_minus, self.q)])
+
+
+class SharedPass:
+    """The arms of one neighborhood, simulated in one pass.
+
+    Pass the same object as ``shared=`` to the ``mc_aggregate`` call of each
+    listed arm. The first call simulates every arm with that call's ``gm``,
+    ``trials`` and ``seed`` and keeps only per-trial 1-D arrays; later calls
+    read them. Draws are keyed by (seed, trial, slot), so each arm sees
+    exactly the draws a standalone call makes (common random numbers).
+    """
+
+    def __init__(self, arms):
+        self.arms = tuple(arms)
+        if len({(a.spec.n_plus, a.spec.n_minus) for a in self.arms}) != 1:
+            raise ValueError("shared arms need one (n_plus, n_minus) neighborhood")
+        self._run = None
+        self._arrays = None
+
+    def arrays(self, arm: McArm, gm: GaussianMixtureParams, trials: int, seed: int) -> tuple:
+        if arm not in self.arms:
+            raise ValueError(f"{arm} is not listed in the shared pass")
+        if self._arrays is None:
+            self._run = (gm, trials, seed)
+            self._arrays = _simulate(self.arms, gm, trials, seed)
+        elif self._run != (gm, trials, seed):
+            raise ValueError("the shared pass ran with another gm, trials or seed")
+        return self._arrays[arm]
+
+
+def _simulate(arms: tuple, gm: GaussianMixtureParams, trials: int, seed: int) -> dict:
+    """Per-trial arrays of every arm, from one pass over blocks of trial rows.
+
+    Each block hashes every slot an arm reads once: base normals in slots
+    [0, n), filter uniforms in [n, 2n), add-mode uniforms in [n, n + n_add)
+    and add-mode normals in [n + n_add, n + 2 n_add). Origin and add arms
+    keep ``(per_trial,)``, filter arms ``(num, den)``.
+    """
+    spec = arms[0].spec
+    n = spec.n_plus + spec.n_minus
+    sigma = math.sqrt(gm.sigma2)
+    means = _emission_means(spec, gm)
+    added = {a.spec.n_added for a in arms if a.mode == "add" and a.spec.n_added}
+    width = max([2 * n if any(a.mode == "filter" for a in arms) else n]
+                + [n + 2 * k for k in added])
+    keep_probs = {a: a.keep_prob()[None, :] for a in arms if a.mode == "filter"}
+    out = {a: tuple(np.empty(trials) for _ in range(2 if a.mode == "filter" else 1)) for a in arms}
+    for start in range(0, trials, MC_BLOCK_ROWS):
+        rows = np.arange(start, min(start + MC_BLOCK_ROWS, trials), dtype=np.int64)
+        blk = slice(start, start + rows.size)
+        u = _trial_uniforms(seed, rows, 0, width)
+        base = means[None, :] + sigma * ndtri(u[:, :n])
+        base_sum = base.sum(axis=1)
+        add_normals = {k: ndtri(u[:, n + k:n + 2 * k]) for k in added}
+        for arm, arrays in out.items():
+            k = arm.spec.n_added
+            if arm.mode == "filter":
+                flags = u[:, n:2 * n] < keep_probs[arm]
+                arrays[0][blk] = (base * flags).sum(axis=1)
+                arrays[1][blk] = flags.sum(axis=1)
+            elif arm.mode == "add" and k:
+                add_means = np.where(u[:, n:n + k] < arm.p_pre, gm.mu_plus, gm.mu_minus)
+                add_vals = add_means + sigma * add_normals[k]
+                arrays[0][blk] = (base_sum + add_vals.sum(axis=1)) / (n + k)
+            else:
+                arrays[0][blk] = base_sum / n  # what base.mean(axis=1) computes
+    return out
+
+
 def mc_aggregate(spec: NeighborhoodSpec, gm: GaussianMixtureParams, mode: str = "origin",
                  trials: int = 100_000, seed: int = 0,
                  p: float | None = None, q: float | None = None,
-                 p_pre: float | None = None) -> McResult:
+                 p_pre: float | None = None, shared: SharedPass | None = None) -> McResult:
     """Simulate neighborhood aggregation and estimate its mean and the
     misclassification rate P(F < tau).
 
@@ -142,36 +253,18 @@ def mc_aggregate(spec: NeighborhoodSpec, gm: GaussianMixtureParams, mode: str = 
     reproducible independently of ``trials``. Filter mode redraws trials
     whose survivor set is empty (counted in ``redraws``) for the conditional
     statistics, while the Eq-matching ``mean_estimate`` uses the raw first
-    draw of every trial.
+    draw of every trial. ``shared`` lets the arms of one neighborhood reuse
+    one simulation pass; the result is the same as without it.
     """
-    if mode not in ("origin", "filter", "add"):
-        raise ValueError("mode must be 'origin', 'filter', or 'add'")
+    arm = McArm(spec, mode, p, q, p_pre)
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    n_p, n_m = spec.n_plus, spec.n_minus
-    n = n_p + n_m
-    sigma = math.sqrt(gm.sigma2)
-    means = np.concatenate([np.full(n_p, gm.mu_plus), np.full(n_m, gm.mu_minus)])
-    rows = np.arange(trials, dtype=np.int64)
-    base = means[None, :] + sigma * _trial_normals(seed, rows, 0, n)
+    shared = SharedPass((arm,)) if shared is None else shared
+    arrays = shared.arrays(arm, gm, trials, seed)
 
     redraws = 0
-    if mode == "origin":
-        per_trial = base.mean(axis=1)
-        mean_est = float(per_trial.mean())
-        se = float(per_trial.std(ddof=1) / math.sqrt(trials))
-        cond, cond_se = mean_est, se
-    elif mode == "filter":
-        if p is None or q is None:
-            raise ValueError("filter mode needs p and q")
-        if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-            raise ValueError("p and q must lie in [0, 1]")
-        keep_prob = np.concatenate([np.full(n_p, p), np.full(n_m, q)])
-        if (1.0 - p) ** n_p * (1.0 - q) ** n_m >= 1.0:
-            raise ValueError("filtering keeps no neighbor with probability 1")
-        flags = _trial_uniforms(seed, rows, n, n) < keep_prob[None, :]
-        num = (base * flags).sum(axis=1)
-        den = flags.sum(axis=1).astype(np.float64)
+    if mode == "filter":
+        num, den = arrays
         den_mean = float(den.mean())
         if den_mean == 0.0:
             raise RuntimeError("all trials empty; increase trials or rates")
@@ -180,8 +273,12 @@ def mc_aggregate(spec: NeighborhoodSpec, gm: GaussianMixtureParams, mode: str = 
         mean_est = ratio
         se = float(resid.std(ddof=1) / math.sqrt(trials) / den_mean)
 
-        values = base
+        n = spec.n_plus + spec.n_minus
+        sigma = math.sqrt(gm.sigma2)
+        means, keep_prob = _emission_means(spec, gm), arm.keep_prob()
         active = np.flatnonzero(den == 0)
+        if active.size:
+            num, den = num.copy(), den.copy()  # a shared pass keeps its first draws
         round_no = 1
         while active.size:
             redraws += int(active.size)
@@ -190,8 +287,6 @@ def mc_aggregate(spec: NeighborhoodSpec, gm: GaussianMixtureParams, mode: str = 
             fresh_vals = means[None, :] + sigma * _trial_normals(seed, active, 2 * n * round_no, n)
             fresh_flags = _trial_uniforms(seed, active, 2 * n * round_no + n, n) < keep_prob[None, :]
             fresh_den = fresh_flags.sum(axis=1).astype(np.float64)
-            values[active] = fresh_vals
-            flags[active] = fresh_flags
             den[active] = fresh_den
             num[active] = (fresh_vals * fresh_flags).sum(axis=1)
             active = active[fresh_den == 0]
@@ -200,18 +295,7 @@ def mc_aggregate(spec: NeighborhoodSpec, gm: GaussianMixtureParams, mode: str = 
         cond = float(per_trial.mean())
         cond_se = float(per_trial.std(ddof=1) / math.sqrt(trials))
     else:
-        if p_pre is None:
-            raise ValueError("add mode needs p_pre")
-        if not 0.0 <= p_pre <= 1.0:
-            raise ValueError("p_pre must lie in [0, 1]")
-        n_add = spec.n_added
-        if n_add:
-            pos = _trial_uniforms(seed, rows, n, n_add) < p_pre
-            add_means = np.where(pos, gm.mu_plus, gm.mu_minus)
-            add_vals = add_means + sigma * _trial_normals(seed, rows, n + n_add, n_add)
-            per_trial = (base.sum(axis=1) + add_vals.sum(axis=1)) / (n + n_add)
-        else:
-            per_trial = base.mean(axis=1)
+        (per_trial,) = arrays
         mean_est = float(per_trial.mean())
         se = float(per_trial.std(ddof=1) / math.sqrt(trials))
         cond, cond_se = mean_est, se

@@ -102,6 +102,7 @@ class TestConfigResolution:
         ({"edge_classifier": {"hidden_widths": 16}}, "edge_classifier"),
         ({"refinement": {"threshold": "high"}}, "refinement"),
         ({"dataset": {"n": 2, "c": 4}}, "dataset: need n >= c >= 1"),
+        ({"theory_trials": 1}, "theory_trials must be >= 2"),
     ])
     def test_validation(self, raw, match):
         with pytest.raises(ConfigError, match=match):
@@ -434,6 +435,12 @@ class TestTheoryCommand:
                      "--seeds", "1"]) == 0
         rows = read_rows(out / "theory_sweep.csv")
         assert len(rows) == 45
+
+    def test_one_trial_exits_2_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["theory", "--output-dir", str(out), "--trials", "1"]) == 2
+        assert "theory_trials must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDispatch:

@@ -80,7 +80,7 @@ class TestGcnGradient:
         g = random_graph(rng, n, 8)
         t = random_node_table(rng, n, d, c)
         model = GcnModel(w1=rng.normal(size=(d, h)), b1=rng.normal(size=h),
-                         w2=rng.normal(size=(h, c)), b2=rng.normal(size=c), norm="sym")
+                         w2=rng.normal(size=(h, c)), b2=rng.normal(size=c), norm="symmetric")
         arrays = [model.w1, model.b1, model.w2, model.b2]
         grads = gcn_loss_and_grad(model, g, t, 0.0)[1:]
         flat = flatten_params(list(grads))
@@ -394,6 +394,15 @@ class TestInputChecks:
                  lambda: predict(self.gcn_model(), g, t)]
         for call in calls:
             with pytest.raises(ValueError, match="feature matrix must have one row per node"):
+                call()
+
+    def test_unknown_norm_rejected(self):
+        # a misspelt norm must not fall through to the symmetric operator
+        g, t = self.path_graph(add_self_loops=True), self.table(4)
+        model = self.gcn_model()
+        model.norm = "rowmean"
+        for call in (lambda: gcn_forward(model, g, t.features), lambda: predict(model, g, t)):
+            with pytest.raises(ValueError, match="norm must be one of"):
                 call()
 
 

@@ -8,6 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import ndtri
+
+import lagraph.cli as cli
+import lagraph.theory as theory
 
 from lagraph import (
     GaussianMixtureParams,
@@ -21,7 +25,9 @@ from lagraph import (
     e_origin,
     mc_aggregate,
 )
-from lagraph.theory import _trial_normals
+from lagraph.cli import config_from_dict, run_theory
+from lagraph.hashing import unit_uniform
+from lagraph.theory import MC_BLOCK_ROWS, McArm, SharedPass, _trial_normals
 
 GM = GaussianMixtureParams(mu_plus=1.0, mu_minus=-1.0, sigma2=1.0, tau=0.0)
 SPEC = NeighborhoodSpec(n_plus=3, n_minus=2)
@@ -211,3 +217,161 @@ class TestPropositionGridCheck:
         assert len(grid.p_values) == 20
         assert grid.p_pre_values[0] == 0.0 and len(grid.p_pre_values) == 21
         assert grid.n_plus_values == tuple(range(1, 11))
+
+
+def _ref_normals(seed, rows, slot0, count):
+    slots = np.arange(slot0, slot0 + count, dtype=np.int64)[None, :]
+    return ndtri(unit_uniform(seed, rows[:, None], slots))
+
+
+def _ref_uniforms(seed, rows, slot0, count):
+    slots = np.arange(slot0, slot0 + count, dtype=np.int64)[None, :]
+    return unit_uniform(seed, rows[:, None], slots)
+
+
+def reference_mc_aggregate(spec, gm, mode="origin", trials=100_000, seed=0,
+                           p=None, q=None, p_pre=None):
+    """The single-arm sampler over full trials x n matrices, before the
+    blocked pass shared by a neighborhood's arms."""
+    n_p, n_m = spec.n_plus, spec.n_minus
+    n = n_p + n_m
+    sigma = math.sqrt(gm.sigma2)
+    means = np.concatenate([np.full(n_p, gm.mu_plus), np.full(n_m, gm.mu_minus)])
+    rows = np.arange(trials, dtype=np.int64)
+    base = means[None, :] + sigma * _ref_normals(seed, rows, 0, n)
+
+    redraws = 0
+    if mode == "origin":
+        per_trial = base.mean(axis=1)
+        mean_est = float(per_trial.mean())
+        se = float(per_trial.std(ddof=1) / math.sqrt(trials))
+        cond, cond_se = mean_est, se
+    elif mode == "filter":
+        keep_prob = np.concatenate([np.full(n_p, p), np.full(n_m, q)])
+        flags = _ref_uniforms(seed, rows, n, n) < keep_prob[None, :]
+        num = (base * flags).sum(axis=1)
+        den = flags.sum(axis=1).astype(np.float64)
+        den_mean = float(den.mean())
+        ratio = float(num.mean()) / den_mean
+        resid = num - ratio * den
+        mean_est = ratio
+        se = float(resid.std(ddof=1) / math.sqrt(trials) / den_mean)
+
+        values = base
+        active = np.flatnonzero(den == 0)
+        round_no = 1
+        while active.size:
+            redraws += int(active.size)
+            fresh_vals = means[None, :] + sigma * _ref_normals(seed, active, 2 * n * round_no, n)
+            fresh_flags = _ref_uniforms(seed, active, 2 * n * round_no + n, n) < keep_prob[None, :]
+            fresh_den = fresh_flags.sum(axis=1).astype(np.float64)
+            values[active] = fresh_vals
+            flags[active] = fresh_flags
+            den[active] = fresh_den
+            num[active] = (fresh_vals * fresh_flags).sum(axis=1)
+            active = active[fresh_den == 0]
+            round_no += 1
+        per_trial = num / den
+        cond = float(per_trial.mean())
+        cond_se = float(per_trial.std(ddof=1) / math.sqrt(trials))
+    else:
+        n_add = spec.n_added
+        if n_add:
+            pos = _ref_uniforms(seed, rows, n, n_add) < p_pre
+            add_means = np.where(pos, gm.mu_plus, gm.mu_minus)
+            add_vals = add_means + sigma * _ref_normals(seed, rows, n + n_add, n_add)
+            per_trial = (base.sum(axis=1) + add_vals.sum(axis=1)) / (n + n_add)
+        else:
+            per_trial = base.mean(axis=1)
+        mean_est = float(per_trial.mean())
+        se = float(per_trial.std(ddof=1) / math.sqrt(trials))
+        cond, cond_se = mean_est, se
+
+    mis = float(np.count_nonzero(per_trial < gm.tau) / trials)
+    mis_se = float(math.sqrt(max(mis * (1.0 - mis), 1e-300) / trials))
+    return McResult(mean_estimate=mean_est, std_error=se,
+                    misclassification_rate=mis, misclassification_std_error=mis_se,
+                    conditional_mean=cond, conditional_std_error=cond_se,
+                    redraws=redraws, trials=trials)
+
+
+def neighborhood_arms(n_plus, n_minus, n_added=4):
+    spec = NeighborhoodSpec(n_plus=n_plus, n_minus=n_minus)
+    spec_add = NeighborhoodSpec(n_plus=n_plus, n_minus=n_minus, n_added=n_added)
+    return [McArm(spec), McArm(spec, "filter", p=0.9, q=0.1), McArm(spec, "filter", p=0.3, q=0.3),
+            McArm(spec_add, "add", p_pre=0.25), McArm(spec_add, "add", p_pre=0.75),
+            McArm(spec, "add", p_pre=0.5)]
+
+
+def run_arm(arm, trials, seed, shared=None):
+    return mc_aggregate(arm.spec, GM, mode=arm.mode, trials=trials, seed=seed,
+                        p=arm.p, q=arm.q, p_pre=arm.p_pre, shared=shared)
+
+
+class TestMonteCarloMatchesReference:
+    """The blocked pass, alone or shared by a neighborhood's arms, gives
+    every ``McResult`` field exactly as the full-matrix sampler does."""
+
+    @pytest.mark.parametrize("trials", [1_000, MC_BLOCK_ROWS, MC_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("n_plus,n_minus", [(1, 1), (3, 5)])
+    def test_standalone_and_shared_calls(self, trials, n_plus, n_minus):
+        arms = neighborhood_arms(n_plus, n_minus)
+        shared = SharedPass(arms)
+        for arm in arms:
+            want = reference_mc_aggregate(arm.spec, GM, arm.mode, trials, 12,
+                                          arm.p, arm.q, arm.p_pre)
+            assert run_arm(arm, trials, 12) == want, arm
+            assert run_arm(arm, trials, 12, shared) == want, arm
+
+    def test_empty_neighborhoods_redraw_alike(self):
+        # n_plus = n_minus = 1 at p = q = 0.3 leaves 49% of trials empty
+        arm = McArm(NeighborhoodSpec(n_plus=1, n_minus=1), "filter", p=0.3, q=0.3)
+        trials = MC_BLOCK_ROWS + 1
+        want = reference_mc_aggregate(arm.spec, GM, "filter", trials, 10, 0.3, 0.3)
+        assert want.redraws > 1_000
+        shared = SharedPass([arm])
+        # a second call through the same pass sees the first draws, not the redrawn ones
+        for got in (run_arm(arm, trials, 10), run_arm(arm, trials, 10, shared),
+                    run_arm(arm, trials, 10, shared)):
+            assert got == want
+
+    def test_shared_pass_rejects_other_calls(self):
+        arms = neighborhood_arms(2, 3)
+        shared = SharedPass(arms)
+        run_arm(arms[0], 100, 0, shared)
+        with pytest.raises(ValueError, match="not listed"):
+            mc_aggregate(arms[1].spec, GM, mode="filter", trials=100, p=0.5, q=0.5, shared=shared)
+        with pytest.raises(ValueError, match="another gm, trials or seed"):
+            run_arm(arms[1], 100, 1, shared)
+        with pytest.raises(ValueError, match="one .n_plus, n_minus. neighborhood"):
+            SharedPass([McArm(SPEC), McArm(NeighborhoodSpec(n_plus=1, n_minus=1))])
+
+
+class TestTheoryDrawsOnce:
+    def test_draws_bounded_by_one_pass_per_neighborhood(self, monkeypatch, tmp_path):
+        trials = 3_000
+        draws, results = [0], []
+        original_uniform, original_mc = theory.unit_uniform, cli.mc_aggregate
+
+        def counted_uniform(*args, **kwargs):
+            out = original_uniform(*args, **kwargs)
+            draws[0] += out.size
+            return out
+
+        def recorded_mc(spec, gm, mode="origin", **kwargs):
+            res = original_mc(spec, gm, mode, **kwargs)
+            results.append((spec, mode, res))
+            return res
+
+        monkeypatch.setattr(theory, "unit_uniform", counted_uniform)
+        monkeypatch.setattr(cli, "mc_aggregate", recorded_mc)
+        assert run_theory(config_from_dict({"theory_trials": trials,
+                                            "output_dir": str(tmp_path)})) == 0
+        assert len(results) == 45
+        sizes = {(s.n_plus, s.n_minus): s.n_plus + s.n_minus for s, _, _ in results}
+        # base normals and filter uniforms (n each), add uniforms and normals (4 each)
+        bound = sum((2 * n + 8) * trials for n in sizes.values())
+        # every redraw round draws n normals and n uniforms for each empty trial
+        bound += sum(2 * (s.n_plus + s.n_minus) * r.redraws
+                     for s, mode, r in results if mode == "filter")
+        assert 0 < draws[0] <= bound
