@@ -28,13 +28,14 @@ import numpy as np
 
 from . import data
 from .edge_classifier import (
+    EdgeClassifier,
     TrainConfig,
     build_pairs,
     evaluate_quality,
     holdout_pairs,
     train,
 )
-from .graph import Graph, NodeTable, positive_ratio
+from .graph import Graph, NodeTable, positive_ratio, unordered_pairs
 from .models import FitConfig, accuracy, gcn_fit, predict, sgc_fit
 from .propagation import EdgeFeatureConfig, PropagationConfig, edge_input_features
 from .refinement import OracleClassifier, RefinementConfig, oracle_scorer, refine
@@ -312,10 +313,9 @@ def _fit_metrics(g: Graph, t: NodeTable, model_cfg: dict, fit: FitConfig) -> dic
 
 
 def _realized_filter_quality(g: Graph, t: NodeTable, scorer, threshold: float) -> tuple[float, float]:
-    """Realized (p, q) of a scorer over the graph's non-self unordered edges."""
-    edges = g.edge_array()
-    mask = edges[:, 0] < edges[:, 1]
-    u, v = edges[mask, 0], edges[mask, 1]
+    """Realized (p, q) of a scorer over the graph's non-self unordered edges,
+    the pairs ``filter_edges`` scores."""
+    u, v, _, _ = unordered_pairs(g.edge_array(), g.num_nodes)
     known = t.known_mask()
     ok = known[u] & known[v]
     u, v = u[ok], v[ok]
@@ -372,7 +372,7 @@ def _row(experiment, arm, seed, cfg, ratio_before, ratio_after, quality_cols, me
 
 
 class _ArmRunner:
-    """Collects rows, timings, reports, and failures across arms."""
+    """Collects rows, timings, reports, training curves, and failures across arms."""
 
     def __init__(self, cfg: ExperimentConfig, experiment: str):
         self.cfg = cfg
@@ -380,6 +380,7 @@ class _ArmRunner:
         self.rows: list[dict] = []
         self.timings: list[dict] = []
         self.reports: dict[str, dict] = {}
+        self.training: dict[str, dict] = {}
         self.failures: list[str] = []
 
     def fail(self, arm: str, seed: int, exc: Exception) -> None:
@@ -404,11 +405,12 @@ class _ArmRunner:
         metrics_path = os.path.join(out_dir, f"{self.experiment}.csv")
         write_csv(metrics_path, METRICS_HEADER, rows)
         write_csv(os.path.join(out_dir, f"{self.experiment}_timings.csv"), TIMINGS_HEADER, self.timings)
-        if self.reports:
-            report_path = os.path.join(out_dir, f"{self.experiment}_refinement.json")
-            with open(report_path, "w", encoding="utf-8") as fh:
-                json.dump(self.reports, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        for suffix, sidecar in (("refinement", self.reports), ("training", self.training)):
+            if sidecar:
+                with open(os.path.join(out_dir, f"{self.experiment}_{suffix}.json"), "w",
+                          encoding="utf-8") as fh:
+                    json.dump(sidecar, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
         print(f"{self.experiment}: wrote {metrics_path} ({len(self.rows)} arm rows)")
         if self.failures:
             for failure in self.failures:
@@ -426,6 +428,7 @@ def _run_experiment(cfg: ExperimentConfig, experiment: str, arm_names, make_arms
     fit each arm that ``make_arms(g, t, seed)`` returns as
     ``(arm, RefinementConfig, scorer, features, quality_cols)``. If
     ``make_arms`` raises, every name in ``arm_names`` fails for that seed.
+    A trained classifier's loss curve goes to the ``*_training.json`` sidecar.
     """
     runner = _ArmRunner(cfg, experiment)
     for seed in cfg.seeds:
@@ -447,6 +450,10 @@ def _run_experiment(cfg: ExperimentConfig, experiment: str, arm_names, make_arms
             for arm in arm_names:
                 runner.fail(arm, seed, exc)
             continue
+        for _, _, scorer, _, _ in arms:
+            if isinstance(scorer, EdgeClassifier):
+                runner.training[f"seed{seed}"] = {"final_loss": float(scorer.final_loss),
+                                                  "loss_history": scorer.loss_history.tolist()}
         for arm, rcfg, scorer, features, cols in arms:
             def refined_arm():
                 refined, report = refine(g, t, scorer, rcfg, features=features,

@@ -19,6 +19,9 @@ from .graph import two_hop_candidates  # noqa: F401
 
 ONE_HOP, TWO_HOP, SAMPLED = 0, 1, 2
 
+# pairs per scoring block: bounds the head's temporaries whatever the pair count
+SCORE_BLOCK = 16_384
+
 
 @dataclass(frozen=True)
 class PairSet:
@@ -198,9 +201,12 @@ def init_classifier(feature_dim: int, cfg: TrainConfig) -> EdgeClassifier:
     return EdgeClassifier(proj=proj, layers=layers, threshold=cfg.threshold)
 
 
-def _forward(clf: EdgeClassifier, xu: np.ndarray, xv: np.ndarray):
-    eu = xu @ clf.proj
-    ev = xv @ clf.proj
+def _head(clf: EdgeClassifier, eu: np.ndarray, ev: np.ndarray):
+    """Logits of the MLP over the pair features of projected embeddings.
+
+    Returns ``(logits, (diff, pre_acts, hiddens))``; the second item holds
+    what backprop reads.
+    """
     diff = eu - ev
     z = np.concatenate([np.abs(diff), eu + ev, eu * ev], axis=1)
     h = z
@@ -213,8 +219,14 @@ def _forward(clf: EdgeClassifier, xu: np.ndarray, xv: np.ndarray):
         hiddens.append(h)
     W_out, b_out = clf.layers[-1]
     logits = (h @ W_out + b_out)[:, 0]
-    cache = (eu, ev, np.sign(diff), pre_acts, hiddens)
-    return logits, cache
+    return logits, (diff, pre_acts, hiddens)
+
+
+def _forward(clf: EdgeClassifier, xu: np.ndarray, xv: np.ndarray):
+    eu = xu @ clf.proj
+    ev = xv @ clf.proj
+    logits, (diff, pre_acts, hiddens) = _head(clf, eu, ev)
+    return logits, (eu, ev, np.sign(diff), pre_acts, hiddens)
 
 
 def _sigmoid(logits: np.ndarray) -> np.ndarray:
@@ -333,19 +345,30 @@ def train(pairset: PairSet, features: np.ndarray, cfg: TrainConfig = TrainConfig
     return clf
 
 
+def _score_embedded(clf: EdgeClassifier, emb: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Probabilities of pairs of projected nodes (rows of ``emb``), computed
+    ``SCORE_BLOCK`` pairs at a time so memory does not grow with the pair count."""
+    out = np.empty(u.shape[0])
+    for start in range(0, u.shape[0], SCORE_BLOCK):
+        stop = start + SCORE_BLOCK
+        logits, _ = _head(clf, emb[u[start:stop]], emb[v[start:stop]])
+        out[start:stop] = _sigmoid(logits)
+    return out
+
+
 def score_pairs(clf: EdgeClassifier, features: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Probability that each pair ``(u[i], v[i])`` is same-label; symmetric
-    in ``u`` and ``v``."""
-    logits, _ = _forward(clf, features[np.asarray(u)], features[np.asarray(v)])
-    return _sigmoid(logits)
+    in ``u`` and ``v``. Projects every node once, then scores in blocks."""
+    return _score_embedded(clf, np.asarray(features) @ clf.proj, np.asarray(u), np.asarray(v))
 
 
 def make_scorer(clf: EdgeClassifier, features: np.ndarray):
-    """Adapt a classifier to the vectorized pair-scorer callable."""
-    features = np.asarray(features, dtype=np.float64)
+    """Adapt a classifier to the vectorized pair-scorer callable; every node
+    is projected once, here, not on each call."""
+    emb = np.asarray(features, dtype=np.float64) @ clf.proj
 
     def scorer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return score_pairs(clf, features, u, v)
+        return _score_embedded(clf, emb, np.asarray(u), np.asarray(v))
 
     return scorer
 

@@ -213,6 +213,22 @@ def positive_ratio(g: Graph, t: NodeTable, use_splits=ALL_SPLITS) -> PositiveRat
     return PositiveRatioReport(per_node=per_node, graph_ratio=ratio, positive_edges=pos, counted_edges=tot)
 
 
+def unordered_pairs(edges: np.ndarray, num_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each unordered non-self pair among directed ``(E, 2)`` ``edges``, once.
+
+    Returns ``(lo, hi, nonself, inverse)``: the pairs as ``lo < hi``, sorted
+    by (lo, hi), whichever direction the edges store; the mask of the rows of
+    ``edges`` that are not self loops; and, for each of those rows, the index
+    of its pair.
+    """
+    nonself = edges[:, 0] != edges[:, 1]
+    lo = np.minimum(edges[nonself, 0], edges[nonself, 1])
+    hi = np.maximum(edges[nonself, 0], edges[nonself, 1])
+    keys = lo * np.int64(num_nodes) + hi
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    return uniq // num_nodes, uniq % num_nodes, nonself, inverse
+
+
 def two_hop_candidates(g: Graph, v: int) -> np.ndarray:
     """Nodes at distance exactly two from ``v``, ascending, self loops ignored."""
     one_hop = g.neighbors(v)

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .edge_classifier import EdgeClassifier, make_scorer
-from .graph import Graph, NodeTable, positive_ratio, two_hop_pools
+from .graph import Graph, NodeTable, positive_ratio, two_hop_pools, unordered_pairs
 # bound for the benchmark tracer (perfbench/spans.py wraps this module's name); unused here
 from .graph import two_hop_candidates  # noqa: F401
 from .hashing import unit_uniform
@@ -86,15 +86,9 @@ def _degree_hist(g: Graph) -> list[int]:
 def filter_edges(g: Graph, scorer: PairScorer, threshold: float) -> tuple[Graph, RefinementReport]:
     """Drop non-self edges whose unordered pair scores under ``threshold``."""
     edges = g.edge_array()
-    nonself = edges[:, 0] != edges[:, 1]
+    pu, pv, nonself, inverse = unordered_pairs(edges, g.num_nodes)
     keep = np.ones(edges.shape[0], dtype=bool)
-    if np.any(nonself):
-        lo = np.minimum(edges[nonself, 0], edges[nonself, 1])
-        hi = np.maximum(edges[nonself, 0], edges[nonself, 1])
-        keys = lo * np.int64(g.num_nodes) + hi
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        pu = uniq // g.num_nodes
-        pv = uniq % g.num_nodes
+    if pu.size:
         scores = np.asarray(scorer(pu, pv), dtype=np.float64)
         if scores.shape != pu.shape:
             raise ValueError("scorer must return one score per pair")

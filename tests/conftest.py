@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from lagraph import Graph, NodeTable, PairSet, two_hop_candidates
-from lagraph.edge_classifier import ONE_HOP, SAMPLED, TWO_HOP, _sample_pairs
+from lagraph.edge_classifier import ONE_HOP, SAMPLED, TWO_HOP, _forward, _sample_pairs, _sigmoid
 
 
 def undirected_graph(num_nodes, pairs, add_self_loops=True):
@@ -151,6 +151,12 @@ def reference_holdout_pairs(g, t, include_two_hop=True):
         raise ValueError("no eligible held-out pairs")
     labels = (t.labels[u] == t.labels[v]).astype(np.int64)
     return PairSet(u=u, v=v, labels=labels, provenance=np.concatenate(prov))
+
+
+def reference_score_pairs(clf, features, u, v):
+    """``score_pairs`` as one forward pass over every pair, each endpoint's
+    row projected on its own."""
+    return _sigmoid(_forward(clf, features[np.asarray(u)], features[np.asarray(v)])[0])
 
 
 def reference_add_edges(g, scorer, n_max, threshold):

@@ -4,10 +4,11 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 import lagraph.cli as cli
-from lagraph import load
+from lagraph import Graph, NodeTable, filter_edges, load
 from lagraph.cli import (
     DEFAULT_CONFIG,
     METRICS_HEADER,
@@ -243,6 +244,67 @@ class TestPipelineCommand:
         edges = tmp_path / "o" / "pipeline_refined_seed0.edges.tsv"
         g, t = load(nodes, edges, normalize=False)
         assert g.num_nodes == 100
+
+
+    def test_training_sidecar_is_byte_identical(self, tmp_path):
+        cfg_path = write_json(tmp_path, fast_config(seeds=[0, 1]))
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["pipeline", "--config", cfg_path, "--output-dir", str(out1)]) == 0
+        assert main(["pipeline", "--config", cfg_path, "--output-dir", str(out2)]) == 0
+        sidecar = out1 / "pipeline_training.json"
+        assert sidecar.read_bytes() == (out2 / "pipeline_training.json").read_bytes()
+        curves = json.loads(sidecar.read_text(encoding="utf-8"))
+        assert set(curves) == {"seed0", "seed1"}
+        for curve in curves.values():
+            assert len(curve["loss_history"]) == 15
+            assert curve["final_loss"] == curve["loss_history"][-1]
+        header = (out1 / "pipeline.csv").read_text(encoding="utf-8").splitlines()[0]
+        assert header == ",".join(METRICS_HEADER)
+
+    def test_oracle_scorer_writes_no_training_sidecar(self, tmp_path):
+        raw = fast_config(scorer={"kind": "oracle", "mode": "filter", "target_p": 0.9, "target_q": 0.1})
+        _, code = run_pipeline(config_from_dict(raw, str(tmp_path / "o")))
+        assert code == 0
+        assert (tmp_path / "o" / "pipeline.csv").exists()
+        assert not (tmp_path / "o" / "pipeline_training.json").exists()
+
+
+class TestRealizedFilterQuality:
+    """The oracle's realized (p, q) is measured on the pairs ``filter_edges``
+    scores, whichever direction the edges are stored in."""
+
+    def one_way_graph(self):
+        # edges stored one way only, each as (hi, lo)
+        g = Graph.from_edges(4, [(3, 1), (2, 0)])
+        t = NodeTable(features=np.zeros((4, 1)), labels=np.array([0, 1, 0, 0]), num_classes=2,
+                      split=np.array([0, 0, 1, 2], dtype=np.int8))
+        return g, t
+
+    def test_scores_the_pairs_filter_edges_scores(self):
+        g, t = self.one_way_graph()
+        seen = []
+
+        def scorer(u, v):
+            seen.append((u.tolist(), v.tolist()))
+            return (t.labels[u] == t.labels[v]).astype(np.float64)
+
+        filter_edges(g, scorer, 0.5)
+        assert cli._realized_filter_quality(g, t, scorer, 0.5) == (1.0, 0.0)
+        assert seen == [([0, 1], [2, 3])] * 2
+
+    def test_one_way_tsv_reports_p_and_q(self, tmp_path):
+        (tmp_path / "nodes.tsv").write_text(
+            "0\t0\ttrain\t1,0\n1\t1\ttrain\t0,1\n2\t0\tval\t1,0\n3\t0\ttest\t1,1\n", encoding="utf-8")
+        (tmp_path / "edges.tsv").write_text("3\t1\n2\t0\n", encoding="utf-8")
+        raw = fast_config(
+            dataset={"kind": "files", "nodes_path": str(tmp_path / "nodes.tsv"),
+                     "edges_path": str(tmp_path / "edges.tsv"), "undirected": False},
+            scorer={"kind": "oracle", "mode": "filter", "target_p": 1.0, "target_q": 0.0},
+            refinement={"do_add": False})
+        rows, code = run_pipeline(config_from_dict(raw, str(tmp_path / "o")))
+        assert code == 0
+        refined = next(r for r in rows if r["arm"] == "refined")
+        assert (refined["p"], refined["q"]) == (1.0, 0.0)
 
 
 class TestErrorExits:

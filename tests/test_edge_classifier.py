@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from lagraph import (
     score_pairs,
     synth,
     train,
+    two_hop_pools,
 )
 import lagraph.edge_classifier as edge_classifier
 from lagraph.edge_classifier import (
@@ -40,6 +42,7 @@ from conftest import (
     flatten_params,
     reference_build_pairs,
     reference_holdout_pairs,
+    reference_score_pairs,
 )
 
 
@@ -448,6 +451,111 @@ class TestScoreSymmetry:
         scorer = make_scorer(clf, features)
         u, v = np.array([0, 2]), np.array([5, 3])
         assert np.array_equal(scorer(u, v), score_pairs(clf, features, u, v))
+
+
+def reference_counts(clf, pairs, features):
+    """``evaluate_quality``'s (tp, fp, fn, tn) from one forward pass over every pair."""
+    pred = reference_score_pairs(clf, features, pairs.u, pairs.v) >= clf.threshold
+    truth = pairs.labels == 1
+    return tuple(int(np.count_nonzero(a & b)) for a, b in
+                 ((pred, truth), (pred, ~truth), (~pred, truth), (~pred, ~truth)))
+
+
+def counts(quality):
+    return quality.tp, quality.fp, quality.fn, quality.tn
+
+
+def first_pairs(pairs, count):
+    return PairSet(u=pairs.u[:count], v=pairs.v[:count], labels=pairs.labels[:count],
+                   provenance=pairs.provenance[:count])
+
+
+class TestBlockedScoring:
+    """``score_pairs`` and the ``make_scorer`` scorer project every node once
+    and run the head over blocks of ``SCORE_BLOCK`` pairs; the reference runs
+    one forward pass over the projected rows of every pair."""
+
+    def synthetic(self):
+        g, t = synth(n=400, c=4, d=6, homophily=0.4, avg_degree=8.0, feature_sep=1.0, seed=3)
+        clf = init_classifier(t.feature_dim, TrainConfig(proj_dim=5, hidden_widths=(7,), seed=3))
+        return g, t, clf, holdout_pairs(g, t)
+
+    def test_one_block_equals_reference(self):
+        g, t, clf, pairs = self.synthetic()
+        assert 0 < len(pairs) <= edge_classifier.SCORE_BLOCK
+        want = reference_score_pairs(clf, t.features, pairs.u, pairs.v)
+        assert np.array_equal(score_pairs(clf, t.features, pairs.u, pairs.v), want)
+        assert np.array_equal(make_scorer(clf, t.features)(pairs.u, pairs.v), want)
+
+    def test_add_pools_equal_reference(self):
+        g, t, clf, _ = self.synthetic()
+        scorer = make_scorer(clf, t.features)
+        indptr, pools = two_hop_pools(g)
+        for v in range(0, g.num_nodes, 37):
+            cand = pools[indptr[v]:indptr[v + 1]].astype(np.int64)
+            u = np.full(cand.shape[0], v, dtype=np.int64)
+            assert np.array_equal(scorer(u, cand), reference_score_pairs(clf, t.features, u, cand))
+
+    @pytest.mark.parametrize("count", [0, 7, 8, None])
+    def test_small_blocks_match_reference(self, monkeypatch, count):
+        monkeypatch.setattr(edge_classifier, "SCORE_BLOCK", 7)
+        g, t, clf, pairs = self.synthetic()
+        pairs = first_pairs(pairs, count)
+        want = reference_score_pairs(clf, t.features, pairs.u, pairs.v)
+        for got in (score_pairs(clf, t.features, pairs.u, pairs.v),
+                    make_scorer(clf, t.features)(pairs.u, pairs.v)):
+            assert got.shape == want.shape and got.dtype == np.float64
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert counts(evaluate_quality(clf, pairs, t.features)) == reference_counts(clf, pairs, t.features)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_drawn_graphs_match_reference(self, data):
+        g = draw_graph(data)
+        t = draw_table(data, g.num_nodes, allow_unknown=False)
+        seed = data.draw(st.integers(0, 99), label="seed")
+        features = np.random.default_rng(seed).normal(size=(g.num_nodes, data.draw(st.integers(1, 4))))
+        clf = init_classifier(features.shape[1], TrainConfig(proj_dim=3, hidden_widths=(4,), seed=seed))
+        block = data.draw(st.integers(1, 9), label="block")
+        try:
+            pairs = holdout_pairs(g, t)
+        except ValueError:
+            pairs = PairSet(u=[], v=[], labels=[], provenance=[])
+        pairs = first_pairs(pairs, data.draw(st.sampled_from([0, block, block + 1, None]), label="count"))
+        want = reference_score_pairs(clf, features, pairs.u, pairs.v)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(edge_classifier, "SCORE_BLOCK", block)
+            got = score_pairs(clf, features, pairs.u, pairs.v)
+            quality = evaluate_quality(clf, pairs, features)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert counts(quality) == reference_counts(clf, pairs, features)
+
+    def test_scorer_projects_once_when_built(self, rng):
+        clf = init_classifier(3, TrainConfig(proj_dim=2, hidden_widths=(4,), seed=0))
+        features = rng.normal(size=(6, 3))
+        u, v = np.array([0, 2, 4]), np.array([5, 3, 1])
+        want = score_pairs(clf, features, u, v)
+        scorer = make_scorer(clf, features)
+        clf.proj = np.full_like(clf.proj, np.nan)
+        assert np.array_equal(scorer(u, v), want)
+
+    def test_evaluation_memory_is_bounded(self):
+        # one forward pass over these 100k pairs held about 135 MB; blocks hold about 31 MB
+        rng = np.random.default_rng(0)
+        n, count = 2000, 100_000
+        features = rng.normal(size=(n, 16))
+        clf = init_classifier(16, TrainConfig(proj_dim=16, hidden_widths=(16,), seed=0))
+        u = rng.integers(0, n - 1, size=count)
+        v = u + 1 + rng.integers(0, n - 1 - u)
+        pairs = PairSet(u=u, v=v, labels=rng.integers(0, 2, size=count), provenance=np.zeros(count))
+        tracemalloc.start()
+        try:
+            quality = evaluate_quality(clf, pairs, features)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert quality.total == count
+        assert peak < 40 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 class TestQuality:
