@@ -59,6 +59,14 @@ NUMERIC_COLUMNS = ("ratio_before", "ratio_after", "p", "q", "p_pre",
 
 OUTPUT_DIR_ENV = "LAGRAPH_OUTPUT_DIR"
 
+
+def _defaults(*classes) -> dict:
+    """The field defaults of config dataclasses, ``seed`` left out: each run
+    sets the seed itself."""
+    return {f.name: f.default for cls in classes for f in dataclasses.fields(cls)
+            if f.name != "seed"}
+
+
 DEFAULT_CONFIG: dict = {
     "dataset": {
         "kind": "synth",
@@ -75,38 +83,12 @@ DEFAULT_CONFIG: dict = {
     },
     # k=0 scores pairs on raw features: classifier mistakes then do not
     # track the propagated features the node model aggregates
-    "edge_features": {"k": 0, "norm": "row-mean", "binary": False},
-    "edge_classifier": {
-        "proj_dim": 16,
-        "hidden_widths": [16],
-        "learning_rate": 0.1,
-        "momentum": 0.9,
-        "epochs": 100,
-        "batch_size": 256,
-        "class_weighting": "balanced",
-        "include_two_hop": True,
-        "num_sampled": 4000,
-        "threshold": 0.5,
-    },
-    "refinement": {"threshold": 0.5, "n_max": 10, "do_filter": True, "do_add": True},
-    "scorer": {
-        "kind": "trained",
-        "mode": "filter",
-        "target_p": 1.0,
-        "target_q": 0.0,
-        "target_p_pre": 1.0,
-    },
-    "model": {
-        "kind": "sgc",
-        "k": 2,
-        "learning_rate": 0.2,
-        "epochs": 200,
-        "weight_decay": 5e-5,
-        "hidden_width": 16,
-        "norm": "row-mean",
-        "early_stop": False,
-        "patience": 30,
-    },
+    "edge_features": {**_defaults(EdgeFeatureConfig), "k": 0},
+    "edge_classifier": {**_defaults(TrainConfig),
+                        "proj_dim": 16, "hidden_widths": [16], "num_sampled": 4000},
+    "refinement": {**_defaults(RefinementConfig), "n_max": 10},
+    "scorer": {"kind": "trained", **_defaults(OracleClassifier)},
+    "model": {"kind": "sgc", **_defaults(PropagationConfig, FitConfig)},
     "seeds": [0, 1, 2, 3, 4],
     "output_dir": None,
     "degrade_k": 0,
@@ -121,6 +103,7 @@ class ConfigError(ValueError):
 
 
 def _merge(defaults, override, path="config"):
+    """``override`` over ``defaults``, section by section; unknown keys raise."""
     if not isinstance(override, dict):
         raise ConfigError(f"{path}: expected an object")
     merged = {}
@@ -137,24 +120,56 @@ def _merge(defaults, override, path="config"):
     return merged
 
 
-_COERCE = {int: int, float: float, bool: bool,
-           tuple[int, ...]: lambda v: tuple(int(w) for w in v)}
+def _coerce(kind, value):
+    """The one coercion rule for typed config values: a bool takes a JSON
+    boolean or 0/1, an int rejects a fractional part, a float or a tuple of
+    ints converts, and any other type passes through."""
+    if kind is bool:
+        if value not in (0, 1):  # False == 0 and True == 1
+            raise ValueError(f"expected true, false, 0 or 1, got {value!r}")
+        return bool(value)
+    if kind is int:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"expected an integer, got {value!r}")
+        return int(value)
+    if kind is float:
+        return float(value)
+    if kind == tuple[int, ...]:
+        return tuple(_coerce(int, v) for v in value)
+    return value
+
+
+def _coerced(values: dict, types: dict, path: str) -> dict:
+    """``values`` with each key that ``types`` names coerced to its type;
+    a value that does not fit raises a :class:`ConfigError` naming ``path``."""
+    out = dict(values)
+    for key in [k for k in values if k in types]:
+        try:
+            out[key] = _coerce(types[key], values[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: {key}: {exc}") from exc
+    return out
 
 
 def _build(cls, section: dict, path: str, **fixed):
     """Instantiate config dataclass ``cls`` from the keys of a config section
     that name its fields, each coerced to the field's declared type.
 
-    ``fixed`` supplies fields the section does not carry. Coercion and
-    ``__post_init__`` errors become a :class:`ConfigError` naming the section.
+    ``fixed`` supplies fields the section does not carry. ``__post_init__``
+    errors become a :class:`ConfigError` naming the section.
     """
-    hints = typing.get_type_hints(cls)
+    names = [f.name for f in dataclasses.fields(cls)]
+    kwargs = _coerced({k: section[k] for k in names if k in section},
+                      typing.get_type_hints(cls), path)
     try:
-        kwargs = {f.name: _COERCE.get(hints[f.name], lambda v: v)(section[f.name])
-                  for f in dataclasses.fields(cls) if f.name in section}
         return cls(**kwargs, **fixed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+_DATASET_TYPES = {key: type(val) for key, val in DEFAULT_CONFIG["dataset"].items()}
+_SCALAR_TYPES = {"seeds": tuple[int, ...], "degrade_k": int, "dump_refined": bool,
+                 "theory_trials": int}
 
 
 @dataclass(frozen=True)
@@ -174,19 +189,17 @@ class ExperimentConfig:
     sweep: dict
     dump_refined: bool
     theory_trials: int
-    resolved: dict
     config_hash: str
 
 
 def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> ExperimentConfig:
     resolved = _merge(DEFAULT_CONFIG, raw)
     out = output_dir_flag or resolved["output_dir"] or os.environ.get(OUTPUT_DIR_ENV) or "out"
-    resolved["output_dir"] = out
     # hash covers everything that shapes the numbers; where they land does not
     hashed = {k: v for k, v in resolved.items() if k != "output_dir"}
     blob = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
     cfg_hash = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
-    ds = resolved["dataset"]
+    ds = _coerced(resolved["dataset"], _DATASET_TYPES, "dataset")
     if ds["kind"] not in ("synth", "files"):
         raise ConfigError("dataset.kind must be 'synth' or 'files'")
     if ds["kind"] == "files" and not (ds["nodes_path"] and ds["edges_path"]):
@@ -194,7 +207,7 @@ def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> Experimen
     if ds["kind"] == "synth":
         try:
             data.check_synth_args(**_synth_args(ds))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"dataset: {exc}") from exc
     scorer, model = resolved["scorer"], resolved["model"]
     if scorer["kind"] not in ("trained", "oracle"):
@@ -205,11 +218,12 @@ def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> Experimen
         raise ConfigError("model.kind must be 'sgc' or 'gcn'")
     if model["kind"] == "sgc":
         _build(PropagationConfig, model, "model")
-    seeds = tuple(int(s) for s in resolved["seeds"])
-    if not seeds:
+    scalars = _coerced(resolved, _SCALAR_TYPES, "config")
+    if not scalars["seeds"]:
         raise ConfigError("seeds must be non-empty")
-    theory_trials = int(resolved["theory_trials"])
-    if theory_trials < 2:
+    if scalars["degrade_k"] < 0:
+        raise ConfigError("degrade_k must be >= 0")
+    if scalars["theory_trials"] < 2:
         raise ConfigError("theory_trials must be >= 2")
     return ExperimentConfig(
         dataset=ds,
@@ -219,36 +233,26 @@ def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> Experimen
         fit=_build(FitConfig, model, "model"),
         scorer=scorer,
         model=model,
-        seeds=seeds,
+        seeds=scalars["seeds"],
         output_dir=out,
-        degrade_k=int(resolved["degrade_k"]),
+        degrade_k=scalars["degrade_k"],
         sweep=resolved["sweep"],
-        dump_refined=bool(resolved["dump_refined"]),
-        theory_trials=theory_trials,
-        resolved=resolved,
+        dump_refined=scalars["dump_refined"],
+        theory_trials=scalars["theory_trials"],
         config_hash=cfg_hash,
     )
 
 
-def _deep_update(base: dict, override: dict) -> dict:
-    """Write ``override`` into ``base``, descending into sections both hold."""
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(base.get(key), dict):
-            _deep_update(base[key], val)
-        else:
-            base[key] = val
-    return base
-
-
 def load_config(path: str | None, output_dir_flag: str | None = None,
                 overrides: dict | None = None) -> ExperimentConfig:
-    """Read the JSON config at ``path`` (if any), merge flag ``overrides``
-    into it key by key, and resolve the result against the defaults."""
+    """Read the JSON config at ``path`` (if any), resolve it against the
+    defaults, and merge flag ``overrides`` over that key by key."""
     raw: dict = {}
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    return config_from_dict(_deep_update(raw, overrides or {}), output_dir_flag)
+    return config_from_dict(_merge(_merge(DEFAULT_CONFIG, raw), overrides or {}),
+                            output_dir_flag)
 
 
 def _fmt(x) -> str:
@@ -290,9 +294,7 @@ def append_summary_rows(rows: list[dict]) -> list[dict]:
 
 def _synth_args(ds: dict) -> dict:
     """The ``data.synth`` arguments of a ``dataset`` section, seed excepted."""
-    return {"n": int(ds["n"]), "c": int(ds["c"]), "d": int(ds["d"]),
-            "homophily": float(ds["homophily"]), "avg_degree": float(ds["avg_degree"]),
-            "feature_sep": float(ds["feature_sep"])}
+    return {key: ds[key] for key in ("n", "c", "d", "homophily", "avg_degree", "feature_sep")}
 
 
 def _load_dataset(cfg: ExperimentConfig, seed: int) -> tuple[Graph, NodeTable]:
@@ -300,7 +302,7 @@ def _load_dataset(cfg: ExperimentConfig, seed: int) -> tuple[Graph, NodeTable]:
     if ds["kind"] == "synth":
         return data.synth(**_synth_args(ds), seed=seed)
     return data.load(ds["nodes_path"], ds["edges_path"],
-                     undirected=bool(ds["undirected"]), normalize=bool(ds["normalize"]))
+                     undirected=ds["undirected"], normalize=ds["normalize"])
 
 
 def _fit_metrics(g: Graph, t: NodeTable, model_cfg: dict, fit: FitConfig) -> dict:
@@ -521,17 +523,21 @@ def run_ablation(cfg: ExperimentConfig) -> tuple[list[dict], int]:
     return _run_experiment(cfg, "ablation", [arm for arm, _, _ in ABLATION_ARMS], arms)
 
 
-def run_oracle_sweep(cfg: ExperimentConfig, sweep: dict | None = None) -> tuple[list[dict], int]:
+def run_oracle_sweep(cfg: ExperimentConfig) -> tuple[list[dict], int]:
     """Refine with oracle scorers over a quality grid and train the model.
 
     ``p_minus_q`` sweeps a filter-only oracle with p = (1+v)/2, q = (1-v)/2;
     ``p_pre`` sweeps an add-only oracle at the given precision targets.
     """
-    sweep = sweep or cfg.sweep
-    kind = sweep.get("kind", "p_minus_q")
+    kind, values = cfg.sweep["kind"], cfg.sweep["values"]
     if kind not in ("p_minus_q", "p_pre"):
         raise ConfigError("sweep.kind must be 'p_minus_q' or 'p_pre'")
-    values = [float(x) for x in sweep.get("values", DEFAULT_CONFIG["sweep"]["values"])]
+    if not isinstance(values, list):
+        raise ConfigError(f"sweep.values must be a list, got {values!r}")
+    try:
+        values = [float(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"sweep.values: {exc}") from exc
     if any(not 0.0 <= v <= 1.0 for v in values):
         raise ConfigError("sweep values must lie in [0, 1]")
     if kind == "p_pre" and cfg.refinement.threshold > 0.5:
@@ -644,7 +650,8 @@ def _add_common_flags(sub):
 
 
 def _overrides_from_args(args) -> dict:
-    overrides: dict = {}
+    """The config keys the flags set, shaped like a config file."""
+    overrides: dict = {"sweep": {}}
     if args.seeds is not None:
         overrides["seeds"] = [int(s) for s in args.seeds.split(",") if s != ""]
     if args.dataset is not None:
@@ -656,14 +663,25 @@ def _overrides_from_args(args) -> dict:
             nodes_path, edges_path = args.dataset.rsplit(":", 1)
             overrides["dataset"] = {"kind": "files", "nodes_path": nodes_path,
                                     "edges_path": edges_path}
+    if getattr(args, "kind", None) is not None:
+        overrides["sweep"]["kind"] = args.kind
+    if getattr(args, "values", None) is not None:
+        overrides["sweep"]["values"] = [float(v) for v in args.values.split(",") if v != ""]
+    if getattr(args, "k", None) is not None:
+        overrides["degrade_k"] = args.k
+    if getattr(args, "trials", None) is not None:
+        overrides["theory_trials"] = args.trials
     return overrides
 
 
 def main(argv=None) -> int:
+    # looked up when main runs, so a replaced module attribute is the one called
+    runs = {"pipeline": run_pipeline, "ablation": run_ablation, "sweep": run_oracle_sweep,
+            "degrade": run_degradation, "theory": run_theory, "synth": run_synth_export}
     parser = argparse.ArgumentParser(prog="lagraph",
                                      description="label-aware graph refinement experiments")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("pipeline", "ablation", "sweep", "degrade", "theory", "synth"):
+    for name in runs:
         sub = subs.add_parser(name)
         _add_common_flags(sub)
         if name == "sweep":
@@ -676,41 +694,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        overrides = _overrides_from_args(args)
-        if args.command == "sweep":
-            sweep_over = {}
-            if args.kind is not None:
-                sweep_over["kind"] = args.kind
-            if args.values is not None:
-                sweep_over["values"] = [float(v) for v in args.values.split(",") if v != ""]
-            if sweep_over:
-                overrides["sweep"] = sweep_over
-        if args.command == "degrade" and args.k is not None:
-            overrides["degrade_k"] = args.k
-        if args.command == "theory" and args.trials is not None:
-            overrides["theory_trials"] = args.trials
-        cfg = load_config(args.config, args.output_dir, overrides)
+        cfg = load_config(args.config, args.output_dir, _overrides_from_args(args))
     except (ValueError, OSError) as exc:  # ConfigError and JSONDecodeError included
         print(f"error: {_describe(exc)}", file=sys.stderr)
         return 2
-
     try:
-        if args.command == "pipeline":
-            _, code = run_pipeline(cfg)
-        elif args.command == "ablation":
-            _, code = run_ablation(cfg)
-        elif args.command == "sweep":
-            _, code = run_oracle_sweep(cfg)
-        elif args.command == "degrade":
-            _, code = run_degradation(cfg)
-        elif args.command == "theory":
-            code = run_theory(cfg)
-        else:
-            code = run_synth_export(cfg)
+        result = runs[args.command](cfg)
     except ConfigError as exc:
         print(f"error: {_describe(exc)}", file=sys.stderr)
         return 2
-    return code
+    # theory and synth return the exit code, the experiments (rows, exit code)
+    return result if isinstance(result, int) else result[1]
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ line under ``pytest -v``. Expensive experiment runs are shared through
 module-scoped fixtures.
 """
 
+import json
 import math
 import os
 import time
@@ -43,6 +44,7 @@ GM = GaussianMixtureParams(mu_plus=1.0, mu_minus=-1.0, sigma2=1.0, tau=0.0)
 
 CORA_NODES = os.environ.get("LAGRAPH_CORA_NODES")
 CORA_EDGES = os.environ.get("LAGRAPH_CORA_EDGES")
+CORA_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "cora.json")
 
 
 @pytest.fixture(scope="module")
@@ -255,12 +257,10 @@ def test_criterion_7_stages_compose(benchmark_ablation):
                     reason="citation dataset not supplied "
                            "(set LAGRAPH_CORA_NODES and LAGRAPH_CORA_EDGES)")
 def test_criterion_8_citation_benchmark(tmp_path):
-    raw = {
-        "dataset": {"kind": "files", "nodes_path": CORA_NODES, "edges_path": CORA_EDGES},
-        "edge_features": {"k": 2},
-        "edge_classifier": {"proj_dim": 64, "hidden_widths": [32], "num_sampled": 4000},
-        "seeds": [0],
-    }
+    with open(CORA_CONFIG, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["dataset"] = {"kind": "files", "nodes_path": CORA_NODES, "edges_path": CORA_EDGES}
+    raw["seeds"] = [0]
     cfg = config_from_dict(raw, str(tmp_path / "cora"))
     start = time.perf_counter()
     rows, code = run_pipeline(cfg)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from lagraph.cli import (
     TIMINGS_HEADER,
     ConfigError,
     ExperimentConfig,
-    _deep_update,
     _merge,
     append_summary_rows,
     config_from_dict,
@@ -30,6 +30,9 @@ from lagraph.cli import (
 )
 
 
+CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
 def fast_config(**override):
     """Small dataset and short training so subcommand tests stay quick."""
     base = {
@@ -40,7 +43,7 @@ def fast_config(**override):
         "model": {"epochs": 40},
         "seeds": [0],
     }
-    return _deep_update(base, override)
+    return _merge(_merge(DEFAULT_CONFIG, base), override)
 
 
 def write_json(tmp_path, payload, name="config.json"):
@@ -90,6 +93,12 @@ class TestConfigResolution:
         assert c.config_hash != a.config_hash
         assert len(a.config_hash) == 12
 
+    def test_hash_of_defaults_is_pinned(self):
+        # the defaults are read from the config dataclasses; a changed default
+        # moves every hash, so it must be a deliberate change
+        assert config_from_dict({}).config_hash == "145c3d875abf"
+        assert config_from_dict({"dataset": {"n": 16000}}).config_hash == "29189df66b35"
+
     @pytest.mark.parametrize("raw,match", [
         ({"dataset": {"kind": "csv"}}, "dataset.kind"),
         ({"dataset": {"kind": "files"}}, "needs nodes_path"),
@@ -104,6 +113,11 @@ class TestConfigResolution:
         ({"refinement": {"threshold": "high"}}, "refinement"),
         ({"dataset": {"n": 2, "c": 4}}, "dataset: need n >= c >= 1"),
         ({"theory_trials": 1}, "theory_trials must be >= 2"),
+        ({"refinement": {"do_filter": "false"}}, "refinement: do_filter: expected true"),
+        ({"edge_classifier": {"epochs": 2.7}}, "edge_classifier: epochs: expected an integer"),
+        ({"dump_refined": "no"}, "dump_refined: expected true"),
+        ({"dataset": {"undirected": "no"}}, "dataset: undirected: expected true"),
+        ({"degrade_k": -1}, "degrade_k must be >= 0"),
     ])
     def test_validation(self, raw, match):
         with pytest.raises(ConfigError, match=match):
@@ -129,6 +143,11 @@ class TestConfigResolution:
         path = write_json(tmp_path, {"dataset": {"n": 200}})
         cfg = load_config(path, None, {"dataset": {"kind": "synth"}})
         assert cfg.dataset["kind"] == "synth" and cfg.dataset["n"] == 200
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS_DIR.glob("*.json")), ids=lambda p: p.name)
+    def test_shipped_configs_resolve(self, path):
+        cfg = load_config(str(path), None, {"dataset": {"kind": "synth", "n": 100}})
+        assert cfg.dataset["kind"] == "synth" and len(cfg.config_hash) == 12
 
 
 class TestCsvWriting:
@@ -405,6 +424,14 @@ class TestSweepCommand:
         out = tmp_path / "o"
         assert main(["sweep", "--config", cfg_path, "--output-dir", str(out), "--kind", "p_pre"]) == 0
         assert {r["arm"] for r in read_rows(out / "sweep_ppre.csv")} == {"origin", "ppre=0.50"}
+
+    @pytest.mark.parametrize("values", [["x"], 0.5, [None]])
+    def test_malformed_values_exit_2_before_any_arm(self, tmp_path, capsys, values):
+        cfg_path = write_json(tmp_path, fast_config(sweep={"values": values}))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg_path, "--output-dir", str(out)]) == 2
+        assert "ConfigError: sweep.values" in capsys.readouterr().err
+        assert not list(tmp_path.glob("o/sweep_*.csv"))
 
     def test_bad_values_rejected(self, tmp_path):
         raw = fast_config(sweep={"kind": "p_minus_q", "values": [1.5]})
