@@ -151,6 +151,12 @@ def _coerced(values: dict, types: dict, path: str) -> dict:
     return out
 
 
+def _typed(cls, section: dict, path: str) -> dict:
+    """``section`` with each key that names a field of config dataclass
+    ``cls`` coerced to the field's declared type."""
+    return _coerced(section, typing.get_type_hints(cls), path)
+
+
 def _build(cls, section: dict, path: str, **fixed):
     """Instantiate config dataclass ``cls`` from the keys of a config section
     that name its fields, each coerced to the field's declared type.
@@ -158,9 +164,8 @@ def _build(cls, section: dict, path: str, **fixed):
     ``fixed`` supplies fields the section does not carry. ``__post_init__``
     errors become a :class:`ConfigError` naming the section.
     """
-    names = [f.name for f in dataclasses.fields(cls)]
-    kwargs = _coerced({k: section[k] for k in names if k in section},
-                      typing.get_type_hints(cls), path)
+    typed = _typed(cls, section, path)
+    kwargs = {f.name: typed[f.name] for f in dataclasses.fields(cls) if f.name in typed}
     try:
         return cls(**kwargs, **fixed)
     except (TypeError, ValueError) as exc:
@@ -195,10 +200,6 @@ class ExperimentConfig:
 def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> ExperimentConfig:
     resolved = _merge(DEFAULT_CONFIG, raw)
     out = output_dir_flag or resolved["output_dir"] or os.environ.get(OUTPUT_DIR_ENV) or "out"
-    # hash covers everything that shapes the numbers; where they land does not
-    hashed = {k: v for k, v in resolved.items() if k != "output_dir"}
-    blob = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
-    cfg_hash = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
     ds = _coerced(resolved["dataset"], _DATASET_TYPES, "dataset")
     if ds["kind"] not in ("synth", "files"):
         raise ConfigError("dataset.kind must be 'synth' or 'files'")
@@ -213,23 +214,35 @@ def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> Experimen
     if scorer["kind"] not in ("trained", "oracle"):
         raise ConfigError("scorer.kind must be 'trained' or 'oracle'")
     if scorer["kind"] == "oracle":
+        scorer = _typed(OracleClassifier, scorer, "scorer")
         _build(OracleClassifier, scorer, "scorer")
     if model["kind"] not in ("sgc", "gcn"):
         raise ConfigError("model.kind must be 'sgc' or 'gcn'")
     if model["kind"] == "sgc":
+        model = _typed(PropagationConfig, model, "model")
         _build(PropagationConfig, model, "model")
     scalars = _coerced(resolved, _SCALAR_TYPES, "config")
     if not scalars["seeds"]:
         raise ConfigError("seeds must be non-empty")
+    if len(set(scalars["seeds"])) != len(scalars["seeds"]):
+        raise ConfigError("seeds must be distinct")
     if scalars["degrade_k"] < 0:
         raise ConfigError("degrade_k must be >= 0")
     if scalars["theory_trials"] < 2:
         raise ConfigError("theory_trials must be >= 2")
+    sections = {name: _typed(cls, resolved[name], name) for name, cls in
+                (("edge_features", EdgeFeatureConfig), ("edge_classifier", TrainConfig),
+                 ("refinement", RefinementConfig))}
+    model = _typed(FitConfig, model, "model")
+    # hash covers everything that shapes the numbers, as coerced; where they land does not
+    hashed = {**{k: v for k, v in scalars.items() if k != "output_dir"},
+              "dataset": ds, "scorer": scorer, "model": model, **sections}
+    blob = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
     return ExperimentConfig(
         dataset=ds,
-        edge_features=_build(EdgeFeatureConfig, resolved["edge_features"], "edge_features"),
-        edge_classifier=_build(TrainConfig, resolved["edge_classifier"], "edge_classifier"),
-        refinement=_build(RefinementConfig, resolved["refinement"], "refinement"),
+        edge_features=_build(EdgeFeatureConfig, sections["edge_features"], "edge_features"),
+        edge_classifier=_build(TrainConfig, sections["edge_classifier"], "edge_classifier"),
+        refinement=_build(RefinementConfig, sections["refinement"], "refinement"),
         fit=_build(FitConfig, model, "model"),
         scorer=scorer,
         model=model,
@@ -239,7 +252,7 @@ def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> Experimen
         sweep=resolved["sweep"],
         dump_refined=scalars["dump_refined"],
         theory_trials=scalars["theory_trials"],
-        config_hash=cfg_hash,
+        config_hash=hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12],
     )
 
 

@@ -25,6 +25,9 @@ from .propagation import EdgeFeatureConfig, edge_input_features
 
 PairScorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
+# pool entries whose add-mode oracle keys one unit_uniform call hashes
+KEY_BLOCK = 16384
+
 
 @dataclass(frozen=True)
 class RefinementConfig:
@@ -112,37 +115,52 @@ def add_edges(g: Graph, scorer: PairScorer, n_max: int, threshold: float) -> tup
     highest-scoring eligible candidates (ties broken by ascending id) until
     its non-self degree reaches ``n_max``. Candidates come from the input
     graph; edges created earlier in the pass are skipped, not re-added.
+
+    A scorer may carry a ``prepare(indptr, pools)`` function attribute. It
+    receives every node's candidate pool as one CSR before the first pool
+    is scored and ``(None, None)`` when the pass ends, however it ends; the
+    scorer is still called once per pool.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     degrees = g.nonself_degrees().astype(np.int64)
     indptr, pools = two_hop_pools(g)
-    added_adj: list[set[int]] = [set() for _ in range(g.num_nodes)]
+    added_adj: list[list[int]] = [[] for _ in range(g.num_nodes)]
+    mark = np.zeros(g.num_nodes, dtype=bool)
     added: list[tuple[int, int]] = []
-    for v in range(g.num_nodes):
-        if degrees[v] >= n_max:
-            continue
-        cand = pools[indptr[v]:indptr[v + 1]].astype(np.int64)
-        if added_adj[v]:
-            cand = cand[~np.isin(cand, np.fromiter(added_adj[v], dtype=np.int64))]
-        if cand.size == 0:
-            continue
-        scores = np.asarray(scorer(np.full(cand.shape[0], v, dtype=np.int64), cand), dtype=np.float64)
-        if scores.shape != cand.shape:
-            raise ValueError("scorer must return one score per pair")
-        eligible = scores >= threshold
-        cand = cand[eligible]
-        scores = scores[eligible]
-        order = np.lexsort((cand, -scores))
-        for w in cand[order]:
+    prepare = getattr(scorer, "prepare", None)
+    if prepare is not None:
+        prepare(indptr, pools)
+    try:
+        for v in range(g.num_nodes):
             if degrees[v] >= n_max:
-                break
-            w = int(w)
-            added.append((v, w))
-            added_adj[v].add(w)
-            added_adj[w].add(v)
-            degrees[v] += 1
-            degrees[w] += 1
+                continue
+            cand = pools[indptr[v]:indptr[v + 1]].astype(np.int64)
+            if added_adj[v]:
+                mark[added_adj[v]] = True
+                cand = cand[~mark[cand]]
+                mark[added_adj[v]] = False
+            if cand.size == 0:
+                continue
+            scores = np.asarray(scorer(np.full(cand.shape[0], v, dtype=np.int64), cand), dtype=np.float64)
+            if scores.shape != cand.shape:
+                raise ValueError("scorer must return one score per pair")
+            eligible = scores >= threshold
+            cand = cand[eligible]
+            scores = scores[eligible]
+            order = np.lexsort((cand, -scores))
+            for w in cand[order]:
+                if degrees[v] >= n_max:
+                    break
+                w = int(w)
+                added.append((v, w))
+                added_adj[v].append(w)
+                added_adj[w].append(v)
+                degrees[v] += 1
+                degrees[w] += 1
+    finally:
+        if prepare is not None:
+            prepare(None, None)
     if added:
         arr = np.asarray(added, dtype=np.int64)
         new_edges = np.concatenate([g.edge_array(), arr, arr[:, ::-1]], axis=0)
@@ -246,6 +264,77 @@ class OracleClassifier:
                 raise ValueError(f"{name} must lie in [0, 1]")
 
 
+class _QuotaPattern:
+    """Where the add-mode oracle takes each candidate, from (#same, pool size).
+
+    The ideal ranking holds ``floor(p_pre * k + 0.5)`` same-label candidates
+    among its first ``k``; since ``p_pre <= 1`` that count grows by 0 or 1
+    per step, so step ``k`` takes from the same-label queue exactly when it
+    grows. Once one queue runs dry, every later step takes from the other.
+    The cumulative arrays cover the largest pool scored so far.
+    """
+
+    def __init__(self, p_pre: float):
+        self.p_pre = p_pre
+        self._grow(64)
+
+    def _grow(self, size: int) -> None:
+        self.same_taken = np.floor(self.p_pre * np.arange(size + 1, dtype=np.float64) + 0.5).astype(np.int64)
+        self.diff_taken = np.arange(size + 1, dtype=np.int64) - self.same_taken
+        grows = np.diff(self.same_taken).astype(bool)
+        self.same_steps = np.flatnonzero(grows)
+        self.diff_steps = np.flatnonzero(~grows)
+
+    def steps(self, num_same: int, n: int) -> np.ndarray:
+        """The step of each queue entry: the same-label queue, then the other."""
+        if n >= self.same_taken.shape[0]:
+            self._grow(max(n, 2 * (self.same_taken.shape[0] - 1)))
+        dry = min(int(self.same_taken.searchsorted(num_same)), int(self.diff_taken.searchsorted(n - num_same)))
+        same_before = int(self.same_taken[dry])
+        rest = np.arange(dry, n, dtype=np.int64)
+        if same_before == num_same:
+            return np.concatenate([self.same_steps[:same_before], self.diff_steps[:dry - same_before], rest])
+        return np.concatenate([self.same_steps[:same_before], rest, self.diff_steps[:dry - same_before]])
+
+
+class _PoolKeys:
+    """Shuffle keys of one add pass's pool entries.
+
+    Keys are hashed ``KEY_BLOCK`` entries at a time, going ahead from the
+    node being scored to the end of a pool, and looked up by candidate id.
+    """
+
+    def __init__(self, seed: int, indptr: np.ndarray, pools: np.ndarray):
+        self.seed, self.indptr, self.pools = seed, indptr, pools
+        self.first = self.stop = 0  # nodes whose pool keys are held
+        self.keys = np.zeros(0, dtype=np.float64)
+
+    def lookup(self, node: int, cand: np.ndarray) -> np.ndarray | None:
+        """Keys of ``cand`` (ascending) in ``node``'s pool; None when one is not in it."""
+        if not 0 <= node < self.indptr.shape[0] - 1:
+            return None
+        if not self.first <= node < self.stop:
+            self._hash_from(node)
+        lo, hi = int(self.indptr[node]), int(self.indptr[node + 1])
+        pool = self.pools[lo:hi]
+        if pool.shape[0] == 0:
+            return None
+        pos = np.minimum(pool.searchsorted(cand), pool.shape[0] - 1)
+        if not (pool[pos] == cand).all():
+            return None
+        return self.keys[lo - int(self.indptr[self.first]) + pos]
+
+    def _hash_from(self, node: int) -> None:
+        indptr = self.indptr
+        lo = int(indptr[node])
+        stop = int(np.searchsorted(indptr, lo + KEY_BLOCK))
+        stop = min(max(stop, node + 1), indptr.shape[0] - 1)
+        hi = int(indptr[stop])
+        owners = np.repeat(np.arange(node, stop, dtype=np.int64), np.diff(indptr[node:stop + 1]))
+        self.keys = unit_uniform(self.seed, owners, self.pools[lo:hi])
+        self.first, self.stop = node, stop
+
+
 def oracle_scorer(t: NodeTable, oc: OracleClassifier) -> PairScorer:
     """Build the pair scorer for an :class:`OracleClassifier`."""
     if not t.known_mask().all():
@@ -265,36 +354,32 @@ def oracle_scorer(t: NodeTable, oc: OracleClassifier) -> PairScorer:
 
         return scorer
 
+    quota = _QuotaPattern(oc.target_p_pre)
+    pass_keys: _PoolKeys | None = None  # set by prepare for one add_edges pass
+
     def scorer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
-        if np.unique(u).shape[0] > 1:
+        n = v.shape[0]
+        if n == 0:
+            return np.zeros(0, dtype=np.float64)
+        if np.any(u != u[0]):
             raise ValueError("add-mode oracle scores one candidate pool at a time")
         node = int(u[0])
+        keys = pass_keys.lookup(node, v) if pass_keys is not None else None
+        if keys is None:
+            keys = unit_uniform(oc.seed, u, v)
         same = labels[v] == labels[node]
-        shuffle_key = unit_uniform(oc.seed, np.full(v.shape[0], node, dtype=np.int64), v)
-        pos_queue = np.flatnonzero(same)[np.argsort(shuffle_key[same], kind="stable")]
-        neg_queue = np.flatnonzero(~same)[np.argsort(shuffle_key[~same], kind="stable")]
-        n = v.shape[0]
-        ranks = np.empty(n, dtype=np.int64)
-        pi = ni = taken_pos = 0
-        for i in range(n):
-            quota = math.floor(oc.target_p_pre * (i + 1) + 0.5)
-            want_pos = taken_pos < quota
-            if want_pos and pi < pos_queue.shape[0]:
-                ranks[i] = pos_queue[pi]
-                pi += 1
-                taken_pos += 1
-            elif ni < neg_queue.shape[0]:
-                ranks[i] = neg_queue[ni]
-                ni += 1
-            else:
-                ranks[i] = pos_queue[pi]
-                pi += 1
-                taken_pos += 1
-        # rank r -> score in (0.5, 1]; every candidate clears a 0.5 threshold
+        queues = np.lexsort((keys, ~same))  # same-label queue, then different-label queue
+        # step r -> score in (0.5, 1]; every candidate clears a 0.5 threshold
+        step_scores = 1.0 - (np.arange(n, dtype=np.float64) + 1.0) / (2.0 * (n + 1.0))
         scores = np.empty(n, dtype=np.float64)
-        scores[ranks] = 1.0 - (np.arange(n, dtype=np.float64) + 1.0) / (2.0 * (n + 1.0))
+        scores[queues] = step_scores[quota.steps(int(np.count_nonzero(same)), n)]
         return scores
 
+    def prepare(indptr: np.ndarray | None, pools: np.ndarray | None) -> None:
+        nonlocal pass_keys
+        pass_keys = None if indptr is None else _PoolKeys(oc.seed, indptr, pools)
+
+    scorer.prepare = prepare
     return scorer

@@ -1,11 +1,14 @@
 """Shared builders and independent oracles for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from lagraph import Graph, NodeTable, PairSet, two_hop_candidates
 from lagraph.edge_classifier import ONE_HOP, SAMPLED, TWO_HOP, _forward, _sample_pairs, _sigmoid
+from lagraph.hashing import unit_uniform
 
 
 def undirected_graph(num_nodes, pairs, add_self_loops=True):
@@ -189,6 +192,46 @@ def reference_add_edges(g, scorer, n_max, threshold):
     arr = np.asarray(added, dtype=np.int64).reshape(-1, 2)
     edges = np.concatenate([g.edge_array(), arr, arr[:, ::-1]], axis=0)
     return Graph.from_edges(g.num_nodes, edges, add_self_loops=False), arr
+
+
+def reference_oracle_add_scorer(t, oc):
+    """The add-mode ``oracle_scorer`` as one hash per call and a per-candidate
+    quota loop; ``t`` must have fully known labels."""
+    labels = t.labels
+
+    def scorer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        if np.unique(u).shape[0] > 1:
+            raise ValueError("add-mode oracle scores one candidate pool at a time")
+        node = int(u[0])
+        same = labels[v] == labels[node]
+        shuffle_key = unit_uniform(oc.seed, np.full(v.shape[0], node, dtype=np.int64), v)
+        pos_queue = np.flatnonzero(same)[np.argsort(shuffle_key[same], kind="stable")]
+        neg_queue = np.flatnonzero(~same)[np.argsort(shuffle_key[~same], kind="stable")]
+        n = v.shape[0]
+        ranks = np.empty(n, dtype=np.int64)
+        pi = ni = taken_pos = 0
+        for i in range(n):
+            quota = math.floor(oc.target_p_pre * (i + 1) + 0.5)
+            want_pos = taken_pos < quota
+            if want_pos and pi < pos_queue.shape[0]:
+                ranks[i] = pos_queue[pi]
+                pi += 1
+                taken_pos += 1
+            elif ni < neg_queue.shape[0]:
+                ranks[i] = neg_queue[ni]
+                ni += 1
+            else:
+                ranks[i] = pos_queue[pi]
+                pi += 1
+                taken_pos += 1
+        # rank r -> score in (0.5, 1]; every candidate clears a 0.5 threshold
+        scores = np.empty(n, dtype=np.float64)
+        scores[ranks] = 1.0 - (np.arange(n, dtype=np.float64) + 1.0) / (2.0 * (n + 1.0))
+        return scores
+
+    return scorer
 
 
 @pytest.fixture

@@ -99,6 +99,11 @@ class TestConfigResolution:
         assert config_from_dict({}).config_hash == "145c3d875abf"
         assert config_from_dict({"dataset": {"n": 16000}}).config_hash == "29189df66b35"
 
+    def test_hash_covers_coerced_values(self):
+        typed = config_from_dict({"model": {"epochs": 7}, "seeds": [1, 2]})
+        assert config_from_dict({"model": {"epochs": "7"}, "seeds": [1.0, "2"]}).config_hash == typed.config_hash
+        assert config_from_dict({"model": {"epochs": 8}, "seeds": [1, 2]}).config_hash != typed.config_hash
+
     @pytest.mark.parametrize("raw,match", [
         ({"dataset": {"kind": "csv"}}, "dataset.kind"),
         ({"dataset": {"kind": "files"}}, "needs nodes_path"),
@@ -118,6 +123,7 @@ class TestConfigResolution:
         ({"dump_refined": "no"}, "dump_refined: expected true"),
         ({"dataset": {"undirected": "no"}}, "dataset: undirected: expected true"),
         ({"degrade_k": -1}, "degrade_k must be >= 0"),
+        ({"seeds": [0, 0]}, "seeds must be distinct"),
     ])
     def test_validation(self, raw, match):
         with pytest.raises(ConfigError, match=match):

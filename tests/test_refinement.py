@@ -1,6 +1,8 @@
 """Edge filtering, greedy edge addition, and the combined refine pass."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -22,9 +24,18 @@ from lagraph import (
     synth,
     unit_uniform,
 )
+from lagraph import refinement
 from lagraph.edge_classifier import TrainConfig, init_classifier, make_scorer
+from lagraph.graph import two_hop_pools
 
-from conftest import draw_graph, draw_table, path_graph, reference_add_edges, undirected_graph
+from conftest import (
+    draw_graph,
+    draw_table,
+    path_graph,
+    reference_add_edges,
+    reference_oracle_add_scorer,
+    undirected_graph,
+)
 
 
 def dict_scorer(table, default=0.0):
@@ -132,6 +143,14 @@ def assert_same_additions(g, scorer, n_max, threshold):
     assert got.has_self_loops == want.has_self_loops
 
 
+def assert_same_oracle_additions(data):
+    g = draw_graph(data)
+    t = draw_table(data, g.num_nodes, allow_unknown=False)
+    oc = OracleClassifier(mode="add", target_p_pre=data.draw(st.sampled_from([0.0, 0.5, 0.8, 1.0])),
+                          seed=data.draw(st.integers(0, 99), label="seed"))
+    assert_same_additions(g, oracle_scorer(t, oc), data.draw(st.integers(1, 4), label="n_max"), 0.5)
+
+
 class TestAddEdgesMatchesPerNodeLoop:
     """``add_edges`` slices each pool from one CSR; the added pairs, their
     order and the refined graph must be those of the per-node loop."""
@@ -147,16 +166,32 @@ class TestAddEdgesMatchesPerNodeLoop:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_add_mode_oracle(self, data):
-        g = draw_graph(data)
-        t = draw_table(data, g.num_nodes, allow_unknown=False)
-        oc = OracleClassifier(mode="add", target_p_pre=data.draw(st.sampled_from([0.0, 0.5, 0.8, 1.0])),
-                              seed=data.draw(st.integers(0, 99), label="seed"))
-        assert_same_additions(g, oracle_scorer(t, oc), data.draw(st.integers(1, 4), label="n_max"), 0.5)
+        assert_same_oracle_additions(data)
 
     def test_synthetic_graph(self):
         g, t = synth(n=400, c=4, d=4, homophily=0.4, avg_degree=8.0, feature_sep=1.0, seed=5)
         assert_same_additions(g, coarse_hash_scorer(3), 6, 0.5)
         assert_same_additions(g, oracle_scorer(t, OracleClassifier(mode="add", target_p_pre=0.7)), 6, 0.5)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_add_mode_oracle_small_key_blocks(self, block, data):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(refinement, "KEY_BLOCK", block)
+            assert_same_oracle_additions(data)
+
+    def test_sparse_synthetic_graph(self):
+        # low degree: most nodes add edges, so earlier additions are excluded often
+        g, t = synth(n=300, c=3, d=2, homophily=0.5, avg_degree=3.0, feature_sep=1.0, seed=6)
+        assert_same_additions(g, coarse_hash_scorer(3), 8, 0.5)
+        assert_same_additions(g, oracle_scorer(t, OracleClassifier(mode="add", target_p_pre=0.5)), 8, 0.5)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_synthetic_graph_small_key_blocks(self, block, monkeypatch):
+        monkeypatch.setattr(refinement, "KEY_BLOCK", block)
+        self.test_synthetic_graph()
+        self.test_sparse_synthetic_graph()
 
 
 class TestRefine:
@@ -336,3 +371,123 @@ class TestOracleAdd:
         scorer = oracle_scorer(t, OracleClassifier(mode="add"))
         with pytest.raises(ValueError, match="one candidate pool"):
             scorer(np.array([0, 1]), np.array([2, 3]))
+
+
+def count_unit_uniform(monkeypatch):
+    """Count the refinement module's ``unit_uniform`` calls; keep a weakref to each result."""
+    calls = []
+
+    def counted(*args):
+        out = unit_uniform(*args)
+        calls.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(refinement, "unit_uniform", counted)
+    return calls
+
+
+class TestOracleAddMatchesReference:
+    """The add-mode oracle's scores are those of the per-candidate quota loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_scores_equal_quota_loop(self, data):
+        num_same = data.draw(st.integers(0, 40), label="same")
+        num_diff = data.draw(st.integers(0, 40), label="different")
+        p_pre = data.draw(st.one_of(st.sampled_from([0.0, 1 / 3, 0.5, 0.7, 1.0]),
+                                    st.floats(0.0, 1.0)), label="p_pre")
+        oc = OracleClassifier(mode="add", target_p_pre=p_pre, seed=data.draw(st.integers(0, 99), label="seed"))
+        n = num_same + num_diff
+        # node 0 scores a pool of ascending ids drawn from 1..2n+1; its pool in a
+        # prepared pass also holds ids the pass has excluded
+        total = 2 * n + 2
+        pool = np.asarray(sorted(data.draw(st.sets(st.integers(1, total - 1), min_size=n, max_size=n),
+                                           label="pool")), dtype=np.int64)
+        order = np.asarray(data.draw(st.permutations(range(n)), label="labels"), dtype=np.int64)
+        labels = np.full(total, 1, dtype=np.int64)
+        labels[0] = 0
+        labels[pool[order[:num_same]]] = 0
+        t = NodeTable(features=np.zeros((total, 1)), labels=labels, num_classes=2,
+                      split=np.zeros(total, dtype=np.int8))
+        u = np.zeros(n, dtype=np.int64)
+        scorer = oracle_scorer(t, oc)
+        got = scorer(u, pool)
+        if n == 0:
+            assert got.shape == (0,)
+            return
+        want = reference_oracle_add_scorer(t, oc)(u, pool)
+        assert np.array_equal(got, want)
+
+        excluded = np.setdiff1d(np.arange(1, total), pool)
+        full = np.union1d(pool, excluded[:data.draw(st.integers(0, excluded.size), label="excluded")])
+        indptr = np.array([0, full.size, full.size + pool.size], dtype=np.int32)
+        pools = np.concatenate([full, pool]).astype(np.int32)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(refinement, "KEY_BLOCK", data.draw(st.sampled_from([1, 7, 16384]), label="block"))
+            scorer.prepare(indptr, pools)
+            try:
+                assert np.array_equal(scorer(u, pool), want)
+                assert np.array_equal(scorer(np.ones(n, dtype=np.int64), pool),
+                                      reference_oracle_add_scorer(t, oc)(np.ones(n, dtype=np.int64), pool))
+            finally:
+                scorer.prepare(None, None)
+        assert np.array_equal(scorer(u, pool), want)
+
+    def test_candidate_outside_the_prepared_pool_is_hashed(self):
+        labels = np.array([0, 0, 1, 0, 1], dtype=np.int64)
+        t = NodeTable(features=np.zeros((5, 1)), labels=labels, num_classes=2,
+                      split=np.zeros(5, dtype=np.int8))
+        oc = OracleClassifier(mode="add", target_p_pre=0.5, seed=4)
+        scorer = oracle_scorer(t, oc)
+        v = np.array([1, 2, 3, 4], dtype=np.int64)
+        scorer.prepare(np.array([0, 2, 2, 2, 2, 2], dtype=np.int32), np.array([1, 2], dtype=np.int32))
+        try:
+            got = scorer(np.zeros(4, dtype=np.int64), v)
+        finally:
+            scorer.prepare(None, None)
+        assert np.array_equal(got, reference_oracle_add_scorer(t, oc)(np.zeros(4, dtype=np.int64), v))
+
+
+class TestAddPassKeys:
+    """One ``add_edges`` pass hashes the oracle's keys per block of pool entries."""
+
+    def graph(self):
+        return synth(n=400, c=4, d=4, homophily=0.4, avg_degree=8.0, feature_sep=1.0, seed=5)
+
+    @pytest.mark.parametrize("block", [1, 7, 1000, refinement.KEY_BLOCK])
+    def test_hash_calls_bounded_by_blocks(self, block, monkeypatch):
+        g, t = self.graph()
+        entries = int(two_hop_pools(g)[0][-1])
+        monkeypatch.setattr(refinement, "KEY_BLOCK", block)
+        calls = count_unit_uniform(monkeypatch)
+        _, rep = add_edges(g, oracle_scorer(t, OracleClassifier(mode="add", target_p_pre=0.7)), 6, 0.5)
+        assert rep.edges_added > 0
+        assert 1 <= len(calls) <= math.ceil(entries / block) + 1
+
+    def test_no_pool_or_key_array_outlives_the_pass(self, monkeypatch):
+        g, t = self.graph()
+        pool_refs = []
+
+        def pools(graph):
+            out = two_hop_pools(graph)
+            pool_refs.extend(weakref.ref(a) for a in out)
+            return out
+
+        monkeypatch.setattr(refinement, "two_hop_pools", pools)
+        key_refs = count_unit_uniform(monkeypatch)
+        scorer = oracle_scorer(t, OracleClassifier(mode="add", target_p_pre=0.7))
+        add_edges(g, scorer, 6, 0.5)
+        gc.collect()
+        assert len(pool_refs) == 2 and key_refs
+        assert all(ref() is None for ref in pool_refs + key_refs)
+
+    def test_prepare_released_when_a_scorer_raises(self):
+        events = []
+
+        def scorer(u, v):
+            raise RuntimeError("scorer failed")
+
+        scorer.prepare = lambda indptr, pools: events.append(indptr is None)
+        with pytest.raises(RuntimeError, match="scorer failed"):
+            add_edges(path_graph(5), scorer, 3, 0.5)
+        assert events == [False, True]

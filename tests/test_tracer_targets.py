@@ -6,8 +6,12 @@ the tracer's target list and resolves each entry.
 """
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
+
+from lagraph import OracleClassifier, add_edges, oracle_scorer, refinement, synth
+from lagraph.graph import two_hop_pools
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -34,3 +38,29 @@ def test_every_traced_name_resolves():
             continue
         assert callable(value) or isinstance(value, classmethod), f"{target.module}.{target.attr}"
     assert missing == []
+
+
+def test_wrapped_add_oracle_keeps_its_prepare_hook(monkeypatch):
+    """The tracer's wrapper copies the scorer's attributes, so ``add_edges``
+    through it still hashes the oracle's keys per block of pool entries."""
+    g, t = synth(n=400, c=4, d=4, homophily=0.4, avg_degree=8.0, feature_sep=1.0, seed=5)
+    scorer = oracle_scorer(t, OracleClassifier(mode="add", target_p_pre=0.7))
+    tracer = load_spans().Tracer()
+    wrapped = tracer.wrap("refinement.scorer", scorer)
+    assert wrapped.prepare is scorer.prepare
+
+    calls = []
+    hash_keys = refinement.unit_uniform
+
+    def counted(*args):
+        calls.append(args)
+        return hash_keys(*args)
+
+    monkeypatch.setattr(refinement, "unit_uniform", counted)
+    block = 100
+    monkeypatch.setattr(refinement, "KEY_BLOCK", block)
+    _, rep = add_edges(g, wrapped, 6, 0.5)
+    entries = int(two_hop_pools(g)[0][-1])
+    scored = [s for s in tracer.spans if s[1] == "refinement.scorer"]
+    assert rep.edges_added > 0 and len(scored) > len(calls)
+    assert 1 <= len(calls) <= math.ceil(entries / block) + 1
