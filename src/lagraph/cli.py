@@ -39,17 +39,7 @@ from .graph import Graph, NodeTable, positive_ratio, unordered_pairs
 from .models import FitConfig, accuracy, gcn_fit, predict, sgc_fit
 from .propagation import EdgeFeatureConfig, PropagationConfig, edge_input_features
 from .refinement import OracleClassifier, RefinementConfig, oracle_scorer, refine
-from .theory import (
-    GaussianMixtureParams,
-    McArm,
-    NeighborhoodSpec,
-    SharedPass,
-    check_propositions,
-    e_add,
-    e_filter,
-    e_origin,
-    mc_aggregate,
-)
+from .theory import SWEEP_MIXTURE, check_propositions, mc_aggregate, sweep_passes
 
 METRICS_HEADER = ("experiment", "arm", "seed", "ratio_before", "ratio_after",
                   "p", "q", "p_pre", "acc_train", "acc_val", "acc_test", "config_hash")
@@ -122,14 +112,14 @@ def _merge(defaults, override, path="config"):
 
 def _coerce(kind, value):
     """The one coercion rule for typed config values: a bool takes a JSON
-    boolean or 0/1, an int rejects a fractional part, a float or a tuple of
-    ints converts, and any other type passes through."""
+    boolean or 0/1, an int rejects a boolean and a fractional part, a float or
+    a tuple of ints converts, and any other type passes through."""
     if kind is bool:
         if value not in (0, 1):  # False == 0 and True == 1
             raise ValueError(f"expected true, false, 0 or 1, got {value!r}")
         return bool(value)
     if kind is int:
-        if isinstance(value, float) and not value.is_integer():
+        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
             raise ValueError(f"expected an integer, got {value!r}")
         return int(value)
     if kind is float:
@@ -226,6 +216,8 @@ def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> Experimen
         raise ConfigError("seeds must be non-empty")
     if len(set(scalars["seeds"])) != len(scalars["seeds"]):
         raise ConfigError("seeds must be distinct")
+    if min(scalars["seeds"]) < 0:
+        raise ConfigError("seeds must be non-negative")
     if scalars["degrade_k"] < 0:
         raise ConfigError("degrade_k must be >= 0")
     if scalars["theory_trials"] < 2:
@@ -545,8 +537,8 @@ def run_oracle_sweep(cfg: ExperimentConfig) -> tuple[list[dict], int]:
     kind, values = cfg.sweep["kind"], cfg.sweep["values"]
     if kind not in ("p_minus_q", "p_pre"):
         raise ConfigError("sweep.kind must be 'p_minus_q' or 'p_pre'")
-    if not isinstance(values, list):
-        raise ConfigError(f"sweep.values must be a list, got {values!r}")
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"sweep.values must be a non-empty list, got {values!r}")
     try:
         values = [float(v) for v in values]
     except (TypeError, ValueError) as exc:
@@ -584,7 +576,7 @@ THEORY_SWEEP_HEADER = ("mode", "n_plus", "n_minus", "n_added", "p", "q", "p_pre"
 
 def run_theory(cfg: ExperimentConfig) -> int:
     """Check the expectation inequalities on the full grid and emit a CSV
-    comparing closed forms against Monte Carlo."""
+    comparing closed forms against Monte Carlo over ``theory.sweep_passes``."""
     os.makedirs(cfg.output_dir, exist_ok=True)
     start = time.perf_counter()
     report = check_propositions()
@@ -594,39 +586,22 @@ def run_theory(cfg: ExperimentConfig) -> int:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    gm = GaussianMixtureParams(mu_plus=1.0, mu_minus=-1.0, sigma2=1.0, tau=0.0)
-    seed = cfg.seeds[0]
-    trials = cfg.theory_trials
+    gm, seed, trials = SWEEP_MIXTURE, cfg.seeds[0], cfg.theory_trials
     rows = []
-
-    def analytic(arm):
-        if arm.mode == "filter":
-            return e_filter(arm.spec, gm, arm.p, arm.q)
-        if arm.mode == "add":
-            return e_add(arm.spec, gm, arm.p_pre)
-        return e_origin(arm.spec, gm)
-
-    for n_plus in (1, 3, 5):
-        for n_minus in (1, 3, 5):
-            spec = NeighborhoodSpec(n_plus=n_plus, n_minus=n_minus)
-            spec_add = NeighborhoodSpec(n_plus=n_plus, n_minus=n_minus, n_added=4)
-            # one simulation pass per neighborhood serves all five arms
-            shared = SharedPass([McArm(spec), McArm(spec, "filter", p=0.9, q=0.1),
-                                 McArm(spec, "filter", p=0.7, q=0.3),
-                                 McArm(spec_add, "add", p_pre=0.25), McArm(spec_add, "add", p_pre=0.75)])
-            for arm in shared.arms:
-                res = mc_aggregate(arm.spec, gm, mode=arm.mode, trials=trials, seed=seed,
-                                   p=arm.p, q=arm.q, p_pre=arm.p_pre, shared=shared)
-                rows.append({"mode": arm.mode, "n_plus": n_plus, "n_minus": n_minus,
-                             "n_added": arm.spec.n_added, "p": arm.p, "q": arm.q,
-                             "p_pre": arm.p_pre, "mu_plus": gm.mu_plus, "mu_minus": gm.mu_minus,
-                             "sigma2": gm.sigma2, "tau": gm.tau, "analytic": analytic(arm),
-                             "mc_mean": res.mean_estimate, "mc_std_error": res.std_error,
-                             "mc_misclassification": res.misclassification_rate,
-                             "mc_misclassification_std_error": res.misclassification_std_error,
-                             "mc_conditional_mean": res.conditional_mean,
-                             "gap": res.conditional_mean - res.mean_estimate,
-                             "config_hash": cfg.config_hash})
+    for shared in sweep_passes():
+        for arm in shared.arms:
+            res = mc_aggregate(arm.spec, gm, mode=arm.mode, trials=trials, seed=seed,
+                               p=arm.p, q=arm.q, p_pre=arm.p_pre, shared=shared)
+            rows.append({"mode": arm.mode, "n_plus": arm.spec.n_plus, "n_minus": arm.spec.n_minus,
+                         "n_added": arm.spec.n_added, "p": arm.p, "q": arm.q,
+                         "p_pre": arm.p_pre, "mu_plus": gm.mu_plus, "mu_minus": gm.mu_minus,
+                         "sigma2": gm.sigma2, "tau": gm.tau, "analytic": arm.analytic(gm),
+                         "mc_mean": res.mean_estimate, "mc_std_error": res.std_error,
+                         "mc_misclassification": res.misclassification_rate,
+                         "mc_misclassification_std_error": res.misclassification_std_error,
+                         "mc_conditional_mean": res.conditional_mean,
+                         "gap": res.conditional_mean - res.mean_estimate,
+                         "config_hash": cfg.config_hash})
 
     sweep_path = os.path.join(cfg.output_dir, "theory_sweep.csv")
     write_csv(sweep_path, THEORY_SWEEP_HEADER, rows)

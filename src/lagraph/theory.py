@@ -128,21 +128,6 @@ class McResult:
     trials: int
 
 
-def _trial_normals(seed: int, rows: np.ndarray, slot0: int, count: int) -> np.ndarray:
-    """Standard normals keyed by (seed, trial row, slot); order-invariant."""
-    slots = np.arange(slot0, slot0 + count, dtype=np.int64)[None, :]
-    return ndtri(unit_uniform(seed, rows[:, None], slots))
-
-
-def _trial_uniforms(seed: int, rows: np.ndarray, slot0: int, count: int) -> np.ndarray:
-    slots = np.arange(slot0, slot0 + count, dtype=np.int64)[None, :]
-    return unit_uniform(seed, rows[:, None], slots)
-
-
-def _emission_means(spec: NeighborhoodSpec, gm: GaussianMixtureParams) -> np.ndarray:
-    return np.concatenate([np.full(spec.n_plus, gm.mu_plus), np.full(spec.n_minus, gm.mu_minus)])
-
-
 @dataclass(frozen=True)
 class McArm:
     """One ``mc_aggregate`` configuration: a neighborhood, a mode and the
@@ -174,6 +159,14 @@ class McArm:
     def keep_prob(self) -> np.ndarray:
         return np.concatenate([np.full(self.spec.n_plus, self.p), np.full(self.spec.n_minus, self.q)])
 
+    def analytic(self, gm: GaussianMixtureParams) -> float:
+        """The closed form that this arm's ``mean_estimate`` estimates."""
+        if self.mode == "filter":
+            return e_filter(self.spec, gm, self.p, self.q)
+        if self.mode == "add":
+            return e_add(self.spec, gm, self.p_pre)
+        return e_origin(self.spec, gm)
+
 
 class SharedPass:
     """The arms of one neighborhood, simulated in one pass.
@@ -197,33 +190,54 @@ class SharedPass:
             raise ValueError(f"{arm} is not listed in the shared pass")
         if self._arrays is None:
             self._run = (gm, trials, seed)
-            self._arrays = _simulate(self.arms, gm, trials, seed)
+            self._arrays = _simulate(self.arms, gm, seed, np.arange(trials, dtype=np.int64))
         elif self._run != (gm, trials, seed):
             raise ValueError("the shared pass ran with another gm, trials or seed")
         return self._arrays[arm]
 
 
-def _simulate(arms: tuple, gm: GaussianMixtureParams, trials: int, seed: int) -> dict:
-    """Per-trial arrays of every arm, from one pass over blocks of trial rows.
+# the Monte Carlo sweep of ``lagraph theory``: five arms for each
+# (n_plus, n_minus) in {1, 3, 5}^2, under one symmetric mixture
+SWEEP_MIXTURE = GaussianMixtureParams(mu_plus=1.0, mu_minus=-1.0, sigma2=1.0, tau=0.0)
 
-    Each block hashes every slot an arm reads once: base normals in slots
-    [0, n), filter uniforms in [n, 2n), add-mode uniforms in [n, n + n_add)
-    and add-mode normals in [n + n_add, n + 2 n_add). Origin and add arms
-    keep ``(per_trial,)``, filter arms ``(num, den)``.
+
+def sweep_passes():
+    """The sweep's neighborhoods as one :class:`SharedPass` each. A pass is
+    built when the previous one is done with, so only one holds arrays."""
+    for n_plus in (1, 3, 5):
+        for n_minus in (1, 3, 5):
+            spec = NeighborhoodSpec(n_plus=n_plus, n_minus=n_minus)
+            spec_add = NeighborhoodSpec(n_plus=n_plus, n_minus=n_minus, n_added=4)
+            yield SharedPass([McArm(spec), McArm(spec, "filter", p=0.9, q=0.1),
+                              McArm(spec, "filter", p=0.7, q=0.3),
+                              McArm(spec_add, "add", p_pre=0.25), McArm(spec_add, "add", p_pre=0.75)])
+
+
+def _simulate(arms: tuple, gm: GaussianMixtureParams, seed: int, rows: np.ndarray,
+              slot0: int = 0) -> dict:
+    """Per-trial arrays of every arm for the trial ``rows``, from one pass
+    over blocks of at most ``MC_BLOCK_ROWS`` of them; the only code here that
+    draws.
+
+    Each block hashes every slot an arm reads once, counted from ``slot0``:
+    base normals in slots [0, n), filter uniforms in [n, 2n), add-mode
+    uniforms in [n, n + n_add) and add-mode normals in [n + n_add,
+    n + 2 n_add). Origin and add arms keep ``(per_trial,)``, filter arms
+    ``(num, den)``, one entry per row.
     """
     spec = arms[0].spec
     n = spec.n_plus + spec.n_minus
     sigma = math.sqrt(gm.sigma2)
-    means = _emission_means(spec, gm)
+    means = np.concatenate([np.full(spec.n_plus, gm.mu_plus), np.full(spec.n_minus, gm.mu_minus)])
     added = {a.spec.n_added for a in arms if a.mode == "add" and a.spec.n_added}
     width = max([2 * n if any(a.mode == "filter" for a in arms) else n]
                 + [n + 2 * k for k in added])
     keep_probs = {a: a.keep_prob()[None, :] for a in arms if a.mode == "filter"}
-    out = {a: tuple(np.empty(trials) for _ in range(2 if a.mode == "filter" else 1)) for a in arms}
-    for start in range(0, trials, MC_BLOCK_ROWS):
-        rows = np.arange(start, min(start + MC_BLOCK_ROWS, trials), dtype=np.int64)
-        blk = slice(start, start + rows.size)
-        u = _trial_uniforms(seed, rows, 0, width)
+    out = {a: tuple(np.empty(rows.size) for _ in range(2 if a.mode == "filter" else 1)) for a in arms}
+    slots = np.arange(slot0, slot0 + width, dtype=np.int64)[None, :]
+    for start in range(0, rows.size, MC_BLOCK_ROWS):
+        blk = slice(start, start + MC_BLOCK_ROWS)
+        u = unit_uniform(seed, rows[blk, None], slots)
         base = means[None, :] + sigma * ndtri(u[:, :n])
         base_sum = base.sum(axis=1)
         add_normals = {k: ndtri(u[:, n + k:n + 2 * k]) for k in added}
@@ -274,8 +288,6 @@ def mc_aggregate(spec: NeighborhoodSpec, gm: GaussianMixtureParams, mode: str = 
         se = float(resid.std(ddof=1) / math.sqrt(trials) / den_mean)
 
         n = spec.n_plus + spec.n_minus
-        sigma = math.sqrt(gm.sigma2)
-        means, keep_prob = _emission_means(spec, gm), arm.keep_prob()
         active = np.flatnonzero(den == 0)
         if active.size:
             num, den = num.copy(), den.copy()  # a shared pass keeps its first draws
@@ -284,11 +296,9 @@ def mc_aggregate(spec: NeighborhoodSpec, gm: GaussianMixtureParams, mode: str = 
             redraws += int(active.size)
             if round_no > 100_000:
                 raise RuntimeError("empty-neighborhood redraw did not terminate")
-            fresh_vals = means[None, :] + sigma * _trial_normals(seed, active, 2 * n * round_no, n)
-            fresh_flags = _trial_uniforms(seed, active, 2 * n * round_no + n, n) < keep_prob[None, :]
-            fresh_den = fresh_flags.sum(axis=1).astype(np.float64)
-            den[active] = fresh_den
-            num[active] = (fresh_vals * fresh_flags).sum(axis=1)
+            # round r draws its empty rows again in slots [2n r, 2n (r + 1))
+            fresh_num, fresh_den = _simulate((arm,), gm, seed, active, 2 * n * round_no)[arm]
+            num[active], den[active] = fresh_num, fresh_den
             active = active[fresh_den == 0]
             round_no += 1
         per_trial = num / den

@@ -6,13 +6,16 @@ line under ``pytest -v``. Expensive experiment runs are shared through
 module-scoped fixtures.
 """
 
+import hashlib
 import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy import stats
 
 from lagraph import (
@@ -28,7 +31,7 @@ from lagraph import (
     e_origin,
     mc_aggregate,
 )
-from lagraph.cli import config_from_dict, run_ablation, run_oracle_sweep, run_pipeline
+from lagraph.cli import config_from_dict, run_ablation, run_oracle_sweep, run_pipeline, run_theory
 from lagraph.edge_classifier import TrainConfig, init_classifier, loss_and_grad, pair_weights
 from lagraph.models import gcn_loss_and_grad, sgc_loss_and_grad
 
@@ -46,6 +49,27 @@ CORA_NODES = os.environ.get("LAGRAPH_CORA_NODES")
 CORA_EDGES = os.environ.get("LAGRAPH_CORA_EDGES")
 CORA_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "cora.json")
 
+# sha256 prefixes of the byte-stable outputs the fixtures below write, plus a
+# 5,000-trial ``run_theory``, keyed by the libraries whose arithmetic they
+# depend on. A change that moves a digit updates its row here and says why.
+GOLDEN_DIGESTS = {
+    ("numpy 2.4.6", "scipy 1.17.1", "scipy-openblas 0.3.31.188.0"): {
+        "ablation.csv": "4229862fd6a0e0e3",
+        "ablation_refinement.json": "06f26ef6117f31cf",
+        "ablation_training.json": "5eb76722cefb6afc",
+        "pipeline.csv": "1c36f976ad677876",
+        "pipeline_refinement.json": "3ae45c3daafc37e4",
+        "pipeline_training.json": "5eb76722cefb6afc",
+        "sweep_pmq.csv": "391454e0d7009d3e",
+        "sweep_pmq_refinement.json": "4fa82d7fe9834a82",
+        "sweep_ppre.csv": "853ebe68edf667e1",
+        "sweep_ppre_refinement.json": "9accf46316e01e6f",
+        "theory_propositions.json": "8b1675963d156de7",
+        "theory_sweep.csv": "b5622a7abf4eba6a",
+    },
+}
+GOLDEN_PATTERNS = ("*.csv", "*_refinement.json", "*_training.json", "theory_propositions.json")
+
 
 @pytest.fixture(scope="module")
 def propositions():
@@ -59,25 +83,26 @@ def benchmark_pipeline(tmp_path_factory):
     cfg = config_from_dict({}, str(tmp_path_factory.mktemp("pipeline")))
     start = time.perf_counter()
     rows, code = run_pipeline(cfg)
-    return rows, code, time.perf_counter() - start
+    return rows, code, time.perf_counter() - start, cfg.output_dir
 
 
 @pytest.fixture(scope="module")
 def benchmark_ablation(tmp_path_factory):
     cfg = config_from_dict({}, str(tmp_path_factory.mktemp("ablation")))
     rows, code = run_ablation(cfg)
-    return rows, code
+    return rows, code, cfg.output_dir
 
 
 @pytest.fixture(scope="module")
 def benchmark_sweeps(tmp_path_factory):
-    out = {}
+    out, dirs = {}, []
     for kind in ("p_minus_q", "p_pre"):
         cfg = config_from_dict({"sweep": {"kind": kind}}, str(tmp_path_factory.mktemp(kind)))
         rows, code = run_oracle_sweep(cfg)
         assert code == 0
         out[kind] = rows
-    return out
+        dirs.append(cfg.output_dir)
+    return out, dirs
 
 
 def arm_means(rows, column):
@@ -201,7 +226,7 @@ def test_criterion_4_finite_difference_gradients():
 
 
 def test_criterion_5_synthetic_end_to_end(benchmark_pipeline):
-    rows, code, elapsed = benchmark_pipeline
+    rows, code, elapsed, _ = benchmark_pipeline
     assert code == 0
     refined = [r for r in rows if r["arm"] == "refined"]
     origin = [r for r in rows if r["arm"] == "origin"]
@@ -224,7 +249,8 @@ def test_criterion_5_synthetic_end_to_end(benchmark_pipeline):
 
 
 def test_criterion_6_accuracy_tracks_scorer_quality(benchmark_sweeps):
-    pmq_rows = benchmark_sweeps["p_minus_q"]
+    rows_by_kind, _ = benchmark_sweeps
+    pmq_rows = rows_by_kind["p_minus_q"]
     arms, accs = arm_means(pmq_rows, "acc_test")
     _, ps = arm_means(pmq_rows, "p")
     _, qs = arm_means(pmq_rows, "q")
@@ -232,7 +258,7 @@ def test_criterion_6_accuracy_tracks_scorer_quality(benchmark_sweeps):
     rho_pmq = float(stats.spearmanr(gaps, accs).statistic)
     assert rho_pmq >= 0.9, f"Spearman(acc, p-q) = {rho_pmq:.3f}"
 
-    ppre_rows = benchmark_sweeps["p_pre"]
+    ppre_rows = rows_by_kind["p_pre"]
     arms, accs = arm_means(ppre_rows, "acc_test")
     _, pres = arm_means(ppre_rows, "p_pre")
     rho_ppre = float(stats.spearmanr(pres, accs).statistic)
@@ -242,7 +268,7 @@ def test_criterion_6_accuracy_tracks_scorer_quality(benchmark_sweeps):
 
 
 def test_criterion_7_stages_compose(benchmark_ablation):
-    rows, code = benchmark_ablation
+    rows, code, _ = benchmark_ablation
     assert code == 0
     means = {}
     for arm in ("filter", "add", "filter_add"):
@@ -290,3 +316,32 @@ def test_criterion_9_reruns_are_byte_identical(tmp_path):
     assert outputs[0] == outputs[1]
     print(f"PASS criterion 9: metrics CSV reruns are byte-identical "
           f"({len(outputs[0])} bytes)")
+
+
+def numeric_fingerprint() -> tuple[str, str, str]:
+    """numpy, scipy and the BLAS numpy was built against, by name and version."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.26 can only print its build config
+        blas = {}
+    return (f"numpy {np.__version__}", f"scipy {scipy.__version__}",
+            f"{blas.get('name')} {blas.get('version')}")
+
+
+def test_golden_output_digests(benchmark_pipeline, benchmark_ablation, benchmark_sweeps,
+                               tmp_path):
+    fingerprint = numeric_fingerprint()
+    if fingerprint not in GOLDEN_DIGESTS:
+        pytest.skip(f"no golden digests for {fingerprint}: output bytes depend on the "
+                    "numpy, scipy and BLAS builds")
+    theory_cfg = config_from_dict({"theory_trials": 5_000}, str(tmp_path / "theory"))
+    assert run_theory(theory_cfg) == 0
+    dirs = [benchmark_pipeline[3], benchmark_ablation[2], *benchmark_sweeps[1],
+            theory_cfg.output_dir]
+    paths = {p for d in dirs for pattern in GOLDEN_PATTERNS for p in Path(d).glob(pattern)
+             if not p.name.endswith("_timings.csv")}
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+           for p in sorted(paths)}
+    assert got == GOLDEN_DIGESTS[fingerprint], f"outputs moved; this build writes {got}"
+    print(f"PASS golden outputs: {len(got)} files byte-identical to the table for "
+          f"{', '.join(fingerprint)}")

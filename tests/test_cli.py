@@ -124,6 +124,11 @@ class TestConfigResolution:
         ({"dataset": {"undirected": "no"}}, "dataset: undirected: expected true"),
         ({"degrade_k": -1}, "degrade_k must be >= 0"),
         ({"seeds": [0, 0]}, "seeds must be distinct"),
+        ({"seeds": [-1]}, "seeds must be non-negative"),
+        ({"refinement": {"n_max": True}}, "refinement: n_max: expected an integer, got True"),
+        ({"seeds": [0, True]}, "config: seeds: expected an integer, got True"),
+        ({"edge_classifier": {"hidden_widths": [False]}},
+         "edge_classifier: hidden_widths: expected an integer, got False"),
     ])
     def test_validation(self, raw, match):
         with pytest.raises(ConfigError, match=match):
@@ -438,6 +443,14 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg_path, "--output-dir", str(out)]) == 2
         assert "ConfigError: sweep.values" in capsys.readouterr().err
         assert not list(tmp_path.glob("o/sweep_*.csv"))
+
+    @pytest.mark.parametrize("kind", ["p_minus_q", "p_pre"])
+    def test_empty_values_exit_2_before_any_arm(self, tmp_path, capsys, kind):
+        cfg_path = write_json(tmp_path, fast_config(sweep={"kind": kind, "values": []}))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg_path, "--output-dir", str(out)]) == 2
+        assert "ConfigError: sweep.values must be a non-empty list" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_values_rejected(self, tmp_path):
         raw = fast_config(sweep={"kind": "p_minus_q", "values": [1.5]})

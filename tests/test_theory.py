@@ -2,6 +2,7 @@
 the exhaustive inequality grid."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from lagraph import (
 )
 from lagraph.cli import config_from_dict, run_theory
 from lagraph.hashing import unit_uniform
-from lagraph.theory import MC_BLOCK_ROWS, McArm, SharedPass, _trial_normals
+from lagraph.theory import MC_BLOCK_ROWS, McArm, SharedPass, _simulate
 
 GM = GaussianMixtureParams(mu_plus=1.0, mu_minus=-1.0, sigma2=1.0, tau=0.0)
 SPEC = NeighborhoodSpec(n_plus=3, n_minus=2)
@@ -149,8 +150,9 @@ class TestMonteCarlo:
         b = mc_aggregate(SPEC, GM, mode="origin", trials=500, seed=8)
         assert a == b
         rows = np.arange(30, dtype=np.int64)
-        draws = _trial_normals(9, rows, 0, 4)
-        assert np.array_equal(_trial_normals(9, rows[:10], 0, 4), draws[:10])
+        arm = McArm(SPEC)
+        (draws,) = _simulate((arm,), GM, 9, rows)[arm]
+        assert np.array_equal(_simulate((arm,), GM, 9, rows[:10])[arm][0], draws[:10])
 
     def test_empty_survivor_sets_are_redrawn(self):
         spec = NeighborhoodSpec(n_plus=1, n_minus=1)
@@ -367,7 +369,9 @@ class TestTheoryDrawsOnce:
         monkeypatch.setattr(cli, "mc_aggregate", recorded_mc)
         assert run_theory(config_from_dict({"theory_trials": trials,
                                             "output_dir": str(tmp_path)})) == 0
-        assert len(results) == 45
+        # one call through the name the benchmark tracer wraps per CSV row
+        lines = (tmp_path / "theory_sweep.csv").read_text(encoding="utf-8").splitlines()
+        assert len(results) == len(lines) - 1 == 45
         sizes = {(s.n_plus, s.n_minus): s.n_plus + s.n_minus for s, _, _ in results}
         # base normals and filter uniforms (n each), add uniforms and normals (4 each)
         bound = sum((2 * n + 8) * trials for n in sizes.values())
@@ -375,3 +379,44 @@ class TestTheoryDrawsOnce:
         bound += sum(2 * (s.n_plus + s.n_minus) * r.redraws
                      for s, mode, r in results if mode == "filter")
         assert 0 < draws[0] <= bound
+
+    def test_a_pass_is_unreachable_once_the_next_starts(self, monkeypatch, tmp_path):
+        # a pass holds 7 arrays of `trials` floats; the sweep must not keep
+        # all nine neighborhoods' arrays alive at once
+        passes = []
+        original_mc = cli.mc_aggregate
+
+        def tracked_mc(*args, shared, **kwargs):
+            if not passes or passes[-1]() is not shared:
+                assert all(ref() is None for ref in passes), "an earlier pass is still alive"
+                passes.append(weakref.ref(shared))
+            return original_mc(*args, shared=shared, **kwargs)
+
+        monkeypatch.setattr(cli, "mc_aggregate", tracked_mc)
+        assert run_theory(config_from_dict({"theory_trials": 200,
+                                            "output_dir": str(tmp_path)})) == 0
+        assert len(passes) == 9
+
+
+class TestOneDrawKernel:
+    def test_redraws_hash_at_most_one_block_of_rows(self, monkeypatch):
+        hashed_rows = []
+        original_uniform = theory.unit_uniform
+
+        def counted_uniform(seed, *keys):
+            hashed_rows.append(np.broadcast_shapes(*(np.shape(k) for k in keys))[0])
+            return original_uniform(seed, *keys)
+
+        monkeypatch.setattr(theory, "unit_uniform", counted_uniform)
+        # P(empty) = 0.49, so the first redraw round holds about 6,000 rows
+        res = mc_aggregate(NeighborhoodSpec(n_plus=1, n_minus=1), GM, mode="filter",
+                           trials=3 * MC_BLOCK_ROWS, seed=0, p=0.3, q=0.3)
+        assert res.redraws > 2 * MC_BLOCK_ROWS
+        assert len(hashed_rows) > 3
+        assert max(hashed_rows) <= MC_BLOCK_ROWS
+
+    def test_analytic_is_the_closed_form_of_the_mode(self):
+        spec_add = NeighborhoodSpec(n_plus=3, n_minus=2, n_added=4)
+        assert McArm(SPEC).analytic(GM) == e_origin(SPEC, GM)
+        assert McArm(SPEC, "filter", p=0.9, q=0.2).analytic(GM) == e_filter(SPEC, GM, 0.9, 0.2)
+        assert McArm(spec_add, "add", p_pre=0.3).analytic(GM) == e_add(spec_add, GM, 0.3)
