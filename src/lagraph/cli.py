@@ -112,8 +112,9 @@ def _merge(defaults, override, path="config"):
 
 def _coerce(kind, value):
     """The one coercion rule for typed config values: a bool takes a JSON
-    boolean or 0/1, an int rejects a boolean and a fractional part, a float or
-    a tuple of ints converts, and any other type passes through."""
+    boolean or 0/1, an int rejects a boolean and a fractional part, a float
+    rejects a boolean, a float or a tuple of ints converts, and any other type
+    passes through."""
     if kind is bool:
         if value not in (0, 1):  # False == 0 and True == 1
             raise ValueError(f"expected true, false, 0 or 1, got {value!r}")
@@ -123,6 +124,8 @@ def _coerce(kind, value):
             raise ValueError(f"expected an integer, got {value!r}")
         return int(value)
     if kind is float:
+        if isinstance(value, bool):
+            raise ValueError(f"expected a number, got {value!r}")
         return float(value)
     if kind == tuple[int, ...]:
         return tuple(_coerce(int, v) for v in value)
@@ -335,10 +338,11 @@ def _realized_filter_quality(g: Graph, t: NodeTable, scorer, threshold: float) -
     return p, q
 
 
-def _oracle(g: Graph, t: NodeTable, oc: OracleClassifier, threshold: float):
+def _oracle(g: Graph, t: NodeTable, oc: OracleClassifier, threshold: float, shared: dict | None = None):
     """Oracle pair scorer plus its quality columns: the realized (p, q) in
-    filter mode, all NaN in add mode (p_pre comes from the refinement report)."""
-    scorer = oracle_scorer(t, oc)
+    filter mode, all NaN in add mode (p_pre comes from the refinement report).
+    Add-mode scorers given one ``shared`` dict share one sorted queue per graph."""
+    scorer = oracle_scorer(t, oc, _shared=shared)
     p = q = float("nan")
     if oc.mode == "filter":
         p, q = _realized_filter_quality(g, t, scorer, threshold)
@@ -438,14 +442,17 @@ def _run_experiment(cfg: ExperimentConfig, experiment: str, arm_names, make_arms
     A trained classifier's loss curve goes to the ``*_training.json`` sidecar.
     """
     runner = _ArmRunner(cfg, experiment)
-    for seed in cfg.seeds:
+
+    # one function call per seed, so what a seed builds (graph, scorers, an
+    # add-mode oracle's queue) is freed before the next seed's dataset
+    def run_seed(seed):
         try:
             g, t = _load_dataset(cfg, seed)
             if degrade_k >= 1:
                 g = data.degrade(g, t, degrade_k, seed)
         except Exception as exc:  # noqa: BLE001
             runner.fail("dataset", seed, exc)
-            continue
+            return
         fit = dataclasses.replace(cfg.fit, seed=seed)
         ratio = positive_ratio(g, t).graph_ratio
         runner.run("origin", seed,
@@ -456,7 +463,7 @@ def _run_experiment(cfg: ExperimentConfig, experiment: str, arm_names, make_arms
         except Exception as exc:  # noqa: BLE001
             for arm in arm_names:
                 runner.fail(arm, seed, exc)
-            continue
+            return
         for _, _, scorer, _, _ in arms:
             if isinstance(scorer, EdgeClassifier):
                 runner.training[f"seed{seed}"] = {"final_loss": float(scorer.final_loss),
@@ -478,6 +485,9 @@ def _run_experiment(cfg: ExperimentConfig, experiment: str, arm_names, make_arms
                             report.ratio_after, dict(cols, p_pre=p_pre), metrics)
 
             runner.run(arm, seed, refined_arm)
+
+    for seed in cfg.seeds:
+        run_seed(seed)
     code = runner.finalize()
     return runner.rows, code
 
@@ -540,7 +550,7 @@ def run_oracle_sweep(cfg: ExperimentConfig) -> tuple[list[dict], int]:
     if not isinstance(values, list) or not values:
         raise ConfigError(f"sweep.values must be a non-empty list, got {values!r}")
     try:
-        values = [float(v) for v in values]
+        values = [_coerce(float, v) for v in values]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"sweep.values: {exc}") from exc
     if any(not 0.0 <= v <= 1.0 for v in values):
@@ -549,10 +559,13 @@ def run_oracle_sweep(cfg: ExperimentConfig) -> tuple[list[dict], int]:
         raise ConfigError("p_pre sweep needs refinement.threshold <= 0.5 (oracle ranks in (0.5, 1])")
     short = "pmq" if kind == "p_minus_q" else "ppre"
     names = [f"{short}={value:.2f}" for value in values]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"sweep.values: arm names collide: {names}")
 
     def arms(g, t, seed):
         filtering = kind == "p_minus_q"
         rcfg = dataclasses.replace(cfg.refinement, do_filter=filtering, do_add=not filtering)
+        shared = None if filtering else {}  # the add arms of a seed sort the pools once
         out = []
         for arm, value in zip(names, values):
             if filtering:
@@ -560,7 +573,7 @@ def run_oracle_sweep(cfg: ExperimentConfig) -> tuple[list[dict], int]:
                                       target_q=(1.0 - value) / 2.0, seed=seed)
             else:
                 oc = OracleClassifier(mode="add", target_p_pre=value, seed=seed)
-            scorer, cols = _oracle(g, t, oc, rcfg.threshold)
+            scorer, cols = _oracle(g, t, oc, rcfg.threshold, shared)
             out.append((arm, rcfg, scorer, None, cols))
         return out
 

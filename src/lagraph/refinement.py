@@ -25,7 +25,7 @@ from .propagation import EdgeFeatureConfig, edge_input_features
 
 PairScorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-# pool entries whose add-mode oracle keys one unit_uniform call hashes
+# pool entries (rounded up to whole pools) the add-mode oracle hashes and sorts at a time
 KEY_BLOCK = 16384
 
 
@@ -116,51 +116,30 @@ def add_edges(g: Graph, scorer: PairScorer, n_max: int, threshold: float) -> tup
     its non-self degree reaches ``n_max``. Candidates come from the input
     graph; edges created earlier in the pass are skipped, not re-added.
 
-    A scorer may carry a ``prepare(indptr, pools)`` function attribute. It
-    receives every node's candidate pool as one CSR before the first pool
-    is scored and ``(None, None)`` when the pass ends, however it ends; the
-    scorer is still called once per pool.
+    The scorer is called once per visited node, on that node's pool. A
+    scorer may instead carry a ``walk(g, threshold)`` function attribute, as
+    the add-mode oracle does. It returns ``rank(v, excluded, budget)``: the
+    first ``budget`` candidates, in order, that scoring ``v``'s pool without
+    ``excluded`` would rank at or above ``threshold``. The pass then takes
+    its candidates from ``rank`` and never calls the scorer.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    degrees = g.nonself_degrees().astype(np.int64)
-    indptr, pools = two_hop_pools(g)
+    degrees = g.nonself_degrees().tolist()
+    walk = getattr(scorer, "walk", None)
+    rank = walk(g, threshold) if walk is not None else _pool_ranker(g, scorer, threshold)
     added_adj: list[list[int]] = [[] for _ in range(g.num_nodes)]
-    mark = np.zeros(g.num_nodes, dtype=bool)
     added: list[tuple[int, int]] = []
-    prepare = getattr(scorer, "prepare", None)
-    if prepare is not None:
-        prepare(indptr, pools)
-    try:
-        for v in range(g.num_nodes):
-            if degrees[v] >= n_max:
-                continue
-            cand = pools[indptr[v]:indptr[v + 1]].astype(np.int64)
-            if added_adj[v]:
-                mark[added_adj[v]] = True
-                cand = cand[~mark[cand]]
-                mark[added_adj[v]] = False
-            if cand.size == 0:
-                continue
-            scores = np.asarray(scorer(np.full(cand.shape[0], v, dtype=np.int64), cand), dtype=np.float64)
-            if scores.shape != cand.shape:
-                raise ValueError("scorer must return one score per pair")
-            eligible = scores >= threshold
-            cand = cand[eligible]
-            scores = scores[eligible]
-            order = np.lexsort((cand, -scores))
-            for w in cand[order]:
-                if degrees[v] >= n_max:
-                    break
-                w = int(w)
-                added.append((v, w))
-                added_adj[v].append(w)
-                added_adj[w].append(v)
-                degrees[v] += 1
-                degrees[w] += 1
-    finally:
-        if prepare is not None:
-            prepare(None, None)
+    for v in range(g.num_nodes):
+        if degrees[v] >= n_max:
+            continue
+        for w in rank(v, added_adj[v], n_max - degrees[v]):
+            w = int(w)
+            added.append((v, w))
+            added_adj[v].append(w)
+            added_adj[w].append(v)
+            degrees[v] += 1
+            degrees[w] += 1
     if added:
         arr = np.asarray(added, dtype=np.int64)
         new_edges = np.concatenate([g.edge_array(), arr, arr[:, ::-1]], axis=0)
@@ -178,6 +157,30 @@ def add_edges(g: Graph, scorer: PairScorer, n_max: int, threshold: float) -> tup
         added_pairs=arr,
     )
     return refined, report
+
+
+def _pool_ranker(g: Graph, scorer: PairScorer, threshold: float):
+    """``rank`` for a plain pair scorer: score the pool without the excluded
+    nodes, drop scores under ``threshold``, sort by score then id."""
+    indptr, pools = two_hop_pools(g)
+    mark = np.zeros(g.num_nodes, dtype=bool)
+
+    def rank(v: int, excluded: list[int], budget: int) -> np.ndarray:
+        cand = pools[indptr[v]:indptr[v + 1]].astype(np.int64)
+        if excluded:
+            mark[excluded] = True
+            cand = cand[~mark[cand]]
+            mark[excluded] = False
+        if cand.size == 0:
+            return cand
+        scores = np.asarray(scorer(np.full(cand.shape[0], v, dtype=np.int64), cand), dtype=np.float64)
+        if scores.shape != cand.shape:
+            raise ValueError("scorer must return one score per pair")
+        eligible = scores >= threshold
+        cand = cand[eligible]
+        return cand[np.lexsort((cand, -scores[eligible]))[:budget]]
+
+    return rank
 
 
 def refine(g: Graph, t: NodeTable, classifier, cfg: RefinementConfig = RefinementConfig(),
@@ -264,79 +267,97 @@ class OracleClassifier:
                 raise ValueError(f"{name} must lie in [0, 1]")
 
 
-class _QuotaPattern:
-    """Where the add-mode oracle takes each candidate, from (#same, pool size).
+def _quota_walk(queue: list[int], num_same: int, p_pre: float, steps: int, skip=frozenset()) -> list[int]:
+    """The first ``steps`` picks of the add-mode oracle's ranking of one pool.
 
-    The ideal ranking holds ``floor(p_pre * k + 0.5)`` same-label candidates
-    among its first ``k``; since ``p_pre <= 1`` that count grows by 0 or 1
-    per step, so step ``k`` takes from the same-label queue exactly when it
-    grows. Once one queue runs dry, every later step takes from the other.
-    The cumulative arrays cover the largest pool scored so far.
+    ``queue`` holds the pool's ``num_same`` same-label entries, then the
+    others, each in shuffle-key order; entries in ``skip`` are passed over.
+    The ideal ranking holds ``floor(p_pre * k + 0.5)`` same-label picks among
+    its first ``k``. Since ``p_pre <= 1`` that count grows by 0 or 1 per
+    step, so step ``r`` takes from the same-label queue when it grows and
+    that queue is not dry, and from the other queue otherwise. Once one
+    queue runs dry, every later step takes from the other.
+    """
+    picks = []
+    si, di, end = 0, num_same, len(queue)
+    for r in range(steps):
+        while si < num_same and queue[si] in skip:
+            si += 1
+        while di < end and queue[di] in skip:
+            di += 1
+        grows = math.floor(p_pre * (r + 1) + 0.5) > math.floor(p_pre * r + 0.5)
+        if si < num_same and (grows or di == end):
+            picks.append(queue[si])
+            si += 1
+        elif di < end:
+            picks.append(queue[di])
+            di += 1
+        else:
+            break
+    return picks
+
+
+class _AddQueue:
+    """Every two-hop pool of one graph in the add-mode oracle's queue order.
+
+    Node ``v``'s slice of ``queue`` (laid out like :func:`two_hop_pools`)
+    holds its ``num_same[v]`` same-label candidates, then the others, each
+    sorted by the shuffle key (ties by ascending id). A key depends only on
+    (seed, node, candidate), and dropping candidates keeps the order of the
+    rest, so one queue serves every ``p_pre`` and every set of exclusions.
+    Keys are hashed and sorted ``KEY_BLOCK`` pool entries (whole pools) at
+    a time; no key is kept, only the queue, its ``indptr`` and the counts.
     """
 
-    def __init__(self, p_pre: float):
-        self.p_pre = p_pre
-        self._grow(64)
+    def __init__(self, g: Graph, labels: np.ndarray, seed: int):
+        indptr, pools = two_hop_pools(g)
+        n = g.num_nodes
+        self.graph, self.labels, self.seed, self.indptr = g, labels, seed, indptr
+        self.queue = np.empty_like(pools)
+        self.num_same = np.zeros(n, dtype=np.int32)
+        node = 0
+        while node < n:
+            lo = int(indptr[node])
+            stop = min(max(int(np.searchsorted(indptr, lo + KEY_BLOCK)), node + 1), n)
+            hi = int(indptr[stop])
+            if hi > lo:
+                owners = np.repeat(np.arange(node, stop, dtype=np.int64), np.diff(indptr[node:stop + 1]))
+                cand = pools[lo:hi]
+                same = labels[cand] == labels[owners]
+                self.queue[lo:hi] = cand[np.lexsort((unit_uniform(seed, owners, cand), ~same, owners))]
+                self.num_same[node:stop] = np.bincount(owners[same] - node, minlength=stop - node)
+            node = stop
 
-    def _grow(self, size: int) -> None:
-        self.same_taken = np.floor(self.p_pre * np.arange(size + 1, dtype=np.float64) + 0.5).astype(np.int64)
-        self.diff_taken = np.arange(size + 1, dtype=np.int64) - self.same_taken
-        grows = np.diff(self.same_taken).astype(bool)
-        self.same_steps = np.flatnonzero(grows)
-        self.diff_steps = np.flatnonzero(~grows)
+    def built_for(self, g: Graph, labels: np.ndarray, seed: int) -> bool:
+        return self.graph is g and self.labels is labels and self.seed == seed
 
-    def steps(self, num_same: int, n: int) -> np.ndarray:
-        """The step of each queue entry: the same-label queue, then the other."""
-        if n >= self.same_taken.shape[0]:
-            self._grow(max(n, 2 * (self.same_taken.shape[0] - 1)))
-        dry = min(int(self.same_taken.searchsorted(num_same)), int(self.diff_taken.searchsorted(n - num_same)))
-        same_before = int(self.same_taken[dry])
-        rest = np.arange(dry, n, dtype=np.int64)
-        if same_before == num_same:
-            return np.concatenate([self.same_steps[:same_before], self.diff_steps[:dry - same_before], rest])
-        return np.concatenate([self.same_steps[:same_before], rest, self.diff_steps[:dry - same_before]])
+    def ranker(self, p_pre: float, threshold: float):
+        """The ``rank(v, excluded, budget)`` of one ``add_edges`` pass."""
+        indptr, num_same, queue = self.indptr.tolist(), self.num_same.tolist(), self.queue
+
+        def rank(v: int, excluded: list[int], budget: int) -> list[int]:
+            pool = queue[indptr[v]:indptr[v + 1]].tolist()
+            skip = set(excluded)
+            if threshold > 0.5:  # a lower threshold keeps every step, as each scores above 0.5
+                n = len(pool) - len(skip.intersection(pool))  # the candidates the pool keeps
+                steps = 0
+                while steps < budget and 1.0 - (steps + 1.0) / (2.0 * (n + 1.0)) >= threshold:
+                    steps += 1
+                budget = steps
+            return _quota_walk(pool, num_same[v], p_pre, budget, skip)
+
+        return rank
 
 
-class _PoolKeys:
-    """Shuffle keys of one add pass's pool entries.
+def oracle_scorer(t: NodeTable, oc: OracleClassifier, _shared: dict | None = None) -> PairScorer:
+    """Build the pair scorer for an :class:`OracleClassifier`.
 
-    Keys are hashed ``KEY_BLOCK`` entries at a time, going ahead from the
-    node being scored to the end of a pool, and looked up by candidate id.
+    An add-mode scorer ranks a pool on a direct call, and through its
+    ``walk`` attribute it ranks ``add_edges`` passes from one sorted queue
+    per graph (see :class:`_AddQueue`). Add-mode scorers built with one
+    ``_shared`` dict, for the same table and seed, share that queue: the
+    first pass on a graph leaves it there for the others.
     """
-
-    def __init__(self, seed: int, indptr: np.ndarray, pools: np.ndarray):
-        self.seed, self.indptr, self.pools = seed, indptr, pools
-        self.first = self.stop = 0  # nodes whose pool keys are held
-        self.keys = np.zeros(0, dtype=np.float64)
-
-    def lookup(self, node: int, cand: np.ndarray) -> np.ndarray | None:
-        """Keys of ``cand`` (ascending) in ``node``'s pool; None when one is not in it."""
-        if not 0 <= node < self.indptr.shape[0] - 1:
-            return None
-        if not self.first <= node < self.stop:
-            self._hash_from(node)
-        lo, hi = int(self.indptr[node]), int(self.indptr[node + 1])
-        pool = self.pools[lo:hi]
-        if pool.shape[0] == 0:
-            return None
-        pos = np.minimum(pool.searchsorted(cand), pool.shape[0] - 1)
-        if not (pool[pos] == cand).all():
-            return None
-        return self.keys[lo - int(self.indptr[self.first]) + pos]
-
-    def _hash_from(self, node: int) -> None:
-        indptr = self.indptr
-        lo = int(indptr[node])
-        stop = int(np.searchsorted(indptr, lo + KEY_BLOCK))
-        stop = min(max(stop, node + 1), indptr.shape[0] - 1)
-        hi = int(indptr[stop])
-        owners = np.repeat(np.arange(node, stop, dtype=np.int64), np.diff(indptr[node:stop + 1]))
-        self.keys = unit_uniform(self.seed, owners, self.pools[lo:hi])
-        self.first, self.stop = node, stop
-
-
-def oracle_scorer(t: NodeTable, oc: OracleClassifier) -> PairScorer:
-    """Build the pair scorer for an :class:`OracleClassifier`."""
     if not t.known_mask().all():
         raise ValueError("oracle scoring requires fully known labels")
     labels = t.labels
@@ -354,9 +375,6 @@ def oracle_scorer(t: NodeTable, oc: OracleClassifier) -> PairScorer:
 
         return scorer
 
-    quota = _QuotaPattern(oc.target_p_pre)
-    pass_keys: _PoolKeys | None = None  # set by prepare for one add_edges pass
-
     def scorer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
@@ -365,21 +383,20 @@ def oracle_scorer(t: NodeTable, oc: OracleClassifier) -> PairScorer:
             return np.zeros(0, dtype=np.float64)
         if np.any(u != u[0]):
             raise ValueError("add-mode oracle scores one candidate pool at a time")
-        node = int(u[0])
-        keys = pass_keys.lookup(node, v) if pass_keys is not None else None
-        if keys is None:
-            keys = unit_uniform(oc.seed, u, v)
-        same = labels[v] == labels[node]
-        queues = np.lexsort((keys, ~same))  # same-label queue, then different-label queue
+        same = labels[v] == labels[u[0]]
+        queues = np.lexsort((unit_uniform(oc.seed, u, v), ~same))  # same-label queue, then different-label queue
         # step r -> score in (0.5, 1]; every candidate clears a 0.5 threshold
-        step_scores = 1.0 - (np.arange(n, dtype=np.float64) + 1.0) / (2.0 * (n + 1.0))
         scores = np.empty(n, dtype=np.float64)
-        scores[queues] = step_scores[quota.steps(int(np.count_nonzero(same)), n)]
+        scores[_quota_walk(queues.tolist(), int(np.count_nonzero(same)), oc.target_p_pre, n)] = (
+            1.0 - (np.arange(n, dtype=np.float64) + 1.0) / (2.0 * (n + 1.0)))
         return scores
 
-    def prepare(indptr: np.ndarray | None, pools: np.ndarray | None) -> None:
-        nonlocal pass_keys
-        pass_keys = None if indptr is None else _PoolKeys(oc.seed, indptr, pools)
+    def walk(g: Graph, threshold: float):
+        store = {} if _shared is None else _shared
+        queue = store.get("queue")
+        if queue is None or not queue.built_for(g, labels, oc.seed):
+            queue = store["queue"] = _AddQueue(g, labels, oc.seed)
+        return queue.ranker(oc.target_p_pre, threshold)
 
-    scorer.prepare = prepare
+    scorer.walk = walk
     return scorer

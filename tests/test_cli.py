@@ -1,15 +1,17 @@
 """Config handling, CSV output contracts, and the experiment subcommands."""
 
 import csv
+import gc
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lagraph.cli as cli
-from lagraph import Graph, NodeTable, filter_edges, load
+from lagraph import Graph, NodeTable, filter_edges, load, refinement
 from lagraph.cli import (
     DEFAULT_CONFIG,
     METRICS_HEADER,
@@ -129,6 +131,11 @@ class TestConfigResolution:
         ({"seeds": [0, True]}, "config: seeds: expected an integer, got True"),
         ({"edge_classifier": {"hidden_widths": [False]}},
          "edge_classifier: hidden_widths: expected an integer, got False"),
+        ({"refinement": {"threshold": False}}, "refinement: threshold: expected a number, got False"),
+        ({"model": {"learning_rate": True}}, "model: learning_rate: expected a number, got True"),
+        ({"dataset": {"homophily": True}}, "dataset: homophily: expected a number, got True"),
+        ({"scorer": {"kind": "oracle", "target_p_pre": True}},
+         "scorer: target_p_pre: expected a number, got True"),
     ])
     def test_validation(self, raw, match):
         with pytest.raises(ConfigError, match=match):
@@ -420,6 +427,61 @@ class TestSweepCommand:
         assert 0.8 < row["p_pre"] <= 1.0
         assert row["ratio_after"] > row["ratio_before"]
 
+    def test_p_pre_arms_of_a_seed_share_one_sorted_queue(self, tmp_path, monkeypatch):
+        """Each seed builds and hashes its pools once for its six add passes,
+        every pass walks a queue built from its own graph, and no queue
+        outlives its seed."""
+        seeds, queues, current = [], [], {}
+        load_dataset, pools = cli._load_dataset, refinement.two_hop_pools
+        hash_keys, add_edges = refinement.unit_uniform, refinement.add_edges
+
+        def seed_start(cfg, seed):
+            gc.collect()
+            seeds.append({"queues_alive": sum(ref() is not None for ref in queues),
+                          "entries": [], "hashes": 0, "own_graph": []})
+            return load_dataset(cfg, seed)
+
+        def counted_pools(g):
+            out = pools(g)
+            seeds[-1]["entries"].append(int(out[0][-1]))
+            return out
+
+        def counted_hash(*args):
+            seeds[-1]["hashes"] += 1
+            return hash_keys(*args)
+
+        def add_pass(g, *args):
+            current["graph"] = g
+            return add_edges(g, *args)
+
+        class Queue(refinement._AddQueue):
+            def __init__(self, *args):
+                super().__init__(*args)
+                queues.append(weakref.ref(self))
+
+            def ranker(self, *args):
+                seeds[-1]["own_graph"].append(self.graph is current["graph"])
+                return super().ranker(*args)
+
+        monkeypatch.setattr(cli, "_load_dataset", seed_start)
+        monkeypatch.setattr(refinement, "two_hop_pools", counted_pools)
+        monkeypatch.setattr(refinement, "unit_uniform", counted_hash)
+        monkeypatch.setattr(refinement, "add_edges", add_pass)
+        monkeypatch.setattr(refinement, "_AddQueue", Queue)
+        monkeypatch.setattr(refinement, "KEY_BLOCK", 1000)
+        raw = fast_config(dataset={"n": 400}, seeds=[0, 1],
+                          sweep={"kind": "p_pre", "values": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]})
+        _, code = run_oracle_sweep(config_from_dict(raw, str(tmp_path / "o")))
+        assert code == 0
+        gc.collect()
+        assert len(queues) == 2 and all(ref() is None for ref in queues)
+        assert len(seeds) == 2
+        for seed in seeds:
+            assert seed["queues_alive"] == 0
+            assert len(seed["entries"]) == 1 and seed["entries"][0] > 1000
+            assert 1 <= seed["hashes"] <= math.ceil(seed["entries"][0] / 1000) + 1
+            assert seed["own_graph"] == [True] * 6
+
     def test_flag_overrides(self, tmp_path, capsys):
         cfg_path = write_json(tmp_path, fast_config())
         out = tmp_path / "o"
@@ -436,7 +498,7 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg_path, "--output-dir", str(out), "--kind", "p_pre"]) == 0
         assert {r["arm"] for r in read_rows(out / "sweep_ppre.csv")} == {"origin", "ppre=0.50"}
 
-    @pytest.mark.parametrize("values", [["x"], 0.5, [None]])
+    @pytest.mark.parametrize("values", [["x"], 0.5, [None], [True, False]])
     def test_malformed_values_exit_2_before_any_arm(self, tmp_path, capsys, values):
         cfg_path = write_json(tmp_path, fast_config(sweep={"values": values}))
         out = tmp_path / "o"
@@ -450,6 +512,14 @@ class TestSweepCommand:
         out = tmp_path / "o"
         assert main(["sweep", "--config", cfg_path, "--output-dir", str(out)]) == 2
         assert "ConfigError: sweep.values must be a non-empty list" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", [[0.501, 0.502], [0.5, 0.5]])
+    def test_colliding_arm_names_exit_2_before_any_arm(self, tmp_path, capsys, values):
+        cfg_path = write_json(tmp_path, fast_config(sweep={"kind": "p_pre", "values": values}))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg_path, "--output-dir", str(out)]) == 2
+        assert "ConfigError: sweep.values: arm names collide" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_values_rejected(self, tmp_path):

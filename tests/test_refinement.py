@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from lagraph import (
     EdgeFeatureConfig,
+    Graph,
     NodeTable,
     OracleClassifier,
     RefinementConfig,
@@ -133,9 +134,9 @@ def coarse_hash_scorer(seed):
     return scorer
 
 
-def assert_same_additions(g, scorer, n_max, threshold):
+def assert_same_additions(g, scorer, n_max, threshold, reference_scorer=None):
     got, report = add_edges(g, scorer, n_max, threshold)
-    want, want_pairs = reference_add_edges(g, scorer, n_max, threshold)
+    want, want_pairs = reference_add_edges(g, reference_scorer or scorer, n_max, threshold)
     assert report.added_pairs.dtype == want_pairs.dtype
     assert np.array_equal(report.added_pairs, want_pairs)
     assert np.array_equal(got.row_offsets, want.row_offsets)
@@ -143,12 +144,19 @@ def assert_same_additions(g, scorer, n_max, threshold):
     assert got.has_self_loops == want.has_self_loops
 
 
-def assert_same_oracle_additions(data):
+def assert_same_oracle_additions(g, t, oc, n_max, threshold):
+    """The add-mode oracle's walk adds what the per-node loop adds when it
+    scores each pool with the reference scorer."""
+    assert_same_additions(g, oracle_scorer(t, oc), n_max, threshold, reference_oracle_add_scorer(t, oc))
+
+
+def assert_same_drawn_oracle_additions(data):
     g = draw_graph(data)
     t = draw_table(data, g.num_nodes, allow_unknown=False)
     oc = OracleClassifier(mode="add", target_p_pre=data.draw(st.sampled_from([0.0, 0.5, 0.8, 1.0])),
                           seed=data.draw(st.integers(0, 99), label="seed"))
-    assert_same_additions(g, oracle_scorer(t, oc), data.draw(st.integers(1, 4), label="n_max"), 0.5)
+    assert_same_oracle_additions(g, t, oc, data.draw(st.integers(1, 4), label="n_max"),
+                                 data.draw(st.sampled_from([0.5, 0.6, 0.9]), label="threshold"))
 
 
 class TestAddEdgesMatchesPerNodeLoop:
@@ -166,12 +174,13 @@ class TestAddEdgesMatchesPerNodeLoop:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_add_mode_oracle(self, data):
-        assert_same_oracle_additions(data)
+        assert_same_drawn_oracle_additions(data)
 
     def test_synthetic_graph(self):
         g, t = synth(n=400, c=4, d=4, homophily=0.4, avg_degree=8.0, feature_sep=1.0, seed=5)
         assert_same_additions(g, coarse_hash_scorer(3), 6, 0.5)
-        assert_same_additions(g, oracle_scorer(t, OracleClassifier(mode="add", target_p_pre=0.7)), 6, 0.5)
+        for threshold in (0.5, 0.6, 0.9):
+            assert_same_oracle_additions(g, t, OracleClassifier(mode="add", target_p_pre=0.7), 6, threshold)
 
     @pytest.mark.parametrize("block", [1, 7])
     @settings(max_examples=40, deadline=None)
@@ -179,13 +188,14 @@ class TestAddEdgesMatchesPerNodeLoop:
     def test_add_mode_oracle_small_key_blocks(self, block, data):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(refinement, "KEY_BLOCK", block)
-            assert_same_oracle_additions(data)
+            assert_same_drawn_oracle_additions(data)
 
     def test_sparse_synthetic_graph(self):
         # low degree: most nodes add edges, so earlier additions are excluded often
         g, t = synth(n=300, c=3, d=2, homophily=0.5, avg_degree=3.0, feature_sep=1.0, seed=6)
         assert_same_additions(g, coarse_hash_scorer(3), 8, 0.5)
-        assert_same_additions(g, oracle_scorer(t, OracleClassifier(mode="add", target_p_pre=0.5)), 8, 0.5)
+        for threshold in (0.5, 0.6, 0.9):
+            assert_same_oracle_additions(g, t, OracleClassifier(mode="add", target_p_pre=0.5), 8, threshold)
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_synthetic_graph_small_key_blocks(self, block, monkeypatch):
@@ -398,54 +408,81 @@ class TestOracleAddMatchesReference:
                                     st.floats(0.0, 1.0)), label="p_pre")
         oc = OracleClassifier(mode="add", target_p_pre=p_pre, seed=data.draw(st.integers(0, 99), label="seed"))
         n = num_same + num_diff
-        # node 0 scores a pool of ascending ids drawn from 1..2n+1; its pool in a
-        # prepared pass also holds ids the pass has excluded
+        # node 0 scores a pool of ascending ids drawn from 1..2n+1; in an add
+        # pass its two-hop pool also holds ids the pass has excluded
         total = 2 * n + 2
+        hub = total  # links node 0 to each id of that two-hop pool
         pool = np.asarray(sorted(data.draw(st.sets(st.integers(1, total - 1), min_size=n, max_size=n),
                                            label="pool")), dtype=np.int64)
         order = np.asarray(data.draw(st.permutations(range(n)), label="labels"), dtype=np.int64)
-        labels = np.full(total, 1, dtype=np.int64)
+        labels = np.full(total + 1, 1, dtype=np.int64)
         labels[0] = 0
         labels[pool[order[:num_same]]] = 0
-        t = NodeTable(features=np.zeros((total, 1)), labels=labels, num_classes=2,
-                      split=np.zeros(total, dtype=np.int8))
+        t = NodeTable(features=np.zeros((total + 1, 1)), labels=labels, num_classes=2,
+                      split=np.zeros(total + 1, dtype=np.int8))
         u = np.zeros(n, dtype=np.int64)
         scorer = oracle_scorer(t, oc)
         got = scorer(u, pool)
         if n == 0:
             assert got.shape == (0,)
             return
-        want = reference_oracle_add_scorer(t, oc)(u, pool)
+        reference = reference_oracle_add_scorer(t, oc)
+        want = reference(u, pool)
         assert np.array_equal(got, want)
 
         excluded = np.setdiff1d(np.arange(1, total), pool)
         full = np.union1d(pool, excluded[:data.draw(st.integers(0, excluded.size), label="excluded")])
-        indptr = np.array([0, full.size, full.size + pool.size], dtype=np.int32)
-        pools = np.concatenate([full, pool]).astype(np.int32)
+        g = undirected_graph(total + 1, [(0, hub)] + [(hub, int(w)) for w in full])
+        threshold = data.draw(st.sampled_from([0.5, 0.6, 0.9]), label="threshold")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(refinement, "KEY_BLOCK", data.draw(st.sampled_from([1, 7, 16384]), label="block"))
-            scorer.prepare(indptr, pools)
-            try:
-                assert np.array_equal(scorer(u, pool), want)
-                assert np.array_equal(scorer(np.ones(n, dtype=np.int64), pool),
-                                      reference_oracle_add_scorer(t, oc)(np.ones(n, dtype=np.int64), pool))
-            finally:
-                scorer.prepare(None, None)
+            rank = scorer.walk(g, threshold)
+
+        def ranked(cand, scores):
+            keep = scores >= threshold
+            return cand[keep][np.lexsort((cand[keep], -scores[keep]))].tolist()
+
+        # the pass excludes the pool entries outside `pool`, and a node (the hub) outside the pool
+        budget = data.draw(st.integers(1, n + 1), label="budget")
+        assert rank(0, np.setdiff1d(full, pool).tolist() + [hub], budget) == ranked(pool, want)[:budget]
+        other = int(full[0])
+        other_pool = np.setdiff1d(np.union1d([0], full), [other])
+        other_scores = reference(np.full(other_pool.size, other), other_pool)
+        assert rank(other, [], other_pool.size) == ranked(other_pool, other_scores)
         assert np.array_equal(scorer(u, pool), want)
+        ones = np.ones(n, dtype=np.int64)
+        assert np.array_equal(scorer(ones, pool), reference(ones, pool))
 
     def test_candidate_outside_the_prepared_pool_is_hashed(self):
-        labels = np.array([0, 0, 1, 0, 1], dtype=np.int64)
-        t = NodeTable(features=np.zeros((5, 1)), labels=labels, num_classes=2,
-                      split=np.zeros(5, dtype=np.int8))
+        """A direct call ranks the candidates it is given, also after an add
+        pass has left a shared queue in which the node's pool differs."""
+        labels = np.array([0, 0, 1, 0, 1, 1], dtype=np.int64)
+        t = NodeTable(features=np.zeros((6, 1)), labels=labels, num_classes=2,
+                      split=np.zeros(6, dtype=np.int8))
         oc = OracleClassifier(mode="add", target_p_pre=0.5, seed=4)
-        scorer = oracle_scorer(t, oc)
+        shared = {}
+        scorer = oracle_scorer(t, oc, _shared=shared)
+        add_edges(undirected_graph(6, [(0, 5), (5, 1), (5, 2)]), scorer, 3, 0.5)  # node 0's pool: 1, 2
+        assert shared
         v = np.array([1, 2, 3, 4], dtype=np.int64)
-        scorer.prepare(np.array([0, 2, 2, 2, 2, 2], dtype=np.int32), np.array([1, 2], dtype=np.int32))
-        try:
-            got = scorer(np.zeros(4, dtype=np.int64), v)
-        finally:
-            scorer.prepare(None, None)
+        got = scorer(np.zeros(4, dtype=np.int64), v)
         assert np.array_equal(got, reference_oracle_add_scorer(t, oc)(np.zeros(4, dtype=np.int64), v))
+
+    def test_a_shared_queue_serves_only_its_graph_and_seed(self, monkeypatch):
+        g, t = synth(n=300, c=3, d=2, homophily=0.5, avg_degree=3.0, feature_sep=1.0, seed=6)
+        edges = g.edge_array()
+        one_way = Graph.from_edges(g.num_nodes, edges[edges[:, 0] % 3 != 0], add_self_loops=False)
+        builds = []
+        pools = refinement.two_hop_pools
+        monkeypatch.setattr(refinement, "two_hop_pools", lambda graph: builds.append(graph) or pools(graph))
+        shared = {}
+        for graph, p_pre, seed in [(g, 0.3, 2), (g, 0.8, 2), (one_way, 0.6, 2), (one_way, 0.6, 3)]:
+            oc = OracleClassifier(mode="add", target_p_pre=p_pre, seed=seed)
+            assert_same_oracle_additions(graph, t, oc, 6, 0.5)
+            assert_same_additions(graph, oracle_scorer(t, oc, _shared=shared), 6, 0.5,
+                                  reference_oracle_add_scorer(t, oc))
+        # each unshared pass builds its own queue; the shared passes build one per (graph, seed)
+        assert [b is g for b in builds] == [True, True, True, False, False, False, False]
 
 
 class TestAddPassKeys:
@@ -481,13 +518,26 @@ class TestAddPassKeys:
         assert len(pool_refs) == 2 and key_refs
         assert all(ref() is None for ref in pool_refs + key_refs)
 
-    def test_prepare_released_when_a_scorer_raises(self):
-        events = []
+    def test_no_queue_outlives_a_pass_that_raises(self, monkeypatch):
+        g, t = self.graph()
+        queues, walks = [], []
+        quota_walk = refinement._quota_walk
+        scorer = oracle_scorer(t, OracleClassifier(mode="add", target_p_pre=0.7))
 
-        def scorer(u, v):
-            raise RuntimeError("scorer failed")
+        class Queue(refinement._AddQueue):
+            def __init__(self, *args):
+                super().__init__(*args)
+                queues.append(weakref.ref(self))
 
-        scorer.prepare = lambda indptr, pools: events.append(indptr is None)
-        with pytest.raises(RuntimeError, match="scorer failed"):
-            add_edges(path_graph(5), scorer, 3, 0.5)
-        assert events == [False, True]
+        def failing_walk(*args):
+            walks.append(args)
+            if len(walks) == 3:
+                raise RuntimeError("walk failed")
+            return quota_walk(*args)
+
+        monkeypatch.setattr(refinement, "_AddQueue", Queue)
+        monkeypatch.setattr(refinement, "_quota_walk", failing_walk)
+        with pytest.raises(RuntimeError, match="walk failed"):
+            add_edges(g, scorer, 6, 0.5)
+        gc.collect()
+        assert len(queues) == 1 and queues[0]() is None

@@ -10,6 +10,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from lagraph import OracleClassifier, add_edges, oracle_scorer, refinement, synth
 from lagraph.graph import two_hop_pools
 
@@ -40,14 +42,15 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
-def test_wrapped_add_oracle_keeps_its_prepare_hook(monkeypatch):
-    """The tracer's wrapper copies the scorer's attributes, so ``add_edges``
-    through it still hashes the oracle's keys per block of pool entries."""
+def test_wrapped_add_oracle_keeps_its_walk_hook(monkeypatch):
+    """The tracer's wrapper copies the scorer's function attributes, so
+    ``add_edges`` through it still walks the oracle's sorted queue: keys are
+    hashed per block of pool entries and the scorer is never called."""
     g, t = synth(n=400, c=4, d=4, homophily=0.4, avg_degree=8.0, feature_sep=1.0, seed=5)
     scorer = oracle_scorer(t, OracleClassifier(mode="add", target_p_pre=0.7))
     tracer = load_spans().Tracer()
     wrapped = tracer.wrap("refinement.scorer", scorer)
-    assert wrapped.prepare is scorer.prepare
+    assert wrapped.walk is scorer.walk
 
     calls = []
     hash_keys = refinement.unit_uniform
@@ -61,6 +64,7 @@ def test_wrapped_add_oracle_keeps_its_prepare_hook(monkeypatch):
     monkeypatch.setattr(refinement, "KEY_BLOCK", block)
     _, rep = add_edges(g, wrapped, 6, 0.5)
     entries = int(two_hop_pools(g)[0][-1])
-    scored = [s for s in tracer.spans if s[1] == "refinement.scorer"]
-    assert rep.edges_added > 0 and len(scored) > len(calls)
+    assert rep.edges_added > 0 and not tracer.spans
     assert 1 <= len(calls) <= math.ceil(entries / block) + 1
+    _, unwrapped = add_edges(g, scorer, 6, 0.5)
+    assert np.array_equal(rep.added_pairs, unwrapped.added_pairs)
