@@ -93,6 +93,9 @@ class EdgeClassifier:
 
     ``layers`` lists ``(W, b)`` pairs; every layer but the last is followed
     by ReLU, the last maps to a single logit.
+    ``loss_history[e]`` is epoch e's mean batch loss, each batch weighted by
+    its pair count and taken before that batch's step.
+    ``final_loss`` is the full-batch loss of the trained parameters.
     """
 
     proj: np.ndarray
@@ -250,7 +253,8 @@ def pair_weights(pairset: PairSet, class_weighting: str) -> np.ndarray:
 
 def _weighted_bce(logits: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
     # bce via logits: softplus(o) - y*o
-    return float(np.mean(w * (np.logaddexp(0.0, logits) - y * logits)))
+    w_bce = w * (np.logaddexp(0.0, logits) - y * logits)
+    return float(w_bce.sum() / w_bce.shape[0])
 
 
 def loss_and_grad(clf: EdgeClassifier, features: np.ndarray, pairset: PairSet,
@@ -290,13 +294,27 @@ def loss_and_grad(clf: EdgeClassifier, features: np.ndarray, pairset: PairSet,
     return loss, grad_proj, grad_layers
 
 
+def _bind_flat(clf: EdgeClassifier) -> np.ndarray:
+    """Copy every parameter of ``clf`` into one float64 buffer and point
+    ``clf.proj`` and ``clf.layers`` at views of it, so one in-place update
+    steps them all. Returns the buffer."""
+    arrays = [clf.proj, *(a for layer in clf.layers for a in layer)]
+    flat = np.concatenate(arrays, axis=None, dtype=np.float64)
+    parts = np.split(flat, np.cumsum([a.size for a in arrays])[:-1])
+    views = [part.reshape(a.shape) for part, a in zip(parts, arrays)]
+    clf.proj = views[0]
+    clf.layers = list(zip(views[1::2], views[2::2]))
+    return flat
+
+
 def train(pairset: PairSet, features: np.ndarray, cfg: TrainConfig = TrainConfig()) -> EdgeClassifier:
     """Fit the classifier on a pair set over the given node features.
 
     Mini-batch gradient descent with optional momentum; per-epoch order is
     drawn from the seeded generator, so identical configs reproduce the
     trained parameters bit for bit. Raises on a single-class pair set and
-    aborts with diagnostics if the loss goes non-finite.
+    aborts with diagnostics, the largest feature magnitude among them, if a
+    batch loss goes non-finite.
     """
     if len(pairset) == 0:
         raise ValueError("empty pair set")
@@ -309,38 +327,33 @@ def train(pairset: PairSet, features: np.ndarray, cfg: TrainConfig = TrainConfig
     n = len(pairset)
     batch = min(cfg.batch_size, n)
 
-    y = pairset.labels.astype(np.float64)
-
-    def full_loss() -> float:
-        # forward only: the logged loss needs no gradient
-        logits, _ = _forward(clf, features[pairset.u], features[pairset.v])
-        return _weighted_bce(logits, y, weights)
-
-    vel_proj = np.zeros_like(clf.proj)
-    vel_layers = [(np.zeros_like(W), np.zeros_like(b)) for W, b in clf.layers]
+    params = _bind_flat(clf)
+    grad = np.empty_like(params)
+    vel = np.zeros_like(params)
     history = []
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, batch):
-            idx = perm[start:start + batch]
-            loss, g_proj, g_layers = loss_and_grad(clf, features, pairset, weights, idx)
-            if not np.isfinite(loss):
-                raise RuntimeError(
-                    f"training diverged: non-finite loss at epoch {epoch}, "
-                    f"batch offset {start} (lr={cfg.learning_rate})")
-            vel_proj = cfg.momentum * vel_proj - cfg.learning_rate * g_proj
-            clf.proj = clf.proj + vel_proj
-            new_layers = []
-            new_vel = []
-            for (W, b), (gW, gb), (vW, vb) in zip(clf.layers, g_layers, vel_layers):
-                vW = cfg.momentum * vW - cfg.learning_rate * gW
-                vb = cfg.momentum * vb - cfg.learning_rate * gb
-                new_layers.append((W + vW, b + vb))
-                new_vel.append((vW, vb))
-            clf.layers = new_layers
-            vel_layers = new_vel
-        history.append(full_loss())
-    clf.final_loss = history[-1] if history else full_loss()
+    # an overflow makes a batch loss non-finite (by the next batch at the
+    # latest), which the check below reports with the feature scale; numpy's
+    # warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            perm = rng.permutation(n)
+            total = 0.0
+            for start in range(0, n, batch):
+                idx = perm[start:start + batch]
+                loss, g_proj, g_layers = loss_and_grad(clf, features, pairset, weights, idx)
+                if not np.isfinite(loss):
+                    raise RuntimeError(
+                        f"training diverged: non-finite loss at epoch {epoch}, "
+                        f"batch offset {start} (lr={cfg.learning_rate}, "
+                        f"largest |feature| {np.abs(features).max():.3g})")
+                total += loss * idx.shape[0]
+                np.concatenate([g_proj, *(g for layer in g_layers for g in layer)], axis=None, out=grad)
+                vel *= cfg.momentum
+                vel -= cfg.learning_rate * grad
+                params += vel
+            history.append(total / n)
+    logits, _ = _forward(clf, features[pairset.u], features[pairset.v])
+    clf.final_loss = _weighted_bce(logits, pairset.labels.astype(np.float64), weights)
     clf.loss_history = np.asarray(history)
     return clf
 

@@ -56,10 +56,10 @@ GOLDEN_DIGESTS = {
     ("numpy 2.4.6", "scipy 1.17.1", "scipy-openblas 0.3.31.188.0"): {
         "ablation.csv": "4229862fd6a0e0e3",
         "ablation_refinement.json": "06f26ef6117f31cf",
-        "ablation_training.json": "5eb76722cefb6afc",
+        "ablation_training.json": "ba9f9eaa801f26d1",
         "pipeline.csv": "1c36f976ad677876",
         "pipeline_refinement.json": "3ae45c3daafc37e4",
-        "pipeline_training.json": "5eb76722cefb6afc",
+        "pipeline_training.json": "ba9f9eaa801f26d1",
         "sweep_pmq.csv": "391454e0d7009d3e",
         "sweep_pmq_refinement.json": "4fa82d7fe9834a82",
         "sweep_ppre.csv": "853ebe68edf667e1",

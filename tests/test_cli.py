@@ -1,6 +1,7 @@
 """Config handling, CSV output contracts, and the experiment subcommands."""
 
 import csv
+import dataclasses
 import gc
 import json
 import math
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import lagraph.cli as cli
-from lagraph import Graph, NodeTable, filter_edges, load, refinement
+from lagraph import Graph, NodeTable, build_pairs, filter_edges, load, refinement
+from lagraph.edge_classifier import loss_and_grad, pair_weights
 from lagraph.cli import (
     DEFAULT_CONFIG,
     METRICS_HEADER,
@@ -292,9 +294,16 @@ class TestPipelineCommand:
         assert sidecar.read_bytes() == (out2 / "pipeline_training.json").read_bytes()
         curves = json.loads(sidecar.read_text(encoding="utf-8"))
         assert set(curves) == {"seed0", "seed1"}
-        for curve in curves.values():
-            assert len(curve["loss_history"]) == 15
-            assert curve["final_loss"] == curve["loss_history"][-1]
+        cfg = load_config(cfg_path)
+        for seed in cfg.seeds:
+            # the sidecar holds the loss of the classifier the run trained, over all its pairs
+            g, t = cli._load_dataset(cfg, seed)
+            clf, features, _ = cli._scorer_for_seed(cfg, g, t, seed)
+            pairs = build_pairs(g, t, dataclasses.replace(cfg.edge_classifier, seed=seed))
+            weights = pair_weights(pairs, cfg.edge_classifier.class_weighting)
+            curve = curves[f"seed{seed}"]
+            assert curve["loss_history"] == clf.loss_history.tolist() and len(curve["loss_history"]) == 15
+            assert curve["final_loss"] == loss_and_grad(clf, features, pairs, weights)[0]
         header = (out1 / "pipeline.csv").read_text(encoding="utf-8").splitlines()[0]
         assert header == ",".join(METRICS_HEADER)
 
@@ -389,6 +398,16 @@ class TestErrorExits:
         code = main(["sweep", "--config", cfg_path, "--output-dir", str(tmp_path / "o")])
         assert code == 2
         assert "threshold" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_divergence_names_the_feature_scale(self, tmp_path, capsys):
+        # binary adjacency powers reach 1.75e8 at k = 8 (raw features: 4.4)
+        cfg_path = write_json(tmp_path, {"edge_features": {"k": 8, "binary": True},
+                                         "dataset": {"n": 300}, "seeds": [0]})
+        assert main(["pipeline", "--config", cfg_path, "--output-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "FAILED pipeline/refined/seed0: builtins.RuntimeError: training diverged: non-finite loss "
+            "at epoch 1, batch offset 256 (lr=0.1, largest |feature| 1.75e+08)"]
 
 
 class TestAblationCommand:

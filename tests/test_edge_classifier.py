@@ -314,7 +314,8 @@ class TestGradients:
 
 
 def reference_train(pairset, features, cfg):
-    """``train`` with the epoch loss taken from a full-batch ``loss_and_grad``."""
+    """``train`` stepping each array on its own, with the epoch loss summed from
+    the batch losses and the final loss from a full-batch ``loss_and_grad``."""
     clf = init_classifier(features.shape[1], cfg)
     weights = pair_weights(pairset, cfg.class_weighting)
     rng = np.random.default_rng(cfg.seed + 1)
@@ -325,15 +326,18 @@ def reference_train(pairset, features, cfg):
     history = []
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
+        total = 0.0
         for start in range(0, n, batch):
-            _, g_proj, g_layers = loss_and_grad(clf, features, pairset, weights, perm[start:start + batch])
+            idx = perm[start:start + batch]
+            loss, g_proj, g_layers = loss_and_grad(clf, features, pairset, weights, idx)
+            total += loss * len(idx)
             vel_proj = cfg.momentum * vel_proj - cfg.learning_rate * g_proj
             clf.proj = clf.proj + vel_proj
             vel_layers = [(cfg.momentum * vW - cfg.learning_rate * gW, cfg.momentum * vb - cfg.learning_rate * gb)
                           for (gW, gb), (vW, vb) in zip(g_layers, vel_layers)]
             clf.layers = [(W + vW, b + vb) for (W, b), (vW, vb) in zip(clf.layers, vel_layers)]
-        history.append(loss_and_grad(clf, features, pairset, weights)[0])
-    clf.final_loss = history[-1] if history else loss_and_grad(clf, features, pairset, weights)[0]
+        history.append(total / n)
+    clf.final_loss = loss_and_grad(clf, features, pairset, weights)[0]
     clf.loss_history = np.asarray(history)
     return clf
 
@@ -409,7 +413,36 @@ class TestTraining:
         clf = train(pairs, features, cfg)
         assert np.all(np.diff(clf.loss_history) <= 1e-10)
         assert clf.loss_history[-1] < clf.loss_history[0]
-        assert clf.final_loss == clf.loss_history[-1]
+        weights = pair_weights(pairs, cfg.class_weighting)
+        assert clf.final_loss == loss_and_grad(clf, features, pairs, weights)[0]
+        # each epoch is logged before its one step, the final loss after the last
+        assert clf.final_loss < clf.loss_history[-1]
+
+    @pytest.mark.parametrize("epochs", [0, 1, 5])
+    def test_one_full_pass_per_train(self, rng, monkeypatch, epochs):
+        features, pairs = self.separable_problem(rng, n=20)
+        cfg = TrainConfig(proj_dim=3, hidden_widths=(4,), epochs=epochs, seed=0, batch_size=64)
+        rows = []
+        original = edge_classifier._forward
+
+        def counted(clf, xu, xv):
+            rows.append(xu.shape[0])
+            return original(clf, xu, xv)
+
+        monkeypatch.setattr(edge_classifier, "_forward", counted)
+        train(pairs, features, cfg)
+        assert rows.count(len(pairs)) == 1
+        assert len(rows) == epochs * math.ceil(len(pairs) / cfg.batch_size) + 1
+
+    def test_classifiers_share_no_memory(self, rng):
+        features, pairs = self.separable_problem(rng, n=16)
+        cfg = TrainConfig(proj_dim=3, hidden_widths=(4,), epochs=3, seed=3, batch_size=8)
+        first = train(pairs, features, cfg)
+        before = [a.copy() for a in classifier_params(first)]
+        second = train(pairs, features, dataclasses.replace(cfg, seed=4))
+        for a in classifier_params(first):
+            assert not any(np.shares_memory(a, b) for b in classifier_params(second))
+        assert all(np.array_equal(a, b) for a, b in zip(classifier_params(first), before))
 
     def test_single_class_rejected(self, rng):
         features = rng.normal(size=(4, 2))
@@ -419,12 +452,12 @@ class TestTraining:
         with pytest.raises(ValueError, match="single class"):
             train(pairs, features)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_divergence_aborts_with_diagnostics(self, rng):
         features = rng.normal(size=(6, 2))
         features[0, 0] = np.inf
         pairs = random_pairset(rng, 6, 8)
-        with pytest.raises(RuntimeError, match="non-finite loss at epoch"):
+        with pytest.raises(RuntimeError, match=r"non-finite loss at epoch 0, .*largest \|feature\| inf\)"):
             train(pairs, features, TrainConfig(epochs=2, seed=0))
 
     def test_empty_pairset_rejected(self, rng):
