@@ -23,9 +23,13 @@ from .graph import two_hop_candidates  # noqa: F401
 from .hashing import unit_uniform
 from .propagation import EdgeFeatureConfig, edge_input_features
 
+# Scores pairs (u[i], v[i]). A scorer must score each pair on its own, not
+# depending on the other pairs of the call: filtering scores every edge in one
+# call, and adding scores blocks of whole two-hop pools once, before its loop.
 PairScorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-# pool entries (rounded up to whole pools) the add-mode oracle hashes and sorts at a time
+# pool entries (rounded up to whole pools) an add pass scores, or the add-mode
+# oracle hashes and sorts, at a time
 KEY_BLOCK = 16384
 
 
@@ -86,6 +90,13 @@ def _degree_hist(g: Graph) -> list[int]:
     return np.bincount(degs).tolist() if degs.size else []
 
 
+def _sorted_graph(n: int, sources: np.ndarray, targets: np.ndarray) -> Graph:
+    """The graph of directed edges already sorted by (source, target), without repeats."""
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=n), out=offsets[1:])
+    return Graph(n, offsets, targets, has_self_loops=int(np.count_nonzero(sources == targets)) == n)
+
+
 def filter_edges(g: Graph, scorer: PairScorer, threshold: float) -> tuple[Graph, RefinementReport]:
     """Drop non-self edges whose unordered pair scores under ``threshold``."""
     edges = g.edge_array()
@@ -96,7 +107,7 @@ def filter_edges(g: Graph, scorer: PairScorer, threshold: float) -> tuple[Graph,
         if scores.shape != pu.shape:
             raise ValueError("scorer must return one score per pair")
         keep[nonself] = (scores >= threshold)[inverse]
-    refined = Graph.from_edges(g.num_nodes, edges[keep], add_self_loops=False)
+    refined = _sorted_graph(g.num_nodes, edges[keep, 0], edges[keep, 1])
     report = RefinementReport(
         edges_before=g.num_edges,
         edges_removed=int(np.count_nonzero(~keep)),
@@ -116,37 +127,44 @@ def add_edges(g: Graph, scorer: PairScorer, n_max: int, threshold: float) -> tup
     its non-self degree reaches ``n_max``. Candidates come from the input
     graph; edges created earlier in the pass are skipped, not re-added.
 
-    The scorer is called once per visited node, on that node's pool. A
-    scorer may instead carry a ``walk(g, threshold)`` function attribute, as
-    the add-mode oracle does. It returns ``rank(v, excluded, budget)``: the
-    first ``budget`` candidates, in order, that scoring ``v``'s pool without
-    ``excluded`` would rank at or above ``threshold``. The pass then takes
-    its candidates from ``rank`` and never calls the scorer.
+    The scorer is called before the loop, once per pair of the pool of each
+    node whose non-self degree starts under ``n_max``, on blocks of whole
+    pools (see :func:`_pool_ranker`); it must score each pair independently
+    of the others in the call. A scorer may instead carry a
+    ``walk(g, threshold)`` function attribute, as the add-mode oracle does.
+    It returns ``rank(v, excluded, budget)``: a list of the first
+    ``budget`` candidates, in order, that scoring ``v``'s pool without
+    ``excluded`` would rank at or above ``threshold``. The pass then takes its
+    candidates from ``rank`` and never calls the scorer.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    degrees = g.nonself_degrees().tolist()
+    degrees = g.nonself_degrees()
     walk = getattr(scorer, "walk", None)
-    rank = walk(g, threshold) if walk is not None else _pool_ranker(g, scorer, threshold)
-    added_adj: list[list[int]] = [[] for _ in range(g.num_nodes)]
-    added: list[tuple[int, int]] = []
-    for v in range(g.num_nodes):
+    rank = walk(g, threshold) if walk is not None else _pool_ranker(g, scorer, threshold, degrees < n_max)
+    degrees = degrees.tolist()
+    n = g.num_nodes
+    added_adj: list[list[int]] = [[] for _ in range(n)]
+    active: list[int] = []
+    passive: list[int] = []
+    for v in range(n):
         if degrees[v] >= n_max:
             continue
-        for w in rank(v, added_adj[v], n_max - degrees[v]):
-            w = int(w)
-            added.append((v, w))
-            added_adj[v].append(w)
+        picks = rank(v, added_adj[v], n_max - degrees[v])
+        active += [v] * len(picks)
+        passive += picks
+        added_adj[v] += picks
+        degrees[v] += len(picks)
+        for w in picks:
             added_adj[w].append(v)
-            degrees[v] += 1
             degrees[w] += 1
-    if added:
-        arr = np.asarray(added, dtype=np.int64)
-        new_edges = np.concatenate([g.edge_array(), arr, arr[:, ::-1]], axis=0)
-    else:
-        arr = np.zeros((0, 2), dtype=np.int64)
-        new_edges = g.edge_array()
-    refined = Graph.from_edges(g.num_nodes, new_edges, add_self_loops=False)
+    arr = np.empty((len(active), 2), dtype=np.int64)
+    arr[:, 0], arr[:, 1] = active, passive
+    # both directions of each added pair; one may already be an edge of a one-way edge list
+    keys = np.sort(np.concatenate([g.edge_sources() * n + g.col_targets,
+                                   arr[:, 0] * n + arr[:, 1], arr[:, 1] * n + arr[:, 0]]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    refined = _sorted_graph(n, keys // n, keys % n)
     report = RefinementReport(
         edges_before=g.num_edges,
         edges_removed=0,
@@ -159,26 +177,69 @@ def add_edges(g: Graph, scorer: PairScorer, n_max: int, threshold: float) -> tup
     return refined, report
 
 
-def _pool_ranker(g: Graph, scorer: PairScorer, threshold: float):
-    """``rank`` for a plain pair scorer: score the pool without the excluded
-    nodes, drop scores under ``threshold``, sort by score then id."""
-    indptr, pools = two_hop_pools(g)
-    mark = np.zeros(g.num_nodes, dtype=bool)
+def _pool_blocks(indptr: np.ndarray):
+    """Blocks of whole pools of a pool CSR, ``KEY_BLOCK`` entries or more each
+    (only the last may hold fewer), skipping blocks without entries.
 
-    def rank(v: int, excluded: list[int], budget: int) -> np.ndarray:
-        cand = pools[indptr[v]:indptr[v + 1]].astype(np.int64)
-        if excluded:
-            mark[excluded] = True
-            cand = cand[~mark[cand]]
-            mark[excluded] = False
-        if cand.size == 0:
-            return cand
-        scores = np.asarray(scorer(np.full(cand.shape[0], v, dtype=np.int64), cand), dtype=np.float64)
+    Yields ``(node, stop, lo, hi, owners)``: the pools of nodes
+    ``node..stop-1`` are entries ``lo:hi``, and ``owners`` (int64) holds the
+    node of each entry.
+    """
+    n = indptr.shape[0] - 1
+    node = 0
+    while node < n:
+        lo = int(indptr[node])
+        stop = min(max(int(np.searchsorted(indptr, lo + KEY_BLOCK)), node + 1), n)
+        hi = int(indptr[stop])
+        if hi > lo:
+            owners = np.repeat(np.arange(node, stop, dtype=np.int64), np.diff(indptr[node:stop + 1]))
+            yield node, stop, lo, hi, owners
+        node = stop
+
+
+def _pool_ranker(g: Graph, scorer: PairScorer, threshold: float, active: np.ndarray):
+    """``rank`` for a plain pair scorer, which scores the pools of the
+    ``active`` nodes once, before the pass.
+
+    Pools are scored a block of whole pools at a time (:func:`_pool_blocks`).
+    Each node's candidates that score at or above ``threshold`` are kept in
+    one int32 queue ordered by (node, -score, id), with per-node offsets;
+    no score is kept. Dropping the excluded nodes keeps the order of the
+    rest, so ``rank`` walks the node's slice and skips them, which is the
+    ranking of the pool scored without them.
+    """
+    indptr, pools = two_hop_pools(g)
+    sizes = np.diff(indptr)
+    pools = pools[np.repeat(active, sizes)]  # the pools of the active nodes, as one CSR
+    indptr = np.concatenate(([0], np.cumsum(sizes * active)))
+    queue = np.empty_like(pools)
+    counts = np.zeros(g.num_nodes + 1, dtype=np.int64)
+    end = 0
+    for node, stop, lo, hi, owners in _pool_blocks(indptr):
+        cand = pools[lo:hi].astype(np.int64)
+        scores = np.asarray(scorer(owners, cand), dtype=np.float64)
         if scores.shape != cand.shape:
             raise ValueError("scorer must return one score per pair")
-        eligible = scores >= threshold
-        cand = cand[eligible]
-        return cand[np.lexsort((cand, -scores[eligible]))[:budget]]
+        keep = scores >= threshold
+        owners, cand, scores = owners[keep], cand[keep], scores[keep]
+        # a pool is ascending, and the sort is stable, so equal scores keep ascending ids
+        queue[end:end + cand.size] = cand[np.lexsort((-scores, owners))]
+        end += cand.size
+        counts[node + 1:stop + 1] = np.bincount(owners - node, minlength=stop - node)
+    offsets = np.cumsum(counts).tolist()
+
+    def rank(v: int, excluded: list[int], budget: int) -> list[int]:
+        ranked = queue[offsets[v]:offsets[v + 1]].tolist()
+        if not excluded:
+            return ranked[:budget]
+        skip = set(excluded)
+        picks = []
+        for w in ranked:
+            if w not in skip:
+                picks.append(w)
+                if len(picks) == budget:
+                    break
+        return picks
 
     return rank
 
@@ -311,22 +372,14 @@ class _AddQueue:
 
     def __init__(self, g: Graph, labels: np.ndarray, seed: int):
         indptr, pools = two_hop_pools(g)
-        n = g.num_nodes
         self.graph, self.labels, self.seed, self.indptr = g, labels, seed, indptr
         self.queue = np.empty_like(pools)
-        self.num_same = np.zeros(n, dtype=np.int32)
-        node = 0
-        while node < n:
-            lo = int(indptr[node])
-            stop = min(max(int(np.searchsorted(indptr, lo + KEY_BLOCK)), node + 1), n)
-            hi = int(indptr[stop])
-            if hi > lo:
-                owners = np.repeat(np.arange(node, stop, dtype=np.int64), np.diff(indptr[node:stop + 1]))
-                cand = pools[lo:hi]
-                same = labels[cand] == labels[owners]
-                self.queue[lo:hi] = cand[np.lexsort((unit_uniform(seed, owners, cand), ~same, owners))]
-                self.num_same[node:stop] = np.bincount(owners[same] - node, minlength=stop - node)
-            node = stop
+        self.num_same = np.zeros(g.num_nodes, dtype=np.int32)
+        for node, stop, lo, hi, owners in _pool_blocks(indptr):
+            cand = pools[lo:hi]
+            same = labels[cand] == labels[owners]
+            self.queue[lo:hi] = cand[np.lexsort((unit_uniform(seed, owners, cand), ~same, owners))]
+            self.num_same[node:stop] = np.bincount(owners[same] - node, minlength=stop - node)
 
     def built_for(self, g: Graph, labels: np.ndarray, seed: int) -> bool:
         return self.graph is g and self.labels is labels and self.seed == seed

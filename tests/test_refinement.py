@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -85,6 +86,28 @@ class TestFilterEdges:
             assert refined.has_edge(v, v)
         assert refined.num_edges == 4
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_refined_graph_is_the_from_edges_rebuild(self, data):
+        """The kept CSR entries, taken as they are, build the graph that
+        ``Graph.from_edges`` builds from the kept edges."""
+        g = draw_graph(data)
+        threshold = data.draw(st.sampled_from([0.0, 0.5, 0.75, 1.0]), label="threshold")
+        scorer = coarse_hash_scorer(data.draw(st.integers(0, 99), label="seed"))
+        got, rep = filter_edges(g, scorer, threshold)
+        edges = g.edge_array()
+        keep = (edges[:, 0] == edges[:, 1]) | (scorer(edges[:, 0], edges[:, 1]) >= threshold)
+        assert_same_graph(got, Graph.from_edges(g.num_nodes, edges[keep], add_self_loops=False))
+        assert rep.edges_removed == np.count_nonzero(~keep)
+
+    def test_self_loop_flag_read_from_the_kept_edges(self):
+        """A graph stored with every self loop but flagged without them comes
+        back flagged as ``from_edges`` would flag it."""
+        g = path_graph(4)
+        unflagged = Graph(4, g.row_offsets, g.col_targets, has_self_loops=False)
+        assert filter_edges(unflagged, dict_scorer({}, default=1.0), 0.5)[0].has_self_loops
+        assert add_edges(unflagged, dict_scorer({}, default=1.0), 3, 0.5)[0].has_self_loops
+
 
 FIXTURE_SCORES = {(0, 2): 0.9, (1, 3): 0.7, (2, 4): 0.8, (4, 6): 0.8,
                   (3, 5): 0.4, (5, 7): 0.55}
@@ -126,6 +149,14 @@ class TestAddEdges:
         with pytest.raises(ValueError, match="n_max"):
             add_edges(path_graph(3), dict_scorer({}), n_max=0, threshold=0.5)
 
+    def test_pair_stored_one_way_is_not_doubled(self):
+        # the one-way cycle 0 -> 1 -> 2 -> 0: node 0 reaches 2 in two hops, and 2 -> 0 is stored already
+        g = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)], add_self_loops=False)
+        refined, rep = add_edges(g, dict_scorer({}, default=1.0), 3, 0.5)
+        assert rep.added_pairs.tolist() == [[0, 2], [1, 0], [2, 1]]
+        assert_same_graph(refined, Graph.from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)],
+                                                    add_self_loops=False))
+
 
 def coarse_hash_scorer(seed):
     """Symmetric per-pair scores on a grid of quarters, so ties are common."""
@@ -134,20 +165,31 @@ def coarse_hash_scorer(seed):
     return scorer
 
 
+def assert_same_graph(got, want):
+    assert np.array_equal(got.row_offsets, want.row_offsets)
+    assert np.array_equal(got.col_targets, want.col_targets)
+    assert got.has_self_loops == want.has_self_loops
+
+
 def assert_same_additions(g, scorer, n_max, threshold, reference_scorer=None):
     got, report = add_edges(g, scorer, n_max, threshold)
     want, want_pairs = reference_add_edges(g, reference_scorer or scorer, n_max, threshold)
     assert report.added_pairs.dtype == want_pairs.dtype
     assert np.array_equal(report.added_pairs, want_pairs)
-    assert np.array_equal(got.row_offsets, want.row_offsets)
-    assert np.array_equal(got.col_targets, want.col_targets)
-    assert got.has_self_loops == want.has_self_loops
+    assert_same_graph(got, want)
 
 
 def assert_same_oracle_additions(g, t, oc, n_max, threshold):
     """The add-mode oracle's walk adds what the per-node loop adds when it
     scores each pool with the reference scorer."""
     assert_same_additions(g, oracle_scorer(t, oc), n_max, threshold, reference_oracle_add_scorer(t, oc))
+
+
+def assert_same_drawn_additions(data):
+    g = draw_graph(data)
+    scorer = coarse_hash_scorer(data.draw(st.integers(0, 99), label="seed"))
+    assert_same_additions(g, scorer, data.draw(st.integers(1, 4), label="n_max"),
+                          data.draw(st.sampled_from([0.0, 0.5, 0.75]), label="threshold"))
 
 
 def assert_same_drawn_oracle_additions(data):
@@ -166,10 +208,15 @@ class TestAddEdgesMatchesPerNodeLoop:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_per_pair_scorer(self, data):
-        g = draw_graph(data)
-        scorer = coarse_hash_scorer(data.draw(st.integers(0, 99), label="seed"))
-        assert_same_additions(g, scorer, data.draw(st.integers(1, 4), label="n_max"),
-                              data.draw(st.sampled_from([0.0, 0.5, 0.75]), label="threshold"))
+        assert_same_drawn_additions(data)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_per_pair_scorer_small_key_blocks(self, block, data):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(refinement, "KEY_BLOCK", block)
+            assert_same_drawn_additions(data)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -202,6 +249,130 @@ class TestAddEdgesMatchesPerNodeLoop:
         monkeypatch.setattr(refinement, "KEY_BLOCK", block)
         self.test_synthetic_graph()
         self.test_sparse_synthetic_graph()
+
+
+def recording(scorer, calls):
+    """``scorer``, appending ``(u, v, scores)`` of each call to ``calls``."""
+    def scorer_of_record(u, v):
+        scores = scorer(u, v)
+        calls.append((np.asarray(u).copy(), np.asarray(v).copy(), np.asarray(scores).copy()))
+        return scores
+    return scorer_of_record
+
+
+def replay_scorer(calls):
+    """Returns, per pair, the score a recorded scorer gave it (a pair it never
+    scored raises ``KeyError``). The table is read on the first call."""
+    table = {}
+
+    def scorer(u, v):
+        if not table:
+            for cu, cv, cs in calls:
+                table.update(zip(zip(cu.tolist(), cv.tolist()), cs.tolist()))
+        return np.array([table[pair] for pair in zip(np.asarray(u).tolist(), np.asarray(v).tolist())],
+                        dtype=np.float64)
+    return scorer
+
+
+def assert_same_trained_additions(g, features, n_max, threshold, seed=0):
+    """A trained scorer's pass adds what the per-node loop adds when that loop
+    is served the very scores the pass's scorer produced. (The head's last bit
+    may depend on how many pairs one call holds.)"""
+    clf = init_classifier(features.shape[1], TrainConfig(proj_dim=4, hidden_widths=(6,), seed=seed))
+    calls = []
+    assert_same_additions(g, recording(make_scorer(clf, features), calls), n_max, threshold,
+                          replay_scorer(calls))
+
+
+def scored_entries(g, n_max):
+    """Pool entries of the nodes whose non-self degree starts under ``n_max``."""
+    indptr, _ = two_hop_pools(g)
+    return int(np.diff(indptr)[g.nonself_degrees() < n_max].sum())
+
+
+class TestTrainedAddPass:
+    """A plain scorer's pool entries are scored once, before the pass, in
+    blocks of whole pools; the added pairs are those of the per-node loop."""
+
+    def graph(self):
+        g, t = synth(n=400, c=4, d=4, homophily=0.4, avg_degree=8.0, feature_sep=1.0, seed=5)
+        return g, edge_input_features(g, t, EdgeFeatureConfig())
+
+    @pytest.mark.parametrize("block", [1, 7, 16384])
+    def test_synthetic_graph(self, block, monkeypatch):
+        monkeypatch.setattr(refinement, "KEY_BLOCK", block)
+        g, features = self.graph()
+        for n_max, threshold in [(6, 0.0), (6, 0.497), (10, 0.5)]:
+            assert_same_trained_additions(g, features, n_max, threshold)
+
+    @pytest.mark.parametrize("block", [1, 7, 16384])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_drawn_graphs(self, block, data):
+        g = draw_graph(data)
+        seed = data.draw(st.integers(0, 99), label="seed")
+        features = np.random.default_rng(seed).normal(size=(g.num_nodes, 3))
+        n_max = data.draw(st.integers(1, 4), label="n_max")
+        threshold = data.draw(st.sampled_from([0.0, 0.45, 0.5, 0.55]), label="threshold")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(refinement, "KEY_BLOCK", block)
+            assert_same_trained_additions(g, features, n_max, threshold, seed)
+
+    @pytest.mark.parametrize("block", [1, 7, 1000, refinement.KEY_BLOCK])
+    def test_calls_bounded_by_blocks(self, block, monkeypatch):
+        g, features = self.graph()
+        clf = init_classifier(features.shape[1], TrainConfig(proj_dim=4, hidden_widths=(6,), seed=0))
+        monkeypatch.setattr(refinement, "KEY_BLOCK", block)
+        calls = []
+        _, rep = add_edges(g, recording(make_scorer(clf, features), calls), 10, 0.497)
+        entries = scored_entries(g, 10)
+        assert rep.edges_added > 0 and 0 < entries < int(two_hop_pools(g)[0][-1])
+        assert 1 <= len(calls) <= math.ceil(entries / block) + 1
+        assert sum(u.size for u, _, _ in calls) == entries
+        # each call holds whole pools: no node's pool runs on into the next call
+        for (u, _, _), (nxt, _, _) in zip(calls, calls[1:]):
+            assert u[-1] < nxt[0]
+
+    def test_no_score_or_pool_copy_outlives_the_pass(self, monkeypatch):
+        g, features = self.graph()
+        clf = init_classifier(features.shape[1], TrainConfig(proj_dim=4, hidden_widths=(6,), seed=0))
+        scorer = make_scorer(clf, features)
+        refs = []
+
+        def pools(graph):
+            out = two_hop_pools(graph)
+            refs.extend(weakref.ref(a) for a in out)
+            return out
+
+        def weakly_recorded(u, v):
+            scores = scorer(u, v)
+            refs.extend(weakref.ref(a) for a in (u, v, scores))
+            return scores
+
+        monkeypatch.setattr(refinement, "two_hop_pools", pools)
+        _, rep = add_edges(g, weakly_recorded, 10, 0.497)
+        gc.collect()
+        assert rep.edges_added > 0 and len(refs) >= 5
+        assert all(ref() is None for ref in refs)
+
+        # nor does an array derived from them: a second pass leaves no memory behind
+        monkeypatch.undo()
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            add_edges(g, scorer, 10, 0.497)
+            gc.collect()
+            assert tracemalloc.get_traced_memory()[0] - before < 4096
+        finally:
+            tracemalloc.stop()
+
+    def test_scorer_of_wrong_shape_rejected(self):
+        g, _ = self.graph()
+        with pytest.raises(ValueError, match="one score per pair"):
+            add_edges(g, lambda u, v: np.ones(u.shape[0] + 1), 6, 0.5)
+        with pytest.raises(ValueError, match="one score per pair"):
+            add_edges(g, lambda u, v: np.ones((u.shape[0], 1)), 6, 0.5)
 
 
 class TestRefine:

@@ -12,7 +12,16 @@ from pathlib import Path
 
 import numpy as np
 
-from lagraph import OracleClassifier, add_edges, oracle_scorer, refinement, synth
+from lagraph import (
+    EdgeFeatureConfig,
+    OracleClassifier,
+    add_edges,
+    edge_input_features,
+    oracle_scorer,
+    refinement,
+    synth,
+)
+from lagraph.edge_classifier import TrainConfig, init_classifier, make_scorer
 from lagraph.graph import two_hop_pools
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -68,3 +77,26 @@ def test_wrapped_add_oracle_keeps_its_walk_hook(monkeypatch):
     assert 1 <= len(calls) <= math.ceil(entries / block) + 1
     _, unwrapped = add_edges(g, scorer, 6, 0.5)
     assert np.array_equal(rep.added_pairs, unwrapped.added_pairs)
+
+
+def test_wrapped_trained_scorer_spans_count_the_scored_entries():
+    """A trained add pass calls the tracer-wrapped ``make_scorer`` scorer on
+    blocks of pools under the ``add_edges`` span; the pairs of those spans are
+    the pool entries of the nodes under ``n_max`` when the pass starts."""
+    g, t = synth(n=400, c=4, d=4, homophily=0.4, avg_degree=8.0, feature_sep=1.0, seed=5)
+    features = edge_input_features(g, t, EdgeFeatureConfig())
+    clf = init_classifier(features.shape[1], TrainConfig(proj_dim=4, hidden_widths=(6,), seed=0))
+    spans = load_spans()
+    tracer = spans.Tracer()
+    traced_add = tracer.wrap("refinement.add_edges", add_edges)
+    scorer = tracer.wrap("edge_classifier.make_scorer", make_scorer, returns="refinement.scorer")(clf, features)
+    _, rep = traced_add(g, scorer, 10, 0.497)
+
+    by_id = {s[spans.ID]: s for s in tracer.spans}
+    scored = [s for s in tracer.spans if s[spans.NAME] == "refinement.scorer"]
+    assert scored and all(by_id[s[spans.PARENT]][spans.NAME] == "refinement.add_edges" for s in scored)
+    indptr, _ = two_hop_pools(g)
+    entries = int(np.diff(indptr)[g.nonself_degrees() < 10].sum())
+    assert sum(s[spans.COUNTS]["pairs"] for s in scored) == entries
+    _, unwrapped = add_edges(g, make_scorer(clf, features), 10, 0.497)
+    assert rep.edges_added > 0 and np.array_equal(rep.added_pairs, unwrapped.added_pairs)
