@@ -168,7 +168,7 @@ def add_edges(g: Graph, scorer: PairScorer, n_max: int, threshold: float) -> tup
     report = RefinementReport(
         edges_before=g.num_edges,
         edges_removed=0,
-        edges_added=2 * arr.shape[0],
+        edges_added=refined.num_edges - g.num_edges,
         edges_after=refined.num_edges,
         degree_hist_before=_degree_hist(g),
         degree_hist_after=_degree_hist(refined),

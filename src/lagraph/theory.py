@@ -28,8 +28,9 @@ from scipy.special import ndtri
 from .hashing import unit_uniform
 
 # trial rows per block of the Monte Carlo pass: sets its working memory and
-# cache fit, never its output (of 2048-32768, 4096 ran `theory` fastest on a
-# 2-core Xeon)
+# cache fit, never its output (of 2048-32768 with slot-major blocks, 4096 to
+# 16384 ran the `theory` sweep within 5% of each other on a 2-core Xeon, 2048
+# and 32768 about 8% slower; the smallest of those keeps blocks small)
 MC_BLOCK_ROWS = 4_096
 
 
@@ -224,36 +225,82 @@ def _simulate(arms: tuple, gm: GaussianMixtureParams, seed: int, rows: np.ndarra
     uniforms in [n, n + n_add) and add-mode normals in [n + n_add,
     n + 2 n_add). Origin and add arms keep ``(per_trial,)``, filter arms
     ``(num, den)``, one entry per row.
+
+    A block is hashed slot-major: keyed ``(rows[None, blk], slots[:, None])``
+    it is the (slots x rows) transpose of the trial-major block, with the
+    same values, as the key order (row, then slot) is unchanged. Each slot
+    is then one contiguous row, and normals are scaled and shifted in place
+    (exact, as IEEE ``*`` and ``+`` commute). The sums over slots are
+    :func:`_slot_sums`, which adds in the order NumPy's ``sum(axis=1)`` of
+    the trial-major block does; NumPy's own ``sum(axis=0)`` adds the slot
+    rows left to right, which rounds differently from 8 slots up, so every
+    ``McResult`` is bit-identical to the trial-major pass only this way.
     """
     spec = arms[0].spec
     n = spec.n_plus + spec.n_minus
     sigma = math.sqrt(gm.sigma2)
-    means = np.concatenate([np.full(spec.n_plus, gm.mu_plus), np.full(spec.n_minus, gm.mu_minus)])
+    means = np.concatenate([np.full(spec.n_plus, gm.mu_plus), np.full(spec.n_minus, gm.mu_minus)])[:, None]
     added = {a.spec.n_added for a in arms if a.mode == "add" and a.spec.n_added}
     width = max([2 * n if any(a.mode == "filter" for a in arms) else n]
                 + [n + 2 * k for k in added])
-    keep_probs = {a: a.keep_prob()[None, :] for a in arms if a.mode == "filter"}
+    keep_probs = {a: a.keep_prob()[:, None] for a in arms if a.mode == "filter"}
     out = {a: tuple(np.empty(rows.size) for _ in range(2 if a.mode == "filter" else 1)) for a in arms}
-    slots = np.arange(slot0, slot0 + width, dtype=np.int64)[None, :]
+    slots = np.arange(slot0, slot0 + width, dtype=np.int64)[:, None]
     for start in range(0, rows.size, MC_BLOCK_ROWS):
         blk = slice(start, start + MC_BLOCK_ROWS)
-        u = unit_uniform(seed, rows[blk, None], slots)
-        base = means[None, :] + sigma * ndtri(u[:, :n])
-        base_sum = base.sum(axis=1)
-        add_normals = {k: ndtri(u[:, n + k:n + 2 * k]) for k in added}
+        u = unit_uniform(seed, rows[None, blk], slots)
+        base = ndtri(u[:n])
+        base *= sigma
+        base += means
+        base_sum = _slot_sums(base)
+        add_noise = {k: ndtri(u[n + k:n + 2 * k]) for k in added}
+        for z in add_noise.values():
+            z *= sigma
         for arm, arrays in out.items():
             k = arm.spec.n_added
             if arm.mode == "filter":
-                flags = u[:, n:2 * n] < keep_probs[arm]
-                arrays[0][blk] = (base * flags).sum(axis=1)
-                arrays[1][blk] = flags.sum(axis=1)
+                flags = u[n:2 * n] < keep_probs[arm]
+                arrays[0][blk] = _slot_sums(base * flags)
+                arrays[1][blk] = flags.sum(axis=0)  # counts: exact in any order
             elif arm.mode == "add" and k:
-                add_means = np.where(u[:, n:n + k] < arm.p_pre, gm.mu_plus, gm.mu_minus)
-                add_vals = add_means + sigma * add_normals[k]
-                arrays[0][blk] = (base_sum + add_vals.sum(axis=1)) / (n + k)
+                add_vals = np.where(u[n:n + k] < arm.p_pre, gm.mu_plus, gm.mu_minus)
+                add_vals += add_noise[k]
+                arrays[0][blk] = (base_sum + _slot_sums(add_vals)) / (n + k)
             else:
-                arrays[0][blk] = base_sum / n  # what base.mean(axis=1) computes
+                arrays[0][blk] = base_sum / n  # the trial-major base.mean(axis=1)
     return out
+
+
+def _slot_sums(x: np.ndarray) -> np.ndarray:
+    """The sum over the slots (rows) of ``x`` for each trial (column), bit
+    for bit what ``np.ascontiguousarray(x.T).sum(axis=1)`` gives.
+
+    NumPy sums a contiguous row of under 8 terms left to right from +0.0,
+    and one of 8 to 128 terms in 8 interleaved partial sums combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the remainder in order,
+    then ``+ 0.0``. Its ``x.sum(axis=0)`` adds the rows left to right
+    instead, which rounds differently from 8 terms up, so the same steps
+    are taken here on whole rows. Longer rows are split recursively by
+    NumPy; those are summed by NumPy on a row-major copy.
+    """
+    width = x.shape[0]
+    if width > 128:
+        return np.ascontiguousarray(x.T).sum(axis=1)
+    if width < 8:
+        total = x[0] + 0.0
+        for row in x[1:]:
+            total += row
+        return total
+    tail = width - width % 8
+    r = x[:8].copy()
+    for i in range(8, tail, 8):
+        r += x[i:i + 8]
+    total = (r[0] + r[1]) + (r[2] + r[3])
+    total += (r[4] + r[5]) + (r[6] + r[7])
+    for row in x[tail:]:
+        total += row
+    total += 0.0
+    return total
 
 
 def mc_aggregate(spec: NeighborhoodSpec, gm: GaussianMixtureParams, mode: str = "origin",

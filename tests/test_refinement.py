@@ -156,6 +156,8 @@ class TestAddEdges:
         assert rep.added_pairs.tolist() == [[0, 2], [1, 0], [2, 1]]
         assert_same_graph(refined, Graph.from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)],
                                                     add_self_loops=False))
+        # three pairs, but only their three missing directions are new edges
+        assert (rep.edges_before, rep.edges_added, rep.edges_after) == (3, 3, 6)
 
 
 def coarse_hash_scorer(seed):
@@ -441,6 +443,21 @@ class TestRefine:
         d = rep.to_dict()
         assert d["ratio_before"] is None and d["added_precision"] is None
         assert rep.edges_added > 0  # scores ignore labels, additions still happen
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_edge_counts_add_up_on_drawn_graphs(self, data):
+        """``before - removed + added == after`` holds on one-way edge lists
+        too, where the reverse of an added pair may already be stored."""
+        g = draw_graph(data, max_nodes=8, max_pairs=16)  # dense: two-hop pairs often stored one way
+        t = draw_table(data, g.num_nodes)
+        cfg = RefinementConfig(threshold=data.draw(st.sampled_from([0.0, 0.5, 0.75]), label="threshold"),
+                               n_max=data.draw(st.integers(1, 4), label="n_max"),
+                               do_filter=data.draw(st.booleans(), label="filter"))
+        scorer = coarse_hash_scorer(data.draw(st.integers(0, 99), label="seed"))
+        got, rep = refine(g, t, scorer, cfg)
+        assert (rep.edges_before, rep.edges_after) == (g.num_edges, got.num_edges)
+        assert rep.edges_before - rep.edges_removed + rep.edges_added == rep.edges_after
 
     def test_report_dict_round_trips_finite_values(self):
         rep = RefinementReport(edges_before=10, edges_removed=2, edges_added=4,

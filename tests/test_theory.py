@@ -315,7 +315,8 @@ class TestMonteCarloMatchesReference:
     every ``McResult`` field exactly as the full-matrix sampler does."""
 
     @pytest.mark.parametrize("trials", [1_000, MC_BLOCK_ROWS, MC_BLOCK_ROWS + 1])
-    @pytest.mark.parametrize("n_plus,n_minus", [(1, 1), (3, 5)])
+    # n = 10 and 17 reach the partial-sum rounds and remainder of the slot sums
+    @pytest.mark.parametrize("n_plus,n_minus", [(1, 1), (3, 5), (5, 5), (9, 8)])
     def test_standalone_and_shared_calls(self, trials, n_plus, n_minus):
         arms = neighborhood_arms(n_plus, n_minus)
         shared = SharedPass(arms)
@@ -336,6 +337,20 @@ class TestMonteCarloMatchesReference:
         for got in (run_arm(arm, trials, 10), run_arm(arm, trials, 10, shared),
                     run_arm(arm, trials, 10, shared)):
             assert got == want
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_results_do_not_depend_on_the_block_size(self, block, monkeypatch):
+        arms = neighborhood_arms(2, 3)
+        redraw = McArm(NeighborhoodSpec(n_plus=1, n_minus=1), "filter", p=0.3, q=0.3)
+
+        def results():
+            shared = SharedPass(arms)
+            return [run_arm(arm, 300, 4, shared) for arm in arms] + [run_arm(redraw, 300, 4)]
+
+        want = results()
+        assert want[-1].redraws > 100
+        monkeypatch.setattr(theory, "MC_BLOCK_ROWS", block)
+        assert results() == want
 
     def test_shared_pass_rejects_other_calls(self):
         arms = neighborhood_arms(2, 3)
@@ -403,9 +418,9 @@ class TestOneDrawKernel:
         hashed_rows = []
         original_uniform = theory.unit_uniform
 
-        def counted_uniform(seed, *keys):
-            hashed_rows.append(np.broadcast_shapes(*(np.shape(k) for k in keys))[0])
-            return original_uniform(seed, *keys)
+        def counted_uniform(seed, rows, *keys):
+            hashed_rows.append(np.size(rows))
+            return original_uniform(seed, rows, *keys)
 
         monkeypatch.setattr(theory, "unit_uniform", counted_uniform)
         # P(empty) = 0.49, so the first redraw round holds about 6,000 rows
@@ -420,3 +435,19 @@ class TestOneDrawKernel:
         assert McArm(SPEC).analytic(GM) == e_origin(SPEC, GM)
         assert McArm(SPEC, "filter", p=0.9, q=0.2).analytic(GM) == e_filter(SPEC, GM, 0.9, 0.2)
         assert McArm(spec_add, "add", p_pre=0.3).analytic(GM) == e_add(spec_add, GM, 0.3)
+
+
+class TestSlotSums:
+    """``_slot_sums`` over slot rows equals NumPy's sum of each trial's
+    contiguous row to the bit; ``x.sum(axis=0)`` does not from 8 slots up."""
+
+    @pytest.mark.parametrize("width", [*range(1, 25), 64, 127, 128, 129, 300])
+    def test_bit_equal_to_numpy_row_sums(self, width):
+        rng = np.random.default_rng(width)
+        x = rng.standard_normal((width, 101)) * 10.0 ** rng.integers(-12, 13, (width, 101))
+        x[:, :3] = -0.0
+        flags = rng.random(x.shape) < 0.5
+        # a masked product holds -0.0 wherever a negative value is dropped
+        for values in (x, x * flags):
+            want = np.ascontiguousarray(values.T).sum(axis=1)
+            assert np.array_equal(theory._slot_sums(values).view(np.int64), want.view(np.int64))
