@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 
 import numpy as np
 
@@ -166,6 +167,98 @@ def check_synth_args(n: int, c: int, d: int, homophily: float, avg_degree: float
         raise ValueError("avg_degree must be >= 1")
     if feature_sep < 0.0:
         raise ValueError("feature_sep must be non-negative")
+    if homophily in (0.0, 1.0):
+        # balanced classes: n % c of them hold one node more than the rest
+        small, big = divmod(n, c)
+        same = (c - big) * (small * (small - 1) // 2) + big * (small * (small + 1) // 2)
+        allowed = same if homophily == 1.0 else n * (n - 1) // 2 - same
+        target = _edge_target(n, avg_degree)
+        if target > allowed:
+            kind = "same-class" if homophily == 1.0 else "cross-class"
+            raise ValueError(f"edge target {target} exceeds the {allowed} {kind} pairs "
+                             f"homophily {homophily:g} allows")
+
+
+def _edge_target(n: int, avg_degree: float) -> int:
+    """Undirected non-self edges :func:`synth` places: ``n * avg_degree / 2``, capped at all pairs."""
+    return min(int(round(n * avg_degree / 2.0)), n * (n - 1) // 2)
+
+
+_RAW_BLOCK = 65536
+_UINT32 = 1 << 32
+
+
+class _Pcg64Draws:
+    """Scalar ``integers(k)`` and ``random()`` draws of a PCG64 ``Generator``,
+    served in plain Python arithmetic from ``random_raw`` blocks.
+
+    Every draw equals the one the generator would return itself. This
+    depends on NumPy's private bounded-integer and double algorithms, as
+    written out below (checked against NumPy 2.4); the test suite compares
+    the two directly, and its ``GOLDEN_DIGESTS`` are keyed by the NumPy
+    build, so a NumPy that changes them shows there:
+
+    - ``integers(k)`` for ``1 < k < 2**32`` is Lemire's method over PCG64's
+      buffered ``next_uint32``: a fresh 64-bit word gives its low half and
+      keeps its high half for the next draw; a product whose low 32 bits
+      fall below ``(2**32 - k) % k`` is redrawn.
+    - ``integers(1)`` is 0 and consumes nothing; ``integers(2**32)`` is one
+      ``next_uint32``.
+    - ``random()`` is ``(next_uint64 >> 11) * 2**-53`` on a fresh word; it
+      leaves the uint32 buffer alone.
+
+    :meth:`finish` puts the generator exactly where those draws would have
+    left it, uint32 buffer included, so later draws continue the sequence.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._bg = rng.bit_generator
+        self._start = self._bg.state
+        # PCG64's uint32 buffer; like NumPy, spending the half keeps its value
+        self._has_half, self._half = self._start["has_uint32"], self._start["uinteger"]
+        self._block = iter(())
+        self._drawn = 0  # words in all blocks so far; the unused tail is the iterator's length hint
+
+    def _word(self) -> int:
+        try:
+            return next(self._block)
+        except StopIteration:
+            self._block = iter(self._bg.random_raw(_RAW_BLOCK).tolist())
+            self._drawn += _RAW_BLOCK
+            return next(self._block)
+
+    def _uint32(self) -> int:
+        if self._has_half:
+            self._has_half = 0
+            return self._half
+        word = self._word()
+        self._has_half, self._half = 1, word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, k: int) -> int:
+        if k < _UINT32:
+            if k == 1:
+                return 0
+            m = self._uint32() * k
+            if (m & 0xFFFFFFFF) < k:
+                threshold = (_UINT32 - k) % k
+                while (m & 0xFFFFFFFF) < threshold:
+                    m = self._uint32() * k
+            return m >> 32
+        if k == _UINT32:
+            return self._uint32()
+        raise ValueError(f"integers: bound {k} exceeds 2**32")
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0 ** -53
+
+    def finish(self) -> None:
+        bg = self._bg
+        bg.state = self._start
+        bg.advance(self._drawn - operator.length_hint(self._block))
+        state = bg.state
+        state["has_uint32"], state["uinteger"] = self._has_half, self._half
+        bg.state = state
 
 
 def synth(n: int, c: int, d: int, homophily: float, avg_degree: float,
@@ -196,9 +289,10 @@ def synth(n: int, c: int, d: int, homophily: float, avg_degree: float,
     rng.shuffle(labels)
     members = [np.flatnonzero(labels == cls) for cls in range(c)]
 
-    target_edges = int(round(n * avg_degree / 2.0))
-    max_undirected = n * (n - 1) // 2
-    target_edges = min(target_edges, max_undirected)
+    target_edges = _edge_target(n, avg_degree)
+    label_of = labels.tolist()
+    pools = [m.tolist() for m in members]
+    draws = _Pcg64Draws(rng)
     seen: set[int] = set()
     pairs: list[tuple[int, int]] = []
     attempts = 0
@@ -206,17 +300,17 @@ def synth(n: int, c: int, d: int, homophily: float, avg_degree: float,
         attempts += 1
         if attempts > 200 * target_edges + 1000:
             raise RuntimeError("synth: edge sampling failed to place the requested edges")
-        u = int(rng.integers(n))
-        lab = int(labels[u])
-        if rng.random() < homophily:
-            pool = members[lab]
+        u = draws.integers(n)
+        lab = label_of[u]
+        if draws.random() < homophily:
+            pool = pools[lab]
         else:
             if c == 1:
                 continue
-            other = int(rng.integers(c - 1))
+            other = draws.integers(c - 1)
             other = other + 1 if other >= lab else other
-            pool = members[other]
-        w = int(pool[rng.integers(pool.shape[0])])
+            pool = pools[other]
+        w = pool[draws.integers(len(pool))]
         if w == u:
             continue
         a, b = (u, w) if u < w else (w, u)
@@ -225,6 +319,7 @@ def synth(n: int, c: int, d: int, homophily: float, avg_degree: float,
             continue
         seen.add(key)
         pairs.append((a, b))
+    draws.finish()
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     both = np.concatenate([arr, arr[:, ::-1]], axis=0) if arr.size else arr
     g = Graph.from_edges(n, both, add_self_loops=True)

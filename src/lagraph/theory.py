@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .hashing import unit_uniform
 
@@ -236,6 +235,8 @@ def _simulate(arms: tuple, gm: GaussianMixtureParams, seed: int, rows: np.ndarra
     rows left to right, which rounds differently from 8 slots up, so every
     ``McResult`` is bit-identical to the trial-major pass only this way.
     """
+    from scipy.special import ndtri  # here, so commands that never simulate skip scipy.special
+
     spec = arms[0].spec
     n = spec.n_plus + spec.n_minus
     sigma = math.sqrt(gm.sigma2)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from lagraph import Graph, NodeTable, PairSet, two_hop_candidates
+from lagraph.graph import SPLIT_CODES
 from lagraph.edge_classifier import ONE_HOP, SAMPLED, TWO_HOP, _forward, _sample_pairs, _sigmoid
 from lagraph.hashing import unit_uniform
 
@@ -232,6 +233,69 @@ def reference_oracle_add_scorer(t, oc):
         return scores
 
     return scorer
+
+
+def reference_synth(n, c, d, homophily, avg_degree, feature_sep, seed):
+    """``synth`` with its edge loop drawing straight from ``rng.integers`` and
+    ``rng.random``, one NumPy call per scalar draw."""
+    rng = np.random.default_rng(seed)
+
+    labels = np.arange(n, dtype=np.int64) % c
+    rng.shuffle(labels)
+    members = [np.flatnonzero(labels == cls) for cls in range(c)]
+
+    target_edges = int(round(n * avg_degree / 2.0))
+    max_undirected = n * (n - 1) // 2
+    target_edges = min(target_edges, max_undirected)
+    seen: set[int] = set()
+    pairs: list[tuple[int, int]] = []
+    attempts = 0
+    while len(pairs) < target_edges:
+        attempts += 1
+        if attempts > 200 * target_edges + 1000:
+            raise RuntimeError("synth: edge sampling failed to place the requested edges")
+        u = int(rng.integers(n))
+        lab = int(labels[u])
+        if rng.random() < homophily:
+            pool = members[lab]
+        else:
+            if c == 1:
+                continue
+            other = int(rng.integers(c - 1))
+            other = other + 1 if other >= lab else other
+            pool = members[other]
+        w = int(pool[rng.integers(pool.shape[0])])
+        if w == u:
+            continue
+        a, b = (u, w) if u < w else (w, u)
+        key = a * n + b
+        if key in seen:
+            continue
+        seen.add(key)
+        pairs.append((a, b))
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    both = np.concatenate([arr, arr[:, ::-1]], axis=0) if arr.size else arr
+    g = Graph.from_edges(n, both, add_self_loops=True)
+
+    scale = feature_sep / np.sqrt(2.0 * d)
+    means = rng.normal(0.0, scale, size=(c, d))
+    features = means[labels] + rng.normal(0.0, 1.0, size=(n, d))
+
+    split = np.full(n, SPLIT_CODES["test"], dtype=np.int8)
+    for cls in range(c):
+        idx = members[cls].copy()
+        rng.shuffle(idx)
+        size = idx.shape[0]
+        n_train = max(1, int(round(0.1 * size)))
+        n_val = max(1, int(round(0.1 * size)))
+        if n_train + n_val >= size:
+            n_train = max(1, size - 2) if size >= 3 else 1
+            n_val = 1 if size >= 2 else 0
+        split[idx[:n_train]] = SPLIT_CODES["train"]
+        split[idx[n_train:n_train + n_val]] = SPLIT_CODES["val"]
+
+    t = NodeTable(features=features, labels=labels, num_classes=c, split=split)
+    return g, t
 
 
 @pytest.fixture

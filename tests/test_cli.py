@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import json
 import math
+import time
 import weakref
 from pathlib import Path
 
@@ -375,6 +376,23 @@ class TestErrorExits:
         out = tmp_path / "o"
         assert main(["pipeline", "--config", cfg_path, "--output-dir", str(out)]) == 2
         assert "ConfigError" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "synth"])
+    @pytest.mark.parametrize("dataset, target, allowed", [
+        ({"n": 2000, "c": 1000, "homophily": 1.0, "avg_degree": 8.0}, 8000, 1000),
+        ({"n": 100, "c": 1, "homophily": 0.0}, 300, 0),
+    ])
+    def test_infeasible_homophily_exits_2_before_any_arm(self, tmp_path, capsys, command,
+                                                         dataset, target, allowed):
+        cfg_path = write_json(tmp_path, fast_config(dataset=dataset))
+        out = tmp_path / "o"
+        start = time.perf_counter()
+        assert main([command, "--config", cfg_path, "--output-dir", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"edge target {target} exceeds the {allowed} " in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["pipeline", "degrade", "ablation"])

@@ -4,9 +4,14 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import lagraph.data
 from lagraph import DataFormatError, degrade, load, positive_ratio, save, synth
-from lagraph.data import l1_normalize
+from lagraph.data import _Pcg64Draws, check_synth_args, l1_normalize
+
+from conftest import reference_synth
 
 NODES_TSV = """\
 # id\tlabel\tsplit\tfeatures
@@ -207,12 +212,116 @@ class TestSynth:
     @pytest.mark.parametrize("kw", [
         dict(n=2, c=3), dict(c=0), dict(d=0), dict(homophily=1.5),
         dict(avg_degree=0.5), dict(feature_sep=-1.0),
+        # more edges than the homophily leaves pairs for
+        dict(c=20, homophily=1.0), dict(c=1, homophily=0.0),
+        dict(homophily=0.0, avg_degree=10.5), dict(homophily=1.0, avg_degree=9.5),
+        dict(n=2000, c=1000, homophily=1.0, avg_degree=8.0),
     ])
     def test_validation(self, kw):
         base = dict(n=20, c=2, d=3, homophily=0.5, avg_degree=3.0, feature_sep=1.0, seed=0)
         base.update(kw)
         with pytest.raises(ValueError):
             synth(**base)
+
+    def test_infeasible_homophily_names_target_and_allowed_pairs(self):
+        with pytest.raises(ValueError, match="edge target 8000 exceeds the 1000 same-class pairs"):
+            check_synth_args(n=2000, c=1000, d=2, homophily=1.0, avg_degree=8.0, feature_sep=1.0)
+        with pytest.raises(ValueError, match="edge target 21 exceeds the 20 cross-class pairs"):
+            check_synth_args(n=9, c=2, d=2, homophily=0.0, avg_degree=14 / 3, feature_sep=1.0)
+
+    @pytest.mark.parametrize("homophily, avg_degree", [(0.0, 10.0), (1.0, 9.0)])
+    def test_homophily_extremes_fill_every_allowed_pair(self, homophily, avg_degree):
+        # 20 nodes in two classes of 10: 100 cross-class pairs, 90 same-class
+        g, t = synth(n=20, c=2, d=2, homophily=homophily, avg_degree=avg_degree,
+                     feature_sep=1.0, seed=3)
+        edges = g.edge_array()
+        edges = edges[edges[:, 0] < edges[:, 1]]
+        same = t.labels[edges[:, 0]] == t.labels[edges[:, 1]]
+        assert edges.shape[0] == (100 if homophily == 0.0 else 90)
+        assert same.all() if homophily == 1.0 else not same.any()
+
+    @settings(max_examples=40, deadline=2000)
+    @given(n=st.integers(1, 300), c=st.integers(1, 6), d=st.integers(1, 4),
+           homophily=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.1, 0.9)),
+           avg_degree=st.floats(1.0, 12.0), feature_sep=st.floats(0.0, 4.0),
+           seed=st.integers(0, 2**63))
+    def test_matches_the_per_call_generator(self, n, c, d, homophily, avg_degree, feature_sep, seed):
+        args = dict(n=n, c=c, d=d, homophily=homophily, avg_degree=avg_degree, feature_sep=feature_sep)
+        try:
+            check_synth_args(**args)
+        except ValueError:
+            assume(False)
+        g, t = synth(**args, seed=seed)
+        g_ref, t_ref = reference_synth(**args, seed=seed)
+        assert np.array_equal(g.row_offsets, g_ref.row_offsets)
+        assert np.array_equal(g.col_targets, g_ref.col_targets)
+        assert np.array_equal(t.features.view(np.uint64), t_ref.features.view(np.uint64))
+        assert np.array_equal(t.labels, t_ref.labels)
+        assert np.array_equal(t.split, t_ref.split)
+
+
+def _replay(ops, seed, prime=False):
+    """Run ``ops`` (a bound ``k`` for ``integers(k)``, ``None`` for ``random()``)
+    on a generator and on a stream over an equal one; return both generators
+    after the stream's ``finish``."""
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    if prime:  # leaves the high half of a word in the uint32 buffer
+        assert rng.integers(7) == twin.integers(7)
+        assert twin.bit_generator.state["has_uint32"] == 1
+    draws = _Pcg64Draws(twin)
+    for i, k in enumerate(ops):
+        got = draws.random() if k is None else draws.integers(k)
+        want = rng.random() if k is None else int(rng.integers(k))
+        assert got == want and type(got) is type(want), (i, k)
+    draws.finish()
+    return rng, twin
+
+
+class TestPcg64Draws:
+    @pytest.mark.parametrize("prime", [False, True])
+    @pytest.mark.parametrize("ops", [
+        [2**31 + 1] * 300,  # about half of all draws rejected
+        [2] * 300,
+        [2**32] * 301,  # odd count: ends with the buffer full
+        [1] * 20 + [5, 1, None, 1],
+        [None, 3, 2**31 + 1, None, 1, 2**32, 16000, None, 2, 97, 2**31 + 1, 5] * 60,
+    ], ids=["k=2^31+1", "k=2", "k=2^32", "k=1", "mixed"])
+    def test_draws_and_final_state_match_the_generator(self, ops, prime):
+        for seed in (0, 1, 41):
+            rng, twin = _replay(ops, seed, prime)
+            assert twin.bit_generator.state == rng.bit_generator.state
+            assert np.array_equal(twin.normal(size=5), rng.normal(size=5))
+            assert np.array_equal(twin.integers(1000, size=5), rng.integers(1000, size=5))
+
+    def test_runs_across_blocks(self, monkeypatch):
+        ops = [None] * 65530 + [3, None, 2**31 + 1, 7] * 10  # crosses the first 65,536-word block
+        rng, twin = _replay(ops, seed=5)
+        assert twin.bit_generator.state == rng.bit_generator.state
+        monkeypatch.setattr(lagraph.data, "_RAW_BLOCK", 3)  # a boundary every third word
+        mixed = [None, 3, 2**31 + 1, 1, 2**32, None, 16000] * 40
+        rng, twin = _replay(mixed, seed=6, prime=True)
+        assert twin.bit_generator.state == rng.bit_generator.state
+        assert rng.normal() == twin.normal()
+
+    @pytest.mark.parametrize("k", [3, 16001, 2**31 + 1, 2**32 - 1])
+    def test_lemire_rejects_exactly_below_its_threshold(self, k):
+        # buffer the uint32 whose product with k leaves exactly `left` in the low
+        # 32 bits: below the threshold the draw is redone, at it the draw is kept
+        threshold = (2**32 - k) % k
+        for left in (threshold - 1, threshold):
+            rng, twin = np.random.default_rng(k), np.random.default_rng(k)
+            for g in (rng, twin):
+                state = g.bit_generator.state
+                state["has_uint32"], state["uinteger"] = 1, left * pow(k, -1, 2**32) % 2**32
+                g.bit_generator.state = state
+            draws = _Pcg64Draws(twin)
+            assert [draws.integers(k) for _ in range(3)] == [int(rng.integers(k)) for _ in range(3)]
+            draws.finish()
+            assert twin.bit_generator.state == rng.bit_generator.state
+
+    def test_bounds_above_2_to_the_32_are_refused(self):
+        with pytest.raises(ValueError, match="exceeds 2\\*\\*32"):
+            _Pcg64Draws(np.random.default_rng(0)).integers(2**32 + 1)
 
 
 class TestDegrade:
