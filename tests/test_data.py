@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import lagraph.data
 from lagraph import DataFormatError, degrade, load, positive_ratio, save, synth
 from lagraph.data import _Pcg64Draws, check_synth_args, l1_normalize
 
@@ -297,7 +296,7 @@ class TestPcg64Draws:
         ops = [None] * 65530 + [3, None, 2**31 + 1, 7] * 10  # crosses the first 65,536-word block
         rng, twin = _replay(ops, seed=5)
         assert twin.bit_generator.state == rng.bit_generator.state
-        monkeypatch.setattr(lagraph.data, "_RAW_BLOCK", 3)  # a boundary every third word
+        monkeypatch.setattr("lagraph.data._RAW_BLOCK", 3)  # a boundary every third word
         mixed = [None, 3, 2**31 + 1, 1, 2**32, None, 16000] * 40
         rng, twin = _replay(mixed, seed=6, prime=True)
         assert twin.bit_generator.state == rng.bit_generator.state
