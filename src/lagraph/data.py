@@ -167,21 +167,27 @@ def check_synth_args(n: int, c: int, d: int, homophily: float, avg_degree: float
         raise ValueError("avg_degree must be >= 1")
     if feature_sep < 0.0:
         raise ValueError("feature_sep must be non-negative")
-    if homophily in (0.0, 1.0):
-        # balanced classes: n % c of them hold one node more than the rest
-        small, big = divmod(n, c)
-        same = (c - big) * (small * (small - 1) // 2) + big * (small * (small + 1) // 2)
-        allowed = same if homophily == 1.0 else n * (n - 1) // 2 - same
-        target = _edge_target(n, avg_degree)
-        if target > allowed:
-            kind = "same-class" if homophily == 1.0 else "cross-class"
-            raise ValueError(f"edge target {target} exceeds the {allowed} {kind} pairs "
-                             f"homophily {homophily:g} allows")
+    # An attempt draws a same-class partner with probability ``homophily``, else
+    # a cross-class one. Edges beyond the pairs of one kind need draws of the
+    # other, and the attempt cap must be expected to make that many of them.
+    small, big = divmod(n, c)  # balanced classes: n % c of them hold one node more
+    same = (c - big) * (small * (small - 1) // 2) + big * (small * (small + 1) // 2)
+    cross = n * (n - 1) // 2 - same
+    target, cap = _edge_budget(n, avg_degree)
+    for kind, chance, other, other_pairs in (("same-class", homophily, "cross-class", cross),
+                                             ("cross-class", 1.0 - homophily, "same-class", same)):
+        needed = target - other_pairs
+        if chance * cap < needed:
+            raise ValueError(f"edge target {target} exceeds the {other_pairs} {other} pairs by {needed}, "
+                             f"which need {kind} draws; homophily {homophily:g} expects "
+                             f"{chance * cap:.4g} of those in the generator's {cap} attempts")
 
 
-def _edge_target(n: int, avg_degree: float) -> int:
-    """Undirected non-self edges :func:`synth` places: ``n * avg_degree / 2``, capped at all pairs."""
-    return min(int(round(n * avg_degree / 2.0)), n * (n - 1) // 2)
+def _edge_budget(n: int, avg_degree: float) -> tuple[int, int]:
+    """Undirected non-self edges :func:`synth` places, ``n * avg_degree / 2`` capped at
+    all pairs, and the placement attempts it makes before it gives up."""
+    target = min(int(round(n * avg_degree / 2.0)), n * (n - 1) // 2)
+    return target, 200 * target + 1000
 
 
 _RAW_BLOCK = 65536
@@ -289,7 +295,7 @@ def synth(n: int, c: int, d: int, homophily: float, avg_degree: float,
     rng.shuffle(labels)
     members = [np.flatnonzero(labels == cls) for cls in range(c)]
 
-    target_edges = _edge_target(n, avg_degree)
+    target_edges, cap = _edge_budget(n, avg_degree)
     label_of = labels.tolist()
     pools = [m.tolist() for m in members]
     draws = _Pcg64Draws(rng)
@@ -298,7 +304,7 @@ def synth(n: int, c: int, d: int, homophily: float, avg_degree: float,
     attempts = 0
     while len(pairs) < target_edges:
         attempts += 1
-        if attempts > 200 * target_edges + 1000:
+        if attempts > cap:
             raise RuntimeError("synth: edge sampling failed to place the requested edges")
         u = draws.integers(n)
         lab = label_of[u]

@@ -358,30 +358,26 @@ def train(pairset: PairSet, features: np.ndarray, cfg: TrainConfig = TrainConfig
     return clf
 
 
-def _score_embedded(clf: EdgeClassifier, emb: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Probabilities of pairs of projected nodes (rows of ``emb``), computed
-    ``SCORE_BLOCK`` pairs at a time so memory does not grow with the pair count."""
-    out = np.empty(u.shape[0])
-    for start in range(0, u.shape[0], SCORE_BLOCK):
-        stop = start + SCORE_BLOCK
-        logits, _ = _head(clf, emb[u[start:stop]], emb[v[start:stop]])
-        out[start:stop] = _sigmoid(logits)
-    return out
-
-
 def score_pairs(clf: EdgeClassifier, features: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Probability that each pair ``(u[i], v[i])`` is same-label; symmetric
-    in ``u`` and ``v``. Projects every node once, then scores in blocks."""
-    return _score_embedded(clf, np.asarray(features) @ clf.proj, np.asarray(u), np.asarray(v))
+    in ``u`` and ``v``. The one-call form of :func:`make_scorer`."""
+    return make_scorer(clf, features)(u, v)
 
 
 def make_scorer(clf: EdgeClassifier, features: np.ndarray):
     """Adapt a classifier to the vectorized pair-scorer callable; every node
-    is projected once, here, not on each call."""
+    is projected once, here, not on each call. The scorer runs the head over
+    ``SCORE_BLOCK`` pairs at a time so memory does not grow with the pair count."""
     emb = np.asarray(features, dtype=np.float64) @ clf.proj
 
     def scorer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return _score_embedded(clf, emb, np.asarray(u), np.asarray(v))
+        u, v = np.asarray(u), np.asarray(v)
+        out = np.empty(u.shape[0])
+        for start in range(0, u.shape[0], SCORE_BLOCK):
+            stop = start + SCORE_BLOCK
+            logits, _ = _head(clf, emb[u[start:stop]], emb[v[start:stop]])
+            out[start:stop] = _sigmoid(logits)
+        return out
 
     return scorer
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_array, eye_array
@@ -73,18 +74,26 @@ class Graph:
         if add_self_loops:
             loops = np.arange(num_nodes, dtype=np.int64)
             pairs = np.concatenate([pairs, np.stack([loops, loops], axis=1)], axis=0)
-        if pairs.size:
-            order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-            pairs = pairs[order]
-            keep = np.ones(pairs.shape[0], dtype=bool)
-            keep[1:] = np.any(pairs[1:] != pairs[:-1], axis=1)
-            pairs = pairs[keep]
-        counts = np.bincount(pairs[:, 0], minlength=num_nodes) if pairs.size else np.zeros(num_nodes, dtype=np.int64)
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        pairs = pairs[order]
+        keep = np.ones(pairs.shape[0], dtype=bool)
+        keep[1:] = np.any(pairs[1:] != pairs[:-1], axis=1)
+        pairs = pairs[keep]
+        return cls.from_sorted(num_nodes, pairs[:, 0], pairs[:, 1])
+
+    @classmethod
+    def from_sorted(cls, num_nodes: int, sources: np.ndarray, targets: np.ndarray) -> "Graph":
+        """The graph of directed edges already sorted by (source, target), without repeats."""
         offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        targets = pairs[:, 1] if pairs.size else np.zeros(0, dtype=np.int64)
-        loops = int(np.count_nonzero(pairs[:, 0] == pairs[:, 1])) if pairs.size else 0
+        np.cumsum(np.bincount(sources, minlength=num_nodes), out=offsets[1:])
+        loops = int(np.count_nonzero(sources == targets))
         return cls(num_nodes, offsets, targets, has_self_loops=loops == num_nodes)
+
+    @cached_property
+    def adjacency(self) -> csr_array:
+        """The unweighted adjacency as a scipy ``csr_array``, built on first use and kept."""
+        n = self.num_nodes
+        return csr_array((np.ones(self.num_edges), self.col_targets, self.row_offsets), shape=(n, n))
 
     @property
     def num_edges(self) -> int:
@@ -93,9 +102,6 @@ class Graph:
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.col_targets[self.row_offsets[v]:self.row_offsets[v + 1]]
-
-    def degree(self, v: int) -> int:
-        return int(self.row_offsets[v + 1] - self.row_offsets[v])
 
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.row_offsets)
@@ -113,11 +119,6 @@ class Graph:
     def edge_array(self) -> np.ndarray:
         """All directed edges as an ``(E, 2)`` array in CSR order."""
         return np.stack([self.edge_sources(), self.col_targets], axis=1)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
-        i = np.searchsorted(row, v)
-        return bool(i < row.shape[0] and row[i] == v)
 
 
 @dataclass(frozen=True)

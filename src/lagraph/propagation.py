@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .graph import Graph, NodeTable
 
@@ -41,9 +40,7 @@ def _check_inputs(g: Graph, x: np.ndarray) -> np.ndarray:
 
 def gather_sum(g: Graph, x: np.ndarray) -> np.ndarray:
     """Row v of the result sums ``x`` over the targets of v."""
-    n = g.num_nodes
-    adjacency = csr_array((np.ones(g.num_edges), g.col_targets, g.row_offsets), shape=(n, n))
-    return adjacency @ x
+    return g.adjacency @ x
 
 
 def transpose(g: Graph) -> Graph:

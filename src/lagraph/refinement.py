@@ -90,13 +90,6 @@ def _degree_hist(g: Graph) -> list[int]:
     return np.bincount(degs).tolist() if degs.size else []
 
 
-def _sorted_graph(n: int, sources: np.ndarray, targets: np.ndarray) -> Graph:
-    """The graph of directed edges already sorted by (source, target), without repeats."""
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(sources, minlength=n), out=offsets[1:])
-    return Graph(n, offsets, targets, has_self_loops=int(np.count_nonzero(sources == targets)) == n)
-
-
 def filter_edges(g: Graph, scorer: PairScorer, threshold: float) -> tuple[Graph, RefinementReport]:
     """Drop non-self edges whose unordered pair scores under ``threshold``."""
     edges = g.edge_array()
@@ -107,7 +100,7 @@ def filter_edges(g: Graph, scorer: PairScorer, threshold: float) -> tuple[Graph,
         if scores.shape != pu.shape:
             raise ValueError("scorer must return one score per pair")
         keep[nonself] = (scores >= threshold)[inverse]
-    refined = _sorted_graph(g.num_nodes, edges[keep, 0], edges[keep, 1])
+    refined = Graph.from_sorted(g.num_nodes, edges[keep, 0], edges[keep, 1])
     report = RefinementReport(
         edges_before=g.num_edges,
         edges_removed=int(np.count_nonzero(~keep)),
@@ -164,7 +157,7 @@ def add_edges(g: Graph, scorer: PairScorer, n_max: int, threshold: float) -> tup
     keys = np.sort(np.concatenate([g.edge_sources() * n + g.col_targets,
                                    arr[:, 0] * n + arr[:, 1], arr[:, 1] * n + arr[:, 0]]))
     keys = keys[np.diff(keys, prepend=-1) != 0]
-    refined = _sorted_graph(n, keys // n, keys % n)
+    refined = Graph.from_sorted(n, keys // n, keys % n)
     report = RefinementReport(
         edges_before=g.num_edges,
         edges_removed=0,

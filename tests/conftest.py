@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from lagraph import Graph, NodeTable, PairSet, two_hop_candidates
 from lagraph.graph import SPLIT_CODES
@@ -51,6 +52,12 @@ def dense_adjacency(g):
     for v in range(g.num_nodes):
         a[v, g.neighbors(v)] = 1.0
     return a
+
+
+def reference_gather_sum(g, x):
+    """``gather_sum`` with a new ``csr_array`` built from the CSR arrays on every call."""
+    n = g.num_nodes
+    return csr_array((np.ones(g.num_edges), g.col_targets, g.row_offsets), shape=(n, n)) @ x
 
 
 def path_graph(n):

@@ -382,6 +382,7 @@ class TestErrorExits:
     @pytest.mark.parametrize("dataset, target, allowed", [
         ({"n": 2000, "c": 1000, "homophily": 1.0, "avg_degree": 8.0}, 8000, 1000),
         ({"n": 100, "c": 1, "homophily": 0.0}, 300, 0),
+        ({"n": 2000, "c": 1, "homophily": 1e-9, "avg_degree": 8.0}, 8000, 0),
     ])
     def test_infeasible_homophily_exits_2_before_any_arm(self, tmp_path, capsys, command,
                                                          dataset, target, allowed):

@@ -1,6 +1,7 @@
 """TSV loading and saving, the synthetic generator, and graph degradation."""
 
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ class TestLoad:
 
     def test_directed_mode(self, dataset):
         g, _ = load(*dataset, undirected=False)
-        assert g.has_edge(0, 1) and not g.has_edge(1, 0)
+        assert 1 in g.neighbors(0) and 0 not in g.neighbors(1)
 
     def test_explicit_num_classes(self, dataset):
         _, t = load(*dataset, num_classes=5)
@@ -215,6 +216,10 @@ class TestSynth:
         dict(c=20, homophily=1.0), dict(c=1, homophily=0.0),
         dict(homophily=0.0, avg_degree=10.5), dict(homophily=1.0, avg_degree=9.5),
         dict(n=2000, c=1000, homophily=1.0, avg_degree=8.0),
+        # too few same-class draws expected in the attempt cap
+        dict(n=2000, c=1, homophily=1e-9, avg_degree=8.0),
+        dict(n=200, c=1, homophily=0.004, avg_degree=8.0),
+        dict(n=200, c=200, homophily=1.0 - 1e-9, avg_degree=8.0),
     ])
     def test_validation(self, kw):
         base = dict(n=20, c=2, d=3, homophily=0.5, avg_degree=3.0, feature_sep=1.0, seed=0)
@@ -227,6 +232,25 @@ class TestSynth:
             check_synth_args(n=2000, c=1000, d=2, homophily=1.0, avg_degree=8.0, feature_sep=1.0)
         with pytest.raises(ValueError, match="edge target 21 exceeds the 20 cross-class pairs"):
             check_synth_args(n=9, c=2, d=2, homophily=0.0, avg_degree=14 / 3, feature_sep=1.0)
+
+    def test_unlikely_homophily_names_the_expected_draws(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="edge target 8000 exceeds the 0 cross-class pairs by 8000, "
+                                             "which need same-class draws; homophily 1e-09 expects "
+                                             "0.001601 of those in the generator's 1601000 attempts"):
+            synth(n=2000, c=1, d=2, homophily=1e-9, avg_degree=8.0, feature_sep=1.0, seed=0)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("n, homophily", [(2000, 0.4), (200, 0.01)])
+    def test_one_class_builds_at_a_reachable_homophily(self, n, homophily):
+        args = dict(n=n, c=1, d=2, homophily=homophily, avg_degree=8.0, feature_sep=1.0, seed=0)
+        g, t = synth(**args)
+        g_ref, t_ref = reference_synth(**args)
+        assert g.nonself_degrees().sum() == 8 * n
+        assert np.array_equal(g.row_offsets, g_ref.row_offsets)
+        assert np.array_equal(g.col_targets, g_ref.col_targets)
+        assert np.array_equal(t.features.view(np.uint64), t_ref.features.view(np.uint64))
+        assert np.array_equal(t.split, t_ref.split)
 
     @pytest.mark.parametrize("homophily, avg_degree", [(0.0, 10.0), (1.0, 9.0)])
     def test_homophily_extremes_fill_every_allowed_pair(self, homophily, avg_degree):

@@ -15,6 +15,7 @@ from lagraph import (
     sgc_fit,
     synth,
 )
+import lagraph.graph as graph
 import lagraph.models as models
 import lagraph.propagation as propagation
 from lagraph.models import _uniform_init, gcn_forward, gcn_loss_and_grad, sgc_loss_and_grad
@@ -276,6 +277,20 @@ class TestGcnFitPreparesOnce:
             monkeypatch.setattr(module, name, counted)
         gcn_fit(g, t, FitConfig(learning_rate=0.05, epochs=7))
         assert calls == {"transpose": 1, "gcn_loss_and_grad": 7}
+
+    def test_one_csr_for_the_graph_and_one_for_its_transpose(self, monkeypatch):
+        g, t = self.problem()
+        built = []
+        original = graph.csr_array
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(graph, "csr_array", counted)
+        gcn_fit(g, t, FitConfig(learning_rate=0.05, epochs=7))
+        assert len(built) == 2
+        assert "adjacency" in vars(g)
 
     def test_predict_builds_no_transpose(self, monkeypatch):
         g, t = self.problem()

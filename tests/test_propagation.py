@@ -16,7 +16,7 @@ from lagraph import (
 )
 from lagraph.propagation import aggregation, gather_sum
 
-from conftest import dense_adjacency, undirected_graph
+from conftest import dense_adjacency, reference_gather_sum, undirected_graph
 
 
 def random_graph(rng, n, extra_edges):
@@ -83,6 +83,14 @@ class TestPropagate:
         g = random_graph(rng, 12, 20)
         x = rng.normal(size=(12, 2))
         assert np.allclose(gather_sum(g, x), dense_adjacency(g) @ x, atol=1e-12)
+
+    @pytest.mark.parametrize("n, extra, width", [(1, 0, 1), (12, 20, 2), (60, 400, 7)])
+    def test_gather_sum_equals_a_per_call_csr_product(self, rng, n, extra, width):
+        g = random_graph(rng, n, extra)
+        for gg in (g, transpose(g)):
+            for _ in range(2):  # the second call reads the cached view
+                x = rng.normal(size=(n, width))
+                assert np.array_equal(gather_sum(gg, x), reference_gather_sum(gg, x))
 
     def test_single_node(self):
         g = Graph.from_edges(1, np.zeros((0, 2), dtype=np.int64))
