@@ -411,7 +411,6 @@ class _ArmRunner:
 
     def finalize(self) -> int:
         out_dir = self.cfg.output_dir
-        os.makedirs(out_dir, exist_ok=True)
         rows = append_summary_rows(self.rows)
         metrics_path = os.path.join(out_dir, f"{self.experiment}.csv")
         write_csv(metrics_path, METRICS_HEADER, rows)
@@ -476,7 +475,6 @@ def _run_experiment(cfg: ExperimentConfig, experiment: str, arm_names, make_arms
                 metrics = _fit_metrics(refined, t, cfg.model, fit)
                 if cfg.dump_refined:
                     base = os.path.join(cfg.output_dir, f"{experiment}_{arm}_seed{seed}")
-                    os.makedirs(cfg.output_dir, exist_ok=True)
                     data.save(refined, t, base + ".nodes.tsv", base + ".edges.tsv")
                 p_pre = cols["p_pre"]
                 if rcfg.do_add and math.isnan(p_pre):
@@ -486,6 +484,7 @@ def _run_experiment(cfg: ExperimentConfig, experiment: str, arm_names, make_arms
 
             runner.run(arm, seed, refined_arm)
 
+    os.makedirs(cfg.output_dir, exist_ok=True)  # an unusable directory fails before any seed runs
     for seed in cfg.seeds:
         run_seed(seed)
     code = runner.finalize()
@@ -493,8 +492,8 @@ def _run_experiment(cfg: ExperimentConfig, experiment: str, arm_names, make_arms
 
 
 def _check_filter_scorer(cfg: ExperimentConfig) -> None:
-    """Reject an add-mode oracle for a run whose arms filter: it scores one
-    candidate pool at a time and cannot score the edges of the graph."""
+    """Reject an add-mode oracle for a run whose arms filter: it ranks pools
+    only through ``add_edges`` and cannot score the edges of the graph."""
     if cfg.scorer["kind"] == "oracle" and cfg.scorer["mode"] == "add":
         raise ConfigError("scorer: an add-mode oracle cannot score the filter stage")
 
@@ -701,7 +700,7 @@ def main(argv=None) -> int:
         return 2
     try:
         result = runs[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {_describe(exc)}", file=sys.stderr)
         return 2
     # theory and synth return the exit code, the experiments (rows, exit code)

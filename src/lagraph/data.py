@@ -169,18 +169,35 @@ def check_synth_args(n: int, c: int, d: int, homophily: float, avg_degree: float
         raise ValueError("feature_sep must be non-negative")
     # An attempt draws a same-class partner with probability ``homophily``, else
     # a cross-class one. Edges beyond the pairs of one kind need draws of the
-    # other, and the attempt cap must be expected to make that many of them.
+    # other. The draws of that kind expected within the attempt cap must exceed
+    # the draws that placing them takes on average by four standard deviations
+    # of the difference (binomial draw count, geometric waits).
     small, big = divmod(n, c)  # balanced classes: n % c of them hold one node more
     same = (c - big) * (small * (small - 1) // 2) + big * (small * (small + 1) // 2)
     cross = n * (n - 1) // 2 - same
     target, cap = _edge_budget(n, avg_degree)
-    for kind, chance, other, other_pairs in (("same-class", homophily, "cross-class", cross),
-                                             ("cross-class", 1.0 - homophily, "same-class", same)):
+    for kind, chance, pairs, other, other_pairs in (
+            ("same-class", homophily, same, "cross-class", cross),
+            ("cross-class", 1.0 - homophily, cross, "same-class", same)):
         needed = target - other_pairs
-        if chance * cap < needed:
+        if needed <= 0:
+            continue
+        # coupon collector: with i pairs of the kind placed, a draw of the kind
+        # places a new one with chance p (a same-class draw is its own node with
+        # chance c / n), so it takes a geometric number of draws, mean 1 / p
+        keep = 1.0 - c / n if kind == "same-class" else 1.0
+        mean = var = 0.0
+        for i in range(needed):
+            p = keep * (pairs - i) / pairs
+            mean += 1.0 / p
+            var += (1.0 - p) / (p * p)
+        expected = chance * cap
+        if expected - mean < 4.0 * math.sqrt(expected * (1.0 - chance) + var):
             raise ValueError(f"edge target {target} exceeds the {other_pairs} {other} pairs by {needed}, "
                              f"which need {kind} draws; homophily {homophily:g} expects "
-                             f"{chance * cap:.4g} of those in the generator's {cap} attempts")
+                             f"{expected:.4g} of those in the generator's {cap} attempts, against "
+                             f"{mean:.4g} on average to place them (self partners and repeated "
+                             f"pairs included) plus four standard deviations")
 
 
 def _edge_budget(n: int, avg_degree: float) -> tuple[int, int]:

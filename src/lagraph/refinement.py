@@ -321,7 +321,7 @@ class OracleClassifier:
                 raise ValueError(f"{name} must lie in [0, 1]")
 
 
-def _quota_walk(queue: list[int], num_same: int, p_pre: float, steps: int, skip=frozenset()) -> list[int]:
+def _quota_walk(queue: list[int], num_same: int, p_pre: float, steps: int, skip: set[int]) -> list[int]:
     """The first ``steps`` picks of the add-mode oracle's ranking of one pool.
 
     ``queue`` holds the pool's ``num_same`` same-label entries, then the
@@ -378,7 +378,12 @@ class _AddQueue:
         return self.graph is g and self.labels is labels and self.seed == seed
 
     def ranker(self, p_pre: float, threshold: float):
-        """The ``rank(v, excluded, budget)`` of one ``add_edges`` pass."""
+        """The ``rank(v, excluded, budget)`` of one ``add_edges`` pass.
+
+        Step ``r`` of a pool of ``n`` kept candidates scores
+        ``1 - (r + 1) / (2 (n + 1))``, in (0.5, 1), and the pass stops at
+        the first step that scores under ``threshold``.
+        """
         indptr, num_same, queue = self.indptr.tolist(), self.num_same.tolist(), self.queue
 
         def rank(v: int, excluded: list[int], budget: int) -> list[int]:
@@ -398,10 +403,10 @@ class _AddQueue:
 def oracle_scorer(t: NodeTable, oc: OracleClassifier, _shared: dict | None = None) -> PairScorer:
     """Build the pair scorer for an :class:`OracleClassifier`.
 
-    An add-mode scorer ranks a pool on a direct call, and through its
-    ``walk`` attribute it ranks ``add_edges`` passes from one sorted queue
-    per graph (see :class:`_AddQueue`). Add-mode scorers built with one
-    ``_shared`` dict, for the same table and seed, share that queue: the
+    An add-mode scorer ranks pools only through its ``walk`` attribute,
+    which ranks ``add_edges`` passes from one sorted queue per graph (see
+    :class:`_AddQueue`); a direct call raises. Add-mode scorers built with
+    one ``_shared`` dict, for the same table and seed, share that queue: the
     first pass on a graph leaves it there for the others.
     """
     if not t.known_mask().all():
@@ -422,20 +427,7 @@ def oracle_scorer(t: NodeTable, oc: OracleClassifier, _shared: dict | None = Non
         return scorer
 
     def scorer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        n = v.shape[0]
-        if n == 0:
-            return np.zeros(0, dtype=np.float64)
-        if np.any(u != u[0]):
-            raise ValueError("add-mode oracle scores one candidate pool at a time")
-        same = labels[v] == labels[u[0]]
-        queues = np.lexsort((unit_uniform(oc.seed, u, v), ~same))  # same-label queue, then different-label queue
-        # step r -> score in (0.5, 1]; every candidate clears a 0.5 threshold
-        scores = np.empty(n, dtype=np.float64)
-        scores[_quota_walk(queues.tolist(), int(np.count_nonzero(same)), oc.target_p_pre, n)] = (
-            1.0 - (np.arange(n, dtype=np.float64) + 1.0) / (2.0 * (n + 1.0)))
-        return scores
+        raise ValueError("the add-mode oracle ranks pools only through add_edges")
 
     def walk(g: Graph, threshold: float):
         store = {} if _shared is None else _shared

@@ -7,9 +7,16 @@ import pytest
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
-from lagraph import Graph, NodeTable, PairSet, two_hop_candidates
-from lagraph.graph import SPLIT_CODES
-from lagraph.edge_classifier import ONE_HOP, SAMPLED, TWO_HOP, _forward, _sample_pairs, _sigmoid
+from lagraph.graph import SPLIT_CODES, Graph, NodeTable, two_hop_candidates
+from lagraph.edge_classifier import (
+    ONE_HOP,
+    SAMPLED,
+    TWO_HOP,
+    PairSet,
+    _forward,
+    _sample_pairs,
+    _sigmoid,
+)
 from lagraph.hashing import unit_uniform
 
 

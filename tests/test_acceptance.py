@@ -18,22 +18,19 @@ import pytest
 import scipy
 from scipy import stats
 
-from lagraph import (
+from lagraph.cli import config_from_dict, run_ablation, run_oracle_sweep, run_pipeline, run_theory
+from lagraph.edge_classifier import PairSet, TrainConfig, init_classifier, loss_and_grad, pair_weights
+from lagraph.graph import NodeTable
+from lagraph.models import GcnModel, SgcModel, gcn_loss_and_grad, sgc_loss_and_grad
+from lagraph.theory import (
     GaussianMixtureParams,
-    GcnModel,
     NeighborhoodSpec,
-    NodeTable,
-    PairSet,
-    SgcModel,
     check_propositions,
     e_add,
     e_filter,
     e_origin,
     mc_aggregate,
 )
-from lagraph.cli import config_from_dict, run_ablation, run_oracle_sweep, run_pipeline, run_theory
-from lagraph.edge_classifier import TrainConfig, init_classifier, loss_and_grad, pair_weights
-from lagraph.models import gcn_loss_and_grad, sgc_loss_and_grad
 
 from conftest import (
     assert_gradients_match,

@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 
 import lagraph.cli as cli
-from lagraph import Graph, NodeTable, build_pairs, filter_edges, load, refinement
-from lagraph.edge_classifier import loss_and_grad, pair_weights
+from lagraph import refinement
+from lagraph.data import load
+from lagraph.edge_classifier import build_pairs, loss_and_grad, pair_weights
+from lagraph.graph import Graph, NodeTable
+from lagraph.refinement import filter_edges
 from lagraph.cli import (
     DEFAULT_CONFIG,
     METRICS_HEADER,
@@ -383,6 +386,9 @@ class TestErrorExits:
         ({"n": 2000, "c": 1000, "homophily": 1.0, "avg_degree": 8.0}, 8000, 1000),
         ({"n": 100, "c": 1, "homophily": 0.0}, 300, 0),
         ({"n": 2000, "c": 1, "homophily": 1e-9, "avg_degree": 8.0}, 8000, 0),
+        # expects barely as many same-class draws as edges: self partners and repeats leave it short
+        ({"n": 3, "c": 1, "homophily": 1.0001 * 3 / 1600, "avg_degree": 8.0}, 3, 0),
+        ({"n": 50, "c": 1, "homophily": 1.0001 * 200 / 41000, "avg_degree": 8.0}, 200, 0),
     ])
     def test_infeasible_homophily_exits_2_before_any_arm(self, tmp_path, capsys, command,
                                                          dataset, target, allowed):
@@ -403,6 +409,18 @@ class TestErrorExits:
         assert main([command, "--config", cfg_path, "--output-dir", str(out)]) == 2
         assert "add-mode oracle" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "ablation", "sweep", "synth"])
+    def test_output_dir_under_a_file_exits_2_before_any_seed(self, tmp_path, capsys, monkeypatch, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        loads = []
+        monkeypatch.setattr(cli, "_load_dataset", lambda *args: loads.append(args))
+        cfg_path = write_json(tmp_path, fast_config())
+        assert main([command, "--config", cfg_path, "--output-dir", str(blocker / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert loads == []
 
     def test_add_oracle_without_filter_runs(self, tmp_path):
         raw = fast_config(scorer={"kind": "oracle", "mode": "add"},

@@ -8,8 +8,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lagraph import DataFormatError, degrade, load, positive_ratio, save, synth
-from lagraph.data import _Pcg64Draws, check_synth_args, l1_normalize
+from lagraph.data import (
+    DataFormatError,
+    _edge_budget,
+    _Pcg64Draws,
+    check_synth_args,
+    degrade,
+    l1_normalize,
+    load,
+    save,
+    synth,
+)
+from lagraph.graph import NodeTable, positive_ratio
 
 from conftest import reference_synth
 
@@ -241,6 +251,30 @@ class TestSynth:
             synth(n=2000, c=1, d=2, homophily=1e-9, avg_degree=8.0, feature_sep=1.0, seed=0)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("n", [3, 50])
+    def test_one_class_near_the_rule_builds_on_every_seed_or_is_refused(self, n):
+        """A config just above the feasibility bound builds on seeds 0-9; one
+        that only expects as many same-class draws as edges is refused, as the
+        draws lost to self partners and repeated pairs leave it short."""
+        args = dict(n=n, c=1, d=2, avg_degree=8.0, feature_sep=1.0)
+
+        def feasible(homophily):
+            try:
+                check_synth_args(homophily=homophily, **args)
+            except ValueError:
+                return False
+            return True
+
+        target, cap = _edge_budget(n, 8.0)
+        assert not feasible(1.0001 * target / cap)
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = (lo + hi) / 2.0
+            lo, hi = (lo, mid) if feasible(mid) else (mid, hi)
+        for seed in range(10):
+            g, _ = synth(homophily=hi, seed=seed, **args)
+            assert g.nonself_degrees().sum() == 2 * target
+
     @pytest.mark.parametrize("n, homophily", [(2000, 0.4), (200, 0.01)])
     def test_one_class_builds_at_a_reachable_homophily(self, n, homophily):
         args = dict(n=n, c=1, d=2, homophily=homophily, avg_degree=8.0, feature_sep=1.0, seed=0)
@@ -392,7 +426,6 @@ class TestDegrade:
         t = self.t
         labels = t.labels.copy()
         labels[0] = -1
-        from lagraph import NodeTable
         t2 = NodeTable(features=t.features, labels=labels, num_classes=t.num_classes, split=t.split)
         with pytest.raises(ValueError, match="fully labeled"):
             degrade(self.g, t2, k=1, seed=0)

@@ -9,30 +9,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagraph import (
-    EdgeClassifier,
-    PairSet,
-    TrainConfig,
-    build_pairs,
-    evaluate_quality,
-    holdout_pairs,
-    make_scorer,
-    quality_from_counts,
-    score_pairs,
-    synth,
-    train,
-    two_hop_pools,
-)
 import lagraph.edge_classifier as edge_classifier
+from lagraph.data import synth
 from lagraph.edge_classifier import (
     ONE_HOP,
     SAMPLED,
     TWO_HOP,
+    EdgeClassifier,
+    PairSet,
+    TrainConfig,
     _forward,
+    build_pairs,
+    evaluate_quality,
+    holdout_pairs,
     init_classifier,
     loss_and_grad,
+    make_scorer,
     pair_weights,
+    quality_from_counts,
+    score_pairs,
+    train,
 )
+from lagraph.graph import Graph, NodeTable, two_hop_pools
 
 from conftest import (
     assert_gradients_match,
@@ -94,7 +92,6 @@ class TestBuildPairs:
 
     def test_single_edge_pair(self):
         from conftest import undirected_graph
-        from lagraph import NodeTable
         g = undirected_graph(2, [(0, 1)])
         t = NodeTable(features=np.zeros((2, 2)), labels=np.array([1, 1], dtype=np.int64),
                       num_classes=2, split=np.zeros(2, dtype=np.int8))
@@ -116,7 +113,6 @@ class TestBuildPairs:
 
     def all_train(self):
         # tiny graphs leave too few train-train edges, so put every node in train
-        from lagraph import NodeTable
         g, t = self.graph()
         t = NodeTable(features=t.features, labels=t.labels, num_classes=t.num_classes,
                       split=np.zeros(g.num_nodes, dtype=np.int8))
@@ -152,7 +148,6 @@ class TestBuildPairs:
         assert len(ps) == total  # every train-train pair exactly once
 
     def test_no_pairs_raises(self):
-        from lagraph import Graph, NodeTable
         g = Graph.from_edges(3, np.zeros((0, 2), dtype=np.int64))
         t = NodeTable(features=np.zeros((3, 2)), labels=np.array([0, 1, 0], dtype=np.int64),
                       num_classes=2, split=np.zeros(3, dtype=np.int8))

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagraph import Graph, NodeTable, positive_ratio, two_hop_candidates, two_hop_pools
-from lagraph.graph import SPLIT_CODES
+from lagraph.graph import Graph, NodeTable, positive_ratio, two_hop_candidates, two_hop_pools
 
 from conftest import dense_adjacency, draw_graph, undirected_graph
 

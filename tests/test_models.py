@@ -3,22 +3,24 @@
 import numpy as np
 import pytest
 
-from lagraph import (
-    FitConfig,
-    GcnModel,
-    Graph,
-    NodeTable,
-    SgcModel,
-    accuracy,
-    gcn_fit,
-    predict,
-    sgc_fit,
-    synth,
-)
 import lagraph.graph as graph
 import lagraph.models as models
 import lagraph.propagation as propagation
-from lagraph.models import _uniform_init, gcn_forward, gcn_loss_and_grad, sgc_loss_and_grad
+from lagraph.data import synth
+from lagraph.graph import Graph, NodeTable
+from lagraph.models import (
+    FitConfig,
+    GcnModel,
+    SgcModel,
+    _uniform_init,
+    accuracy,
+    gcn_fit,
+    gcn_forward,
+    gcn_loss_and_grad,
+    predict,
+    sgc_fit,
+    sgc_loss_and_grad,
+)
 from lagraph.propagation import PropagationConfig, propagate
 
 from conftest import (

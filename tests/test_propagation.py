@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagraph import (
+from lagraph.graph import Graph, NodeTable
+from lagraph.propagation import (
     EdgeFeatureConfig,
-    Graph,
-    NodeTable,
     PropagationConfig,
+    aggregation,
     edge_input_features,
+    gather_sum,
     propagate,
     transpose,
 )
-from lagraph.propagation import aggregation, gather_sum
 
 from conftest import dense_adjacency, reference_gather_sum, undirected_graph
 

@@ -10,25 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagraph import (
-    EdgeFeatureConfig,
-    Graph,
-    NodeTable,
+from lagraph import refinement
+from lagraph.data import synth
+from lagraph.edge_classifier import TrainConfig, init_classifier, make_scorer
+from lagraph.graph import Graph, NodeTable, positive_ratio, two_hop_pools
+from lagraph.hashing import unit_uniform
+from lagraph.propagation import EdgeFeatureConfig, edge_input_features
+from lagraph.refinement import (
     OracleClassifier,
     RefinementConfig,
     RefinementReport,
     add_edges,
-    edge_input_features,
     filter_edges,
     oracle_scorer,
-    positive_ratio,
     refine,
-    synth,
-    unit_uniform,
 )
-from lagraph import refinement
-from lagraph.edge_classifier import TrainConfig, init_classifier, make_scorer
-from lagraph.graph import two_hop_pools
 
 from conftest import (
     draw_graph,
@@ -521,14 +517,13 @@ class TestOracleAdd:
     def test_prefix_quota_exact(self):
         """Every prefix of the ranking holds round(p_pre * k) same-label picks."""
         labels = np.concatenate([np.zeros(21, dtype=np.int64),
-                                 np.ones(20, dtype=np.int64)])  # node 0 + 20/20 pool
-        t = NodeTable(features=np.zeros((41, 2)), labels=labels, num_classes=2,
-                      split=np.zeros(41, dtype=np.int8))
+                                 np.ones(21, dtype=np.int64)])  # node 0 + 20/20 pool, hub 41
+        t = NodeTable(features=np.zeros((42, 2)), labels=labels, num_classes=2,
+                      split=np.zeros(42, dtype=np.int8))
+        g = undirected_graph(42, [(0, 41)] + [(41, j) for j in range(1, 41)])
         scorer = oracle_scorer(t, OracleClassifier(mode="add", target_p_pre=0.5, seed=9))
-        v = np.arange(1, 41, dtype=np.int64)
-        scores = scorer(np.zeros(40, dtype=np.int64), v)
-        assert scores.min() > 0.5 and scores.max() <= 1.0
-        ranked = v[np.argsort(-scores)]
+        ranked = scorer.walk(g, 0.5)(0, [], 40)
+        assert sorted(ranked) == list(range(1, 41))  # every step scores above 0.5
         same = (labels[ranked] == labels[0]).cumsum()
         for k in range(1, 41):
             assert same[k - 1] == math.floor(0.5 * k + 0.5)
@@ -567,7 +562,7 @@ class TestOracleAdd:
     def test_add_mode_rejects_mixed_pools(self):
         g, t = synth(n=20, c=2, d=2, homophily=0.5, avg_degree=4.0, feature_sep=1.0, seed=0)
         scorer = oracle_scorer(t, OracleClassifier(mode="add"))
-        with pytest.raises(ValueError, match="one candidate pool"):
+        with pytest.raises(ValueError, match="only through add_edges"):
             scorer(np.array([0, 1]), np.array([2, 3]))
 
 
@@ -585,7 +580,7 @@ def count_unit_uniform(monkeypatch):
 
 
 class TestOracleAddMatchesReference:
-    """The add-mode oracle's scores are those of the per-candidate quota loop."""
+    """The add-mode oracle's walk ranks as the per-candidate quota loop scores."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -608,15 +603,9 @@ class TestOracleAddMatchesReference:
         labels[pool[order[:num_same]]] = 0
         t = NodeTable(features=np.zeros((total + 1, 1)), labels=labels, num_classes=2,
                       split=np.zeros(total + 1, dtype=np.int8))
-        u = np.zeros(n, dtype=np.int64)
         scorer = oracle_scorer(t, oc)
-        got = scorer(u, pool)
-        if n == 0:
-            assert got.shape == (0,)
-            return
         reference = reference_oracle_add_scorer(t, oc)
-        want = reference(u, pool)
-        assert np.array_equal(got, want)
+        want = reference(np.zeros(n, dtype=np.int64), pool) if n else np.zeros(0)
 
         excluded = np.setdiff1d(np.arange(1, total), pool)
         full = np.union1d(pool, excluded[:data.draw(st.integers(0, excluded.size), label="excluded")])
@@ -633,28 +622,13 @@ class TestOracleAddMatchesReference:
         # the pass excludes the pool entries outside `pool`, and a node (the hub) outside the pool
         budget = data.draw(st.integers(1, n + 1), label="budget")
         assert rank(0, np.setdiff1d(full, pool).tolist() + [hub], budget) == ranked(pool, want)[:budget]
-        other = int(full[0])
-        other_pool = np.setdiff1d(np.union1d([0], full), [other])
-        other_scores = reference(np.full(other_pool.size, other), other_pool)
-        assert rank(other, [], other_pool.size) == ranked(other_pool, other_scores)
-        assert np.array_equal(scorer(u, pool), want)
-        ones = np.ones(n, dtype=np.int64)
-        assert np.array_equal(scorer(ones, pool), reference(ones, pool))
-
-    def test_candidate_outside_the_prepared_pool_is_hashed(self):
-        """A direct call ranks the candidates it is given, also after an add
-        pass has left a shared queue in which the node's pool differs."""
-        labels = np.array([0, 0, 1, 0, 1, 1], dtype=np.int64)
-        t = NodeTable(features=np.zeros((6, 1)), labels=labels, num_classes=2,
-                      split=np.zeros(6, dtype=np.int8))
-        oc = OracleClassifier(mode="add", target_p_pre=0.5, seed=4)
-        shared = {}
-        scorer = oracle_scorer(t, oc, _shared=shared)
-        add_edges(undirected_graph(6, [(0, 5), (5, 1), (5, 2)]), scorer, 3, 0.5)  # node 0's pool: 1, 2
-        assert shared
-        v = np.array([1, 2, 3, 4], dtype=np.int64)
-        got = scorer(np.zeros(4, dtype=np.int64), v)
-        assert np.array_equal(got, reference_oracle_add_scorer(t, oc)(np.zeros(4, dtype=np.int64), v))
+        # at threshold 0.5 every step is kept: the whole pool in descending score
+        assert scorer.walk(g, 0.5)(0, np.setdiff1d(full, pool).tolist(), n) == pool[np.argsort(-want)].tolist()
+        if full.size:
+            other = int(full[0])
+            other_pool = np.setdiff1d(np.union1d([0], full), [other])
+            other_scores = reference(np.full(other_pool.size, other), other_pool)
+            assert rank(other, [], other_pool.size) == ranked(other_pool, other_scores)
 
     def test_a_shared_queue_serves_only_its_graph_and_seed(self, monkeypatch):
         g, t = synth(n=300, c=3, d=2, homophily=0.5, avg_degree=3.0, feature_sep=1.0, seed=6)

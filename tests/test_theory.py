@@ -14,21 +14,24 @@ from scipy.special import ndtri
 import lagraph.cli as cli
 import lagraph.theory as theory
 
-from lagraph import (
+from lagraph.cli import config_from_dict, run_theory
+from lagraph.hashing import unit_uniform
+from lagraph.theory import (
+    MC_BLOCK_ROWS,
     GaussianMixtureParams,
+    McArm,
     McResult,
     NeighborhoodSpec,
     PropositionGrid,
     PropositionReport,
+    SharedPass,
+    _simulate,
     check_propositions,
     e_add,
     e_filter,
     e_origin,
     mc_aggregate,
 )
-from lagraph.cli import config_from_dict, run_theory
-from lagraph.hashing import unit_uniform
-from lagraph.theory import MC_BLOCK_ROWS, McArm, SharedPass, _simulate
 
 GM = GaussianMixtureParams(mu_plus=1.0, mu_minus=-1.0, sigma2=1.0, tau=0.0)
 SPEC = NeighborhoodSpec(n_plus=3, n_minus=2)

@@ -5,6 +5,7 @@ that drops or renames one breaks traced benchmark runs only. This test loads
 the tracer's target list and resolves each entry.
 """
 
+import ast
 import importlib.util
 import math
 import sys
@@ -12,19 +13,16 @@ from pathlib import Path
 
 import numpy as np
 
-from lagraph import (
-    EdgeFeatureConfig,
-    OracleClassifier,
-    add_edges,
-    edge_input_features,
-    oracle_scorer,
-    refinement,
-    synth,
-)
+import lagraph
+from lagraph import refinement
+from lagraph.data import synth
 from lagraph.edge_classifier import TrainConfig, init_classifier, make_scorer
 from lagraph.graph import two_hop_pools
+from lagraph.propagation import EdgeFeatureConfig, edge_input_features
+from lagraph.refinement import OracleClassifier, add_edges, oracle_scorer
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS_PATH = PERFBENCH / "spans.py"
 
 
 def load_spans():
@@ -100,3 +98,18 @@ def test_wrapped_trained_scorer_spans_count_the_scored_entries():
     assert sum(s[spans.COUNTS]["pairs"] for s in scored) == entries
     _, unwrapped = add_edges(g, make_scorer(clf, features), 10, 0.497)
     assert rep.edges_added > 0 and np.array_equal(rep.added_pairs, unwrapped.added_pairs)
+
+
+def test_perfbench_package_imports_resolve():
+    """Every ``from lagraph import X`` under ``perfbench/`` names a package
+    attribute or a submodule, so trimming ``lagraph/__init__.py`` cannot
+    break the benchmark's own tests."""
+    imported = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "lagraph" and node.level == 0:
+                imported += [(path.name, alias.name) for alias in node.names]
+    assert ("test_bench.py", "PairSet") in imported
+    missing = [(name, attr) for name, attr in imported
+               if not hasattr(lagraph, attr) and importlib.util.find_spec(f"lagraph.{attr}") is None]
+    assert missing == []
