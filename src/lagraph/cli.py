@@ -33,6 +33,7 @@ from .edge_classifier import (
     build_pairs,
     evaluate_quality,
     holdout_pairs,
+    pair_quality,
     train,
 )
 from .graph import Graph, NodeTable, positive_ratio, unordered_pairs
@@ -113,8 +114,8 @@ def _merge(defaults, override, path="config"):
 def _coerce(kind, value):
     """The one coercion rule for typed config values: a bool takes a JSON
     boolean or 0/1, an int rejects a boolean and a fractional part, a float
-    rejects a boolean, a float or a tuple of ints converts, and any other type
-    passes through."""
+    rejects a boolean and a non-finite value (JSON's NaN and Infinity), a float
+    or a tuple of ints converts, and any other type passes through."""
     if kind is bool:
         if value not in (0, 1):  # False == 0 and True == 1
             raise ValueError(f"expected true, false, 0 or 1, got {value!r}")
@@ -126,7 +127,9 @@ def _coerce(kind, value):
     if kind is float:
         if isinstance(value, bool):
             raise ValueError(f"expected a number, got {value!r}")
-        return float(value)
+        if not math.isfinite(value := float(value)):
+            raise ValueError(f"expected a finite number, got {value!r}")
+        return value
     if kind == tuple[int, ...]:
         return tuple(_coerce(int, v) for v in value)
     return value
@@ -223,6 +226,8 @@ def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> Experimen
         raise ConfigError("seeds must be non-negative")
     if scalars["degrade_k"] < 0:
         raise ConfigError("degrade_k must be >= 0")
+    if ds["kind"] == "synth" and scalars["degrade_k"] > (others := ds["n"] - -(-ds["n"] // ds["c"])):
+        raise ConfigError(f"degrade_k must be <= {others}, the different-label nodes of the largest class")
     if scalars["theory_trials"] < 2:
         raise ConfigError("theory_trials must be >= 2")
     sections = {name: _typed(cls, resolved[name], name) for name, cls in
@@ -322,37 +327,25 @@ def _fit_metrics(g: Graph, t: NodeTable, model_cfg: dict, fit: FitConfig) -> dic
     return {f"acc_{split}": accuracy(pred, t, split) for split in ("train", "val", "test")}
 
 
-def _realized_filter_quality(g: Graph, t: NodeTable, scorer, threshold: float) -> tuple[float, float]:
-    """Realized (p, q) of a scorer over the graph's non-self unordered edges,
-    the pairs ``filter_edges`` scores."""
-    u, v, _, _ = unordered_pairs(g.edge_array(), g.num_nodes)
-    known = t.known_mask()
-    ok = known[u] & known[v]
-    u, v = u[ok], v[ok]
-    if u.size == 0:
-        return float("nan"), float("nan")
-    pred = np.asarray(scorer(u, v)) >= threshold
-    same = t.labels[u] == t.labels[v]
-    p = float(pred[same].mean()) if np.any(same) else float("nan")
-    q = float(pred[~same].mean()) if np.any(~same) else float("nan")
-    return p, q
-
-
 def _oracle(g: Graph, t: NodeTable, oc: OracleClassifier, threshold: float, shared: dict | None = None):
-    """Oracle pair scorer plus its quality columns: the realized (p, q) in
-    filter mode, all NaN in add mode (p_pre comes from the refinement report).
-    Add-mode scorers given one ``shared`` dict share one sorted queue per graph."""
+    """Oracle pair scorer plus its quality columns: in filter mode the (p, q)
+    it realizes at ``threshold`` over the pairs ``filter_edges`` scores, all
+    NaN in add mode (p_pre comes from the refinement report). Add-mode
+    scorers given one ``shared`` dict share one sorted queue per graph."""
     scorer = oracle_scorer(t, oc, _shared=shared)
-    p = q = float("nan")
+    cols = {"p": float("nan"), "q": float("nan"), "p_pre": float("nan")}
     if oc.mode == "filter":
-        p, q = _realized_filter_quality(g, t, scorer, threshold)
-    return scorer, {"p": p, "q": q, "p_pre": float("nan")}
+        u, v, _, _ = unordered_pairs(g.edge_array(), g.num_nodes)
+        quality = pair_quality(scorer(u, v) >= threshold, t.labels[u] == t.labels[v])
+        cols.update(p=quality.p, q=quality.q)
+    return scorer, cols
 
 
 def _scorer_for_seed(cfg: ExperimentConfig, g: Graph, t: NodeTable, seed: int):
     """The configured scorer as ``(scorer_or_classifier, features, quality_cols)``.
 
-    A trained scorer reports its held-out p/q/p_pre; features are None for
+    A trained scorer reports its held-out p/q/p_pre, counted at
+    ``refinement.threshold`` like every other rate; features are None for
     oracles, which read labels instead.
     """
     if cfg.scorer["kind"] == "oracle":
@@ -362,7 +355,8 @@ def _scorer_for_seed(cfg: ExperimentConfig, g: Graph, t: NodeTable, seed: int):
     tc = dataclasses.replace(cfg.edge_classifier, seed=seed)
     features = edge_input_features(g, t, cfg.edge_features)
     clf = train(build_pairs(g, t, tc), features, tc)
-    quality = evaluate_quality(clf, holdout_pairs(g, t, tc.include_two_hop), features)
+    quality = evaluate_quality(clf, holdout_pairs(g, t, tc.include_two_hop), features,
+                               cfg.refinement.threshold)
     return clf, features, {"p": quality.p, "q": quality.q, "p_pre": quality.p_pre}
 
 
@@ -382,53 +376,6 @@ def _row(experiment, arm, seed, cfg, ratio_before, ratio_after, quality_cols, me
     return row
 
 
-class _ArmRunner:
-    """Collects rows, timings, reports, training curves, and failures across arms."""
-
-    def __init__(self, cfg: ExperimentConfig, experiment: str):
-        self.cfg = cfg
-        self.experiment = experiment
-        self.rows: list[dict] = []
-        self.timings: list[dict] = []
-        self.reports: dict[str, dict] = {}
-        self.training: dict[str, dict] = {}
-        self.failures: list[str] = []
-
-    def fail(self, arm: str, seed: int, exc: Exception) -> None:
-        self.failures.append(f"{self.experiment}/{arm}/seed{seed}: {_describe(exc)}")
-
-    def run(self, arm: str, seed: int, fn) -> None:
-        start = time.perf_counter()
-        try:
-            row = fn()
-        except Exception as exc:  # noqa: BLE001 - arm failures are enumerated
-            self.fail(arm, seed, exc)
-            return
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        self.rows.append(row)
-        self.timings.append({"experiment": self.experiment, "arm": arm, "seed": str(seed),
-                             "wall_ms": wall_ms, "config_hash": self.cfg.config_hash})
-
-    def finalize(self) -> int:
-        out_dir = self.cfg.output_dir
-        rows = append_summary_rows(self.rows)
-        metrics_path = os.path.join(out_dir, f"{self.experiment}.csv")
-        write_csv(metrics_path, METRICS_HEADER, rows)
-        write_csv(os.path.join(out_dir, f"{self.experiment}_timings.csv"), TIMINGS_HEADER, self.timings)
-        for suffix, sidecar in (("refinement", self.reports), ("training", self.training)):
-            if sidecar:
-                with open(os.path.join(out_dir, f"{self.experiment}_{suffix}.json"), "w",
-                          encoding="utf-8") as fh:
-                    json.dump(sidecar, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-        print(f"{self.experiment}: wrote {metrics_path} ({len(self.rows)} arm rows)")
-        if self.failures:
-            for failure in self.failures:
-                print(f"FAILED {failure}", file=sys.stderr)
-            return 1
-        return 0
-
-
 def _run_experiment(cfg: ExperimentConfig, experiment: str, arm_names, make_arms,
                     degrade_k: int = 0) -> tuple[list[dict], int]:
     """The one experiment loop behind ``pipeline``, ``degrade``, ``ablation`` and ``sweep``.
@@ -440,7 +387,23 @@ def _run_experiment(cfg: ExperimentConfig, experiment: str, arm_names, make_arms
     ``make_arms`` raises, every name in ``arm_names`` fails for that seed.
     A trained classifier's loss curve goes to the ``*_training.json`` sidecar.
     """
-    runner = _ArmRunner(cfg, experiment)
+    rows, timings, failures = [], [], []
+    sidecars = {"refinement": {}, "training": {}}
+
+    def fail(arm, seed, exc):
+        failures.append(f"{experiment}/{arm}/seed{seed}: {_describe(exc)}")
+
+    def run(arm, seed, fn):
+        start = time.perf_counter()
+        try:
+            row = fn()
+        except Exception as exc:  # noqa: BLE001 - arm failures are enumerated
+            fail(arm, seed, exc)
+            return
+        timings.append({"experiment": experiment, "arm": arm, "seed": str(seed),
+                        "wall_ms": (time.perf_counter() - start) * 1000.0,
+                        "config_hash": cfg.config_hash})
+        rows.append(row)
 
     # one function call per seed, so what a seed builds (graph, scorers, an
     # add-mode oracle's queue) is freed before the next seed's dataset
@@ -450,28 +413,27 @@ def _run_experiment(cfg: ExperimentConfig, experiment: str, arm_names, make_arms
             if degrade_k >= 1:
                 g = data.degrade(g, t, degrade_k, seed)
         except Exception as exc:  # noqa: BLE001
-            runner.fail("dataset", seed, exc)
+            fail("dataset", seed, exc)
             return
         fit = dataclasses.replace(cfg.fit, seed=seed)
         ratio = positive_ratio(g, t).graph_ratio
-        runner.run("origin", seed,
-                   lambda: _row(experiment, "origin", seed, cfg, ratio, ratio, {},
-                                _fit_metrics(g, t, cfg.model, fit)))
+        run("origin", seed, lambda: _row(experiment, "origin", seed, cfg, ratio, ratio, {},
+                                         _fit_metrics(g, t, cfg.model, fit)))
         try:
             arms = make_arms(g, t, seed)
         except Exception as exc:  # noqa: BLE001
             for arm in arm_names:
-                runner.fail(arm, seed, exc)
+                fail(arm, seed, exc)
             return
         for _, _, scorer, _, _ in arms:
             if isinstance(scorer, EdgeClassifier):
-                runner.training[f"seed{seed}"] = {"final_loss": float(scorer.final_loss),
-                                                  "loss_history": scorer.loss_history.tolist()}
+                sidecars["training"][f"seed{seed}"] = {"final_loss": float(scorer.final_loss),
+                                                       "loss_history": scorer.loss_history.tolist()}
         for arm, rcfg, scorer, features, cols in arms:
             def refined_arm():
                 refined, report = refine(g, t, scorer, rcfg, features=features,
                                          feature_cfg=cfg.edge_features)
-                runner.reports[f"seed{seed}/{arm}"] = report.to_dict()
+                sidecars["refinement"][f"seed{seed}/{arm}"] = report.to_dict()
                 metrics = _fit_metrics(refined, t, cfg.model, fit)
                 if cfg.dump_refined:
                     base = os.path.join(cfg.output_dir, f"{experiment}_{arm}_seed{seed}")
@@ -482,13 +444,24 @@ def _run_experiment(cfg: ExperimentConfig, experiment: str, arm_names, make_arms
                 return _row(experiment, arm, seed, cfg, report.ratio_before,
                             report.ratio_after, dict(cols, p_pre=p_pre), metrics)
 
-            runner.run(arm, seed, refined_arm)
+            run(arm, seed, refined_arm)
 
     os.makedirs(cfg.output_dir, exist_ok=True)  # an unusable directory fails before any seed runs
     for seed in cfg.seeds:
         run_seed(seed)
-    code = runner.finalize()
-    return runner.rows, code
+    metrics_path = os.path.join(cfg.output_dir, f"{experiment}.csv")
+    write_csv(metrics_path, METRICS_HEADER, append_summary_rows(rows))
+    write_csv(os.path.join(cfg.output_dir, f"{experiment}_timings.csv"), TIMINGS_HEADER, timings)
+    for suffix, sidecar in sidecars.items():
+        if sidecar:
+            with open(os.path.join(cfg.output_dir, f"{experiment}_{suffix}.json"), "w",
+                      encoding="utf-8") as fh:
+                json.dump(sidecar, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+    print(f"{experiment}: wrote {metrics_path} ({len(rows)} arm rows)")
+    for failure in failures:
+        print(f"FAILED {failure}", file=sys.stderr)
+    return rows, 1 if failures else 0
 
 
 def _check_filter_scorer(cfg: ExperimentConfig) -> None:

@@ -203,7 +203,7 @@ def check_synth_args(n: int, c: int, d: int, homophily: float, avg_degree: float
 def _edge_budget(n: int, avg_degree: float) -> tuple[int, int]:
     """Undirected non-self edges :func:`synth` places, ``n * avg_degree / 2`` capped at
     all pairs, and the placement attempts it makes before it gives up."""
-    target = min(int(round(n * avg_degree / 2.0)), n * (n - 1) // 2)
+    target = int(round(min(n * avg_degree / 2.0, n * (n - 1) // 2)))  # an overflow to inf caps too
     return target, 200 * target + 1000
 
 

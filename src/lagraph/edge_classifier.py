@@ -70,11 +70,14 @@ class TrainConfig:
     class_weighting: str = "balanced"  # or "none"
     include_two_hop: bool = True
     num_sampled: int = 0
-    threshold: float = 0.5
 
     def __post_init__(self):
         if self.proj_dim < 1:
             raise ValueError("proj_dim must be >= 1")
+        if not self.learning_rate > 0.0:
+            raise ValueError("learning_rate must be positive")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must lie in [0, 1)")
         if self.num_sampled < 0:
             raise ValueError("num_sampled must be >= 0")
         if any(w < 1 for w in self.hidden_widths):
@@ -83,8 +86,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
         if self.class_weighting not in ("balanced", "none"):
             raise ValueError("class_weighting must be 'balanced' or 'none'")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError("threshold must lie in [0, 1]")
 
 
 @dataclass
@@ -100,7 +101,6 @@ class EdgeClassifier:
 
     proj: np.ndarray
     layers: list[tuple[np.ndarray, np.ndarray]]
-    threshold: float = 0.5
     final_loss: float = float("nan")
     loss_history: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
@@ -127,10 +127,22 @@ def build_pairs(g: Graph, t: NodeTable, cfg: TrainConfig) -> PairSet:
     return PairSet(u=u, v=v, labels=labels, provenance=prov)
 
 
+def _both_ways(g: Graph) -> Graph:
+    """``g`` with every edge taken both ways: ``g`` itself when each edge's
+    reverse is an edge too, else its mirror."""
+    n, sources = g.num_nodes, g.edge_sources()
+    if np.array_equal(np.sort(g.col_targets * n + sources), sources * n + g.col_targets):
+        return g
+    edges = g.edge_array()
+    return Graph.from_edges(n, np.concatenate([edges, edges[:, ::-1]]), add_self_loops=False)
+
+
 def _structural_pairs(g: Graph, include_two_hop: bool, eligible) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pairs ``u < v`` that ``eligible(u, v)`` keeps: first those joined by an
     edge, then (with ``include_two_hop``) those at distance exactly two, each
-    block ordered by u, then v. Returns ``(u, v, provenance)``."""
+    block ordered by u, then v. An edge joins its pair whichever way it is
+    stored. Returns ``(u, v, provenance)``."""
+    g = _both_ways(g)
     edges = g.edge_array()
     blocks = [(edges[:, 0], edges[:, 1], ONE_HOP)]
     if include_two_hop:
@@ -201,7 +213,7 @@ def init_classifier(feature_dim: int, cfg: TrainConfig) -> EdgeClassifier:
     layers = []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         layers.append((uniform(fan_in, (fan_in, fan_out)), np.zeros(fan_out)))
-    return EdgeClassifier(proj=proj, layers=layers, threshold=cfg.threshold)
+    return EdgeClassifier(proj=proj, layers=layers)
 
 
 def _head(clf: EdgeClassifier, eu: np.ndarray, ev: np.ndarray):
@@ -331,9 +343,9 @@ def train(pairset: PairSet, features: np.ndarray, cfg: TrainConfig = TrainConfig
     grad = np.empty_like(params)
     vel = np.zeros_like(params)
     history = []
-    # an overflow makes a batch loss non-finite (by the next batch at the
-    # latest), which the check below reports with the feature scale; numpy's
-    # warnings would only repeat it
+    # an overflow makes a batch loss non-finite (by the next batch, or the
+    # final loss, at the latest), which the checks report; numpy's warnings
+    # would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             perm = rng.permutation(n)
@@ -352,8 +364,10 @@ def train(pairset: PairSet, features: np.ndarray, cfg: TrainConfig = TrainConfig
                 vel -= cfg.learning_rate * grad
                 params += vel
             history.append(total / n)
-    logits, _ = _forward(clf, features[pairset.u], features[pairset.v])
-    clf.final_loss = _weighted_bce(logits, pairset.labels.astype(np.float64), weights)
+        logits, _ = _forward(clf, features[pairset.u], features[pairset.v])
+        clf.final_loss = _weighted_bce(logits, pairset.labels.astype(np.float64), weights)
+    if not np.isfinite(clf.final_loss):
+        raise RuntimeError(f"training diverged: non-finite loss after the last step (lr={cfg.learning_rate})")
     clf.loss_history = np.asarray(history)
     return clf
 
@@ -417,15 +431,16 @@ def quality_from_counts(tp: int, fp: int, fn: int, tn: int) -> ClassifierQuality
     return ClassifierQuality(p=p, q=q, p_pre=p_pre, base_rate=base, tp=tp, fp=fp, fn=fn, tn=tn)
 
 
+def pair_quality(predicted: np.ndarray, same: np.ndarray) -> ClassifierQuality:
+    """Confusion rates of boolean pair predictions against same-label truth."""
+    tp = int(np.count_nonzero(predicted & same))
+    pred_pos, pos = int(np.count_nonzero(predicted)), int(np.count_nonzero(same))
+    return quality_from_counts(tp, pred_pos - tp, pos - tp, predicted.shape[0] - pred_pos - pos + tp)
+
+
 def evaluate_quality(clf: EdgeClassifier, labeled_pairs: PairSet, features: np.ndarray,
-                     threshold: float | None = None) -> ClassifierQuality:
-    """Confusion rates of the classifier on labeled pairs."""
-    thr = clf.threshold if threshold is None else threshold
+                     threshold: float) -> ClassifierQuality:
+    """Confusion rates of the classifier on labeled pairs, a pair predicted
+    same-label when it scores at or above ``threshold``."""
     scores = score_pairs(clf, features, labeled_pairs.u, labeled_pairs.v)
-    pred = scores >= thr
-    truth = labeled_pairs.labels == 1
-    tp = int(np.count_nonzero(pred & truth))
-    fp = int(np.count_nonzero(pred & ~truth))
-    fn = int(np.count_nonzero(~pred & truth))
-    tn = int(np.count_nonzero(~pred & ~truth))
-    return quality_from_counts(tp, fp, fn, tn)
+    return pair_quality(scores >= threshold, labeled_pairs.labels == 1)

@@ -102,6 +102,7 @@ def sgc_loss_and_grad(model: SgcModel, z_train: np.ndarray, y_train: np.ndarray,
     return loss, grad_w, grad_b
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow shows as a non-finite loss, which raises
 def _descend(model, fields: tuple[str, ...], t: NodeTable, cfg: FitConfig, loss_and_grad, logits):
     """Full-batch gradient descent on the named ``fields`` of ``model``.
 
@@ -232,8 +233,10 @@ def gcn_fit(g: Graph, t: NodeTable, cfg: FitConfig = FitConfig(learning_rate=0.0
                     lambda: _gcn_layers(model, inputs.agg, inputs.a1)[2])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite logits raise below
 def predict(model, g: Graph, t: NodeTable) -> np.ndarray:
-    """Predicted class per node; ties resolve to the lowest class id."""
+    """Predicted class per node; ties resolve to the lowest class id. Raises
+    when a logit is not finite, as after a last step that diverged."""
     if isinstance(model, SgcModel):
         z = propagate(g, t.features, PropagationConfig(k=model.k, norm=model.norm))
         logits = z @ model.weights + model.bias
@@ -241,6 +244,8 @@ def predict(model, g: Graph, t: NodeTable) -> np.ndarray:
         logits = gcn_forward(model, g, t.features)
     else:
         raise TypeError("model must be SgcModel or GcnModel")
+    if not np.isfinite(logits).all():
+        raise RuntimeError("training diverged: non-finite logits")
     # argmax returns the first (lowest) index among ties
     return np.argmax(logits, axis=1).astype(np.int64)
 

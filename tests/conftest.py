@@ -114,9 +114,18 @@ def assert_gradients_match(analytic_flat, fd_grads, rel_tol=1e-4):
             f"coordinate {idx}: analytic {an!r} vs finite-difference {fd!r}")
 
 
+def mirrored(g):
+    """``g`` with the reverse of every edge added: the undirected graph
+    ``build_pairs`` and ``holdout_pairs`` read, one-way edge lists included."""
+    edges = g.edge_array()
+    return Graph.from_edges(g.num_nodes, np.concatenate([edges, edges[:, ::-1]]), add_self_loops=False)
+
+
 def reference_build_pairs(g, t, cfg):
-    """``build_pairs`` as a per-node loop over ``two_hop_candidates``."""
+    """``build_pairs`` as a per-node loop over ``two_hop_candidates`` of the
+    mirrored graph."""
     train = t.split_mask("train") & t.known_mask()
+    g = mirrored(g)
     edges = g.edge_array()
     mask = (edges[:, 0] < edges[:, 1]) & train[edges[:, 0]] & train[edges[:, 1]]
     one_hop = edges[mask]
@@ -144,9 +153,11 @@ def reference_build_pairs(g, t, cfg):
 
 
 def reference_holdout_pairs(g, t, include_two_hop=True):
-    """``holdout_pairs`` as a per-node loop over ``two_hop_candidates``."""
+    """``holdout_pairs`` as a per-node loop over ``two_hop_candidates`` of the
+    mirrored graph."""
     known = t.known_mask()
     train = t.split_mask("train")
+    g = mirrored(g)
     edges = g.edge_array()
     mask = (edges[:, 0] < edges[:, 1]) & known[edges[:, 0]] & known[edges[:, 1]]
     mask &= ~(train[edges[:, 0]] & train[edges[:, 1]])

@@ -14,10 +14,18 @@ import pytest
 
 import lagraph.cli as cli
 from lagraph import refinement
-from lagraph.data import load
-from lagraph.edge_classifier import build_pairs, loss_and_grad, pair_weights
+from lagraph.data import load, save, synth
+from lagraph.edge_classifier import (
+    build_pairs,
+    evaluate_quality,
+    holdout_pairs,
+    loss_and_grad,
+    pair_weights,
+    train,
+)
+from lagraph.propagation import edge_input_features
 from lagraph.graph import Graph, NodeTable
-from lagraph.refinement import filter_edges
+from lagraph.refinement import OracleClassifier, filter_edges
 from lagraph.cli import (
     DEFAULT_CONFIG,
     METRICS_HEADER,
@@ -103,9 +111,9 @@ class TestConfigResolution:
 
     def test_hash_of_defaults_is_pinned(self):
         # the defaults are read from the config dataclasses; a changed default
-        # moves every hash, so it must be a deliberate change
-        assert config_from_dict({}).config_hash == "145c3d875abf"
-        assert config_from_dict({"dataset": {"n": 16000}}).config_hash == "29189df66b35"
+        # or a removed key moves every hash, so it must be a deliberate change
+        assert config_from_dict({}).config_hash == "9f9547d8ecbc"
+        assert config_from_dict({"dataset": {"n": 16000}}).config_hash == "b570e466d72d"
 
     def test_hash_covers_coerced_values(self):
         typed = config_from_dict({"model": {"epochs": 7}, "seeds": [1, 2]})
@@ -142,6 +150,17 @@ class TestConfigResolution:
         ({"dataset": {"homophily": True}}, "dataset: homophily: expected a number, got True"),
         ({"scorer": {"kind": "oracle", "target_p_pre": True}},
          "scorer: target_p_pre: expected a number, got True"),
+        ({"dataset": {"avg_degree": math.inf}}, "dataset: avg_degree: expected a finite number, got inf"),
+        ({"dataset": {"feature_sep": math.nan}}, "dataset: feature_sep: expected a finite number, got nan"),
+        ({"model": {"learning_rate": math.inf}}, "model: learning_rate: expected a finite number, got inf"),
+        ({"edge_classifier": {"learning_rate": math.nan}},
+         "edge_classifier: learning_rate: expected a finite number, got nan"),
+        ({"refinement": {"threshold": -math.inf}}, "refinement: threshold: expected a finite number, got -inf"),
+        ({"edge_classifier": {"momentum": 5}}, r"edge_classifier: momentum must lie in \[0, 1\)"),
+        ({"edge_classifier": {"momentum": -0.5}}, r"edge_classifier: momentum must lie in \[0, 1\)"),
+        ({"edge_classifier": {"learning_rate": 0}}, "edge_classifier: learning_rate must be positive"),
+        ({"dataset": {"c": 1, "homophily": 1.0}, "degrade_k": 1}, "degrade_k must be <= 0, the different-label"),
+        ({"dataset": {"n": 1001, "c": 4}, "degrade_k": 751}, "degrade_k must be <= 750, the different-label"),
     ])
     def test_validation(self, raw, match):
         with pytest.raises(ConfigError, match=match):
@@ -330,16 +349,24 @@ class TestRealizedFilterQuality:
                       split=np.array([0, 0, 1, 2], dtype=np.int8))
         return g, t
 
-    def test_scores_the_pairs_filter_edges_scores(self):
+    def test_scores_the_pairs_filter_edges_scores(self, monkeypatch):
         g, t = self.one_way_graph()
         seen = []
+        build = cli.oracle_scorer
 
-        def scorer(u, v):
-            seen.append((u.tolist(), v.tolist()))
-            return (t.labels[u] == t.labels[v]).astype(np.float64)
+        def recording_oracle(*args, **kwargs):
+            inner = build(*args, **kwargs)
 
+            def scorer(u, v):
+                seen.append((u.tolist(), v.tolist()))
+                return inner(u, v)
+
+            return scorer
+
+        monkeypatch.setattr(cli, "oracle_scorer", recording_oracle)
+        scorer, cols = cli._oracle(g, t, OracleClassifier(mode="filter"), 0.5)
         filter_edges(g, scorer, 0.5)
-        assert cli._realized_filter_quality(g, t, scorer, 0.5) == (1.0, 0.0)
+        assert (cols["p"], cols["q"]) == (1.0, 0.0) and math.isnan(cols["p_pre"])
         assert seen == [([0, 1], [2, 3])] * 2
 
     def test_one_way_tsv_reports_p_and_q(self, tmp_path):
@@ -357,11 +384,87 @@ class TestRealizedFilterQuality:
         assert (refined["p"], refined["q"]) == (1.0, 0.0)
 
 
+class TestOneThreshold:
+    """A trained scorer's p, q and p_pre are counted at ``refinement.threshold``,
+    the threshold the filter and add passes run at."""
+
+    def test_trained_rates_use_the_refinement_threshold(self, tmp_path):
+        raw = {"dataset": {"n": 400}, "seeds": [0], "refinement": {"threshold": 0.7},
+               "model": {"epochs": 20}, "edge_classifier": {"epochs": 20}}
+        cfg = config_from_dict(raw, str(tmp_path / "o"))
+        rows, code = run_pipeline(cfg)
+        assert code == 0
+        refined = next(r for r in rows if r["arm"] == "refined")
+        g, t = cli._load_dataset(cfg, 0)
+        tc = dataclasses.replace(cfg.edge_classifier, seed=0)
+        features = edge_input_features(g, t, cfg.edge_features)
+        clf = train(build_pairs(g, t, tc), features, tc)
+        held = holdout_pairs(g, t, tc.include_two_hop)
+        want = evaluate_quality(clf, held, features, 0.7)
+        assert (refined["p"], refined["q"], refined["p_pre"]) == (want.p, want.q, want.p_pre)
+        at_half = evaluate_quality(clf, held, features, 0.5)
+        assert (want.p, want.q) != (at_half.p, at_half.q)
+
+    def test_classifier_threshold_key_is_unknown(self, tmp_path, capsys):
+        cfg_path = write_json(tmp_path, {"edge_classifier": {"threshold": 0.7}})
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", cfg_path, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "config.edge_classifier: unknown keys ['threshold']" in err[0]
+        assert not out.exists()
+
+
+class TestOneWayEdgeList:
+    """Training and held-out pairs read an edge list stored one way as if it
+    held both directions."""
+
+    def write_dataset(self, tmp_path):
+        g, t = synth(n=60, c=3, d=6, homophily=0.6, avg_degree=5.0, feature_sep=3.0, seed=0)
+        nodes, both = tmp_path / "nodes.tsv", tmp_path / "both.tsv"
+        save(g, t, nodes, both)
+        edges = g.edge_array()
+        hi_lo = edges[edges[:, 0] > edges[:, 1]]
+        assert hi_lo.shape[0] == 150
+        one_way = tmp_path / "hi_lo.tsv"
+        one_way.write_text("".join(f"{a}\t{b}\n" for a, b in hi_lo), encoding="utf-8")
+        return nodes, one_way
+
+    @pytest.mark.parametrize("two_hop", [False, True])
+    def test_pairs_equal_the_undirected_load(self, tmp_path, two_hop):
+        nodes, one_way = self.write_dataset(tmp_path)
+        g1, t = load(nodes, one_way, undirected=False)
+        g2, _ = load(nodes, one_way, undirected=True)
+        assert g1.num_edges < g2.num_edges
+        cfg = config_from_dict({"edge_classifier": {"include_two_hop": two_hop}}).edge_classifier
+        for got, want in ((build_pairs(g1, t, cfg), build_pairs(g2, t, cfg)),
+                          (holdout_pairs(g1, t, two_hop), holdout_pairs(g2, t, two_hop))):
+            for name in ("u", "v", "labels", "provenance"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_one_way_pipeline_runs(self, tmp_path, capsys):
+        nodes, one_way = self.write_dataset(tmp_path)
+        raw = fast_config(dataset={"kind": "files", "nodes_path": str(nodes), "edges_path": str(one_way),
+                                   "undirected": False},
+                          edge_classifier={"include_two_hop": False})
+        cfg_path = write_json(tmp_path, raw)
+        assert main(["pipeline", "--config", cfg_path, "--output-dir", str(tmp_path / "o")]) == 0
+        assert "FAILED" not in capsys.readouterr().err
+
+
 class TestErrorExits:
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg_path = write_json(tmp_path, {"mystery": 1})
         assert main(["pipeline", "--config", cfg_path]) == 2
         assert "unknown keys" in capsys.readouterr().err
+
+    def test_non_finite_number_in_the_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"dataset": {"avg_degree": Infinity}}', encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(path), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: lagraph.cli.ConfigError: dataset: avg_degree: expected a finite number, got inf"]
+        assert not out.exists()
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -554,7 +657,7 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg_path, "--output-dir", str(out), "--kind", "p_pre"]) == 0
         assert {r["arm"] for r in read_rows(out / "sweep_ppre.csv")} == {"origin", "ppre=0.50"}
 
-    @pytest.mark.parametrize("values", [["x"], 0.5, [None], [True, False]])
+    @pytest.mark.parametrize("values", [["x"], 0.5, [None], [True, False], [0.5, math.inf]])
     def test_malformed_values_exit_2_before_any_arm(self, tmp_path, capsys, values):
         cfg_path = write_json(tmp_path, fast_config(sweep={"values": values}))
         out = tmp_path / "o"

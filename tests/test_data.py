@@ -215,6 +215,11 @@ class TestSynth:
         # estimated mean distance includes noise/sqrt(n_c) inflation, modest at these sizes
         assert abs(np.linalg.norm(mu0 - mu1) - 6.0) < 1.2
 
+    def test_degree_past_every_pair_builds_the_complete_graph(self):
+        # n * avg_degree overflows to inf; the budget is capped at all pairs before rounding
+        g, _ = synth(n=12, c=3, d=2, homophily=0.5, avg_degree=1e308, feature_sep=1.0, seed=0)
+        assert g.nonself_degrees().tolist() == [11] * 12
+
     def test_mean_degree_near_target(self):
         g, _ = synth(n=2000, c=2, d=2, homophily=0.5, avg_degree=8.0, feature_sep=1.0, seed=6)
         assert g.nonself_degrees().mean() == pytest.approx(8.0, abs=0.01)

@@ -25,6 +25,7 @@ from lagraph.edge_classifier import (
     init_classifier,
     loss_and_grad,
     make_scorer,
+    pair_quality,
     pair_weights,
     quality_from_counts,
     score_pairs,
@@ -455,6 +456,16 @@ class TestTraining:
         with pytest.raises(RuntimeError, match=r"non-finite loss at epoch 0, .*largest \|feature\| inf\)"):
             train(pairs, features, TrainConfig(epochs=2, seed=0))
 
+    @pytest.mark.filterwarnings("error")
+    def test_divergence_in_the_last_step_is_reported(self):
+        # one batch, one epoch: only the final loss sees the step of 1e308
+        g, t = synth(n=60, c=3, d=4, homophily=0.5, avg_degree=4.0, feature_sep=4.0, seed=0)
+        cfg = TrainConfig(learning_rate=1e308, epochs=1, num_sampled=100, proj_dim=4, hidden_widths=(4,))
+        pairs = build_pairs(g, t, cfg)
+        assert len(pairs) <= cfg.batch_size
+        with pytest.raises(RuntimeError, match=r"non-finite loss after the last step \(lr=1e\+308\)"):
+            train(pairs, t.features, cfg)
+
     def test_empty_pairset_rejected(self, rng):
         pairs = PairSet(u=np.zeros(0, dtype=np.int64), v=np.zeros(0, dtype=np.int64),
                         labels=np.zeros(0, dtype=np.int64), provenance=np.zeros(0, dtype=np.int8))
@@ -481,9 +492,9 @@ class TestScoreSymmetry:
         assert np.array_equal(scorer(u, v), score_pairs(clf, features, u, v))
 
 
-def reference_counts(clf, pairs, features):
+def reference_counts(clf, pairs, features, threshold=0.5):
     """``evaluate_quality``'s (tp, fp, fn, tn) from one forward pass over every pair."""
-    pred = reference_score_pairs(clf, features, pairs.u, pairs.v) >= clf.threshold
+    pred = reference_score_pairs(clf, features, pairs.u, pairs.v) >= threshold
     truth = pairs.labels == 1
     return tuple(int(np.count_nonzero(a & b)) for a, b in
                  ((pred, truth), (pred, ~truth), (~pred, truth), (~pred, ~truth)))
@@ -534,7 +545,7 @@ class TestBlockedScoring:
                     make_scorer(clf, t.features)(pairs.u, pairs.v)):
             assert got.shape == want.shape and got.dtype == np.float64
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-        assert counts(evaluate_quality(clf, pairs, t.features)) == reference_counts(clf, pairs, t.features)
+        assert counts(evaluate_quality(clf, pairs, t.features, 0.5)) == reference_counts(clf, pairs, t.features)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -545,6 +556,7 @@ class TestBlockedScoring:
         features = np.random.default_rng(seed).normal(size=(g.num_nodes, data.draw(st.integers(1, 4))))
         clf = init_classifier(features.shape[1], TrainConfig(proj_dim=3, hidden_widths=(4,), seed=seed))
         block = data.draw(st.integers(1, 9), label="block")
+        threshold = data.draw(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]), label="threshold")
         try:
             pairs = holdout_pairs(g, t)
         except ValueError:
@@ -554,9 +566,9 @@ class TestBlockedScoring:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(edge_classifier, "SCORE_BLOCK", block)
             got = score_pairs(clf, features, pairs.u, pairs.v)
-            quality = evaluate_quality(clf, pairs, features)
+            quality = evaluate_quality(clf, pairs, features, threshold)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-        assert counts(quality) == reference_counts(clf, pairs, features)
+        assert counts(quality) == reference_counts(clf, pairs, features, threshold)
 
     def test_scorer_projects_once_when_built(self, rng):
         clf = init_classifier(3, TrainConfig(proj_dim=2, hidden_widths=(4,), seed=0))
@@ -578,7 +590,7 @@ class TestBlockedScoring:
         pairs = PairSet(u=u, v=v, labels=rng.integers(0, 2, size=count), provenance=np.zeros(count))
         tracemalloc.start()
         try:
-            quality = evaluate_quality(clf, pairs, features)
+            quality = evaluate_quality(clf, pairs, features, 0.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -600,7 +612,7 @@ class TestQuality:
         pairs = PairSet(u=np.array([0, 3, 0, 2, 0, 1]), v=np.array([1, 4, 2, 3, 5, 2]),
                         labels=np.array([1, 0, 1, 0, 0, 1], dtype=np.int64),
                         provenance=np.zeros(6, dtype=np.int8))
-        got = evaluate_quality(clf, pairs, features)
+        got = evaluate_quality(clf, pairs, features, 0.5)
         want = quality_from_counts(tp=1, fp=1, fn=2, tn=2)
         assert got == want
         assert got.p == pytest.approx(1 / 3) and got.q == pytest.approx(1 / 3)
@@ -612,9 +624,20 @@ class TestQuality:
         pairs = PairSet(u=np.array([0]), v=np.array([1]),
                         labels=np.array([0], dtype=np.int64),
                         provenance=np.zeros(1, dtype=np.int8))
-        assert evaluate_quality(clf, pairs, features).fp == 1
+        assert evaluate_quality(clf, pairs, features, 0.5).fp == 1
         strict = evaluate_quality(clf, pairs, features, threshold=0.999)
         assert strict.fp == 0 and strict.tn == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.booleans()), max_size=40))
+    def test_pair_quality_counts_and_rates(self, cells):
+        pred, same = np.asarray(cells, dtype=bool).reshape(-1, 2).T
+        q = pair_quality(pred, same)
+        assert counts(q) == tuple(int(np.count_nonzero(a & b)) for a, b in
+                                  ((pred, same), (pred, ~same), (~pred, same), (~pred, ~same)))
+        # each rate is a correctly rounded ratio of exact integers, as the boolean mean is
+        for rate, mask in ((q.p, same), (q.q, ~same)):
+            assert rate == float(pred[mask].mean()) if mask.any() else math.isnan(rate)
 
     def test_undefined_cells_are_nan(self):
         q = quality_from_counts(tp=0, fp=0, fn=0, tn=5)
@@ -638,7 +661,7 @@ class TestQuality:
         clf = self.threshold_classifier()
         pairs = PairSet(u=np.zeros(0, dtype=np.int64), v=np.zeros(0, dtype=np.int64),
                         labels=np.zeros(0, dtype=np.int64), provenance=np.zeros(0, dtype=np.int8))
-        q = evaluate_quality(clf, pairs, np.zeros((1, 1)))
+        q = evaluate_quality(clf, pairs, np.zeros((1, 1)), 0.5)
         assert q.total == 0
         assert all(math.isnan(x) for x in (q.p, q.q, q.p_pre, q.base_rate))
 

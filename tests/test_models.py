@@ -217,11 +217,21 @@ class TestFitting:
         with pytest.raises(ValueError, match="val split"):
             sgc_fit(g, t, FitConfig(epochs=5, early_stop=True))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_divergence_raises(self):
         g, t = self.easy_problem()
         with pytest.raises(RuntimeError, match="training diverged"):
             sgc_fit(g, t, FitConfig(learning_rate=1e12, epochs=50))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fit, epochs, match", [
+        (sgc_fit, 2, "non-finite loss"), (gcn_fit, 2, "non-finite loss"), (gcn_fit, 1, "non-finite logits")])
+    def test_huge_step_diverges_without_warnings(self, fit, epochs, match):
+        # a step of 1e308 overflows the loss of the next epoch or, after the
+        # last step, the logits predict computes; numpy warns of neither
+        g, t = synth(n=60, c=3, d=4, homophily=0.5, avg_degree=4.0, feature_sep=4.0, seed=0)
+        with pytest.raises(RuntimeError, match=f"training diverged: {match}"):
+            predict(fit(g, t, FitConfig(learning_rate=1e308, epochs=epochs)), g, t)
 
     @pytest.mark.parametrize("kwargs", [
         {"learning_rate": 0.0}, {"epochs": -1}, {"weight_decay": -0.1},
