@@ -201,11 +201,7 @@ def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> Experimen
         raise ConfigError("dataset.kind must be 'synth' or 'files'")
     if ds["kind"] == "files" and not (ds["nodes_path"] and ds["edges_path"]):
         raise ConfigError("dataset.kind 'files' needs nodes_path and edges_path")
-    if ds["kind"] == "synth":
-        try:
-            data.check_synth_args(**_synth_args(ds))
-        except ValueError as exc:
-            raise ConfigError(f"dataset: {exc}") from exc
+    _check_synth(ds)
     scorer, model = resolved["scorer"], resolved["model"]
     if scorer["kind"] not in ("trained", "oracle"):
         raise ConfigError("scorer.kind must be 'trained' or 'oracle'")
@@ -226,13 +222,10 @@ def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> Experimen
         raise ConfigError("seeds must be non-negative")
     if scalars["degrade_k"] < 0:
         raise ConfigError("degrade_k must be >= 0")
-    if ds["kind"] == "synth" and scalars["degrade_k"] > (others := ds["n"] - -(-ds["n"] // ds["c"])):
-        raise ConfigError(f"degrade_k must be <= {others}, the different-label nodes of the largest class")
     if scalars["theory_trials"] < 2:
         raise ConfigError("theory_trials must be >= 2")
-    sections = {name: _typed(cls, resolved[name], name) for name, cls in
-                (("edge_features", EdgeFeatureConfig), ("edge_classifier", TrainConfig),
-                 ("refinement", RefinementConfig))}
+    classes = {"edge_features": EdgeFeatureConfig, "edge_classifier": TrainConfig, "refinement": RefinementConfig}
+    sections = {name: _typed(cls, resolved[name], name) for name, cls in classes.items()}
     model = _typed(FitConfig, model, "model")
     # hash covers everything that shapes the numbers, as coerced; where they land does not
     hashed = {**{k: v for k, v in scalars.items() if k != "output_dir"},
@@ -240,9 +233,7 @@ def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> Experimen
     blob = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
     return ExperimentConfig(
         dataset=ds,
-        edge_features=_build(EdgeFeatureConfig, sections["edge_features"], "edge_features"),
-        edge_classifier=_build(TrainConfig, sections["edge_classifier"], "edge_classifier"),
-        refinement=_build(RefinementConfig, sections["refinement"], "refinement"),
+        **{name: _build(cls, sections[name], name) for name, cls in classes.items()},
         fit=_build(FitConfig, model, "model"),
         scorer=scorer,
         model=model,
@@ -296,8 +287,7 @@ def append_summary_rows(rows: list[dict]) -> list[dict]:
         std_row = dict(base, seed="std")
         for col in NUMERIC_COLUMNS:
             vals = np.asarray([float("nan") if m[col] is None else float(m[col]) for m in members])
-            with np.errstate(invalid="ignore"):
-                finite = vals[~np.isnan(vals)]
+            finite = vals[~np.isnan(vals)]
             mean_row[col] = float(finite.mean()) if finite.size else float("nan")
             std_row[col] = float(finite.std()) if finite.size else float("nan")
         out.append(mean_row)
@@ -308,6 +298,15 @@ def append_summary_rows(rows: list[dict]) -> list[dict]:
 def _synth_args(ds: dict) -> dict:
     """The ``data.synth`` arguments of a ``dataset`` section, seed excepted."""
     return {key: ds[key] for key in ("n", "c", "d", "homophily", "avg_degree", "feature_sep")}
+
+
+def _check_synth(ds: dict, degrade_k: int = 0) -> None:
+    """Refuse a synth ``dataset`` section, degraded by ``degrade_k``, that ``data`` cannot build."""
+    try:
+        if ds["kind"] == "synth":
+            data.check_synth_args(**_synth_args(ds), degrade_k=degrade_k)
+    except ValueError as exc:
+        raise ConfigError(f"dataset: {exc}") from exc
 
 
 def _load_dataset(cfg: ExperimentConfig, seed: int) -> tuple[Graph, NodeTable]:
@@ -474,6 +473,8 @@ def _check_filter_scorer(cfg: ExperimentConfig) -> None:
 def run_pipeline(cfg: ExperimentConfig, experiment: str = "pipeline",
                  degrade_k: int | None = None) -> tuple[list[dict], int]:
     """Baseline model on the input graph vs the same model on the refined one."""
+    k = cfg.degrade_k if degrade_k is None else degrade_k
+    _check_synth(cfg.dataset, k)
     if cfg.refinement.do_filter:
         _check_filter_scorer(cfg)
 
@@ -481,7 +482,6 @@ def run_pipeline(cfg: ExperimentConfig, experiment: str = "pipeline",
         scorer, features, cols = _scorer_for_seed(cfg, g, t, seed)
         return [("refined", cfg.refinement, scorer, features, cols)]
 
-    k = cfg.degrade_k if degrade_k is None else degrade_k
     return _run_experiment(cfg, experiment, ("refined",), arms, k)
 
 

@@ -155,8 +155,9 @@ def save(g: Graph, t: NodeTable, node_file_path, edge_file_path) -> None:
 
 
 def check_synth_args(n: int, c: int, d: int, homophily: float, avg_degree: float,
-                     feature_sep: float) -> None:
-    """Raise ``ValueError`` unless the arguments describe a graph :func:`synth` can build."""
+                     feature_sep: float, degrade_k: int = 0) -> None:
+    """Raise ``ValueError`` unless :func:`synth` can build the graph the arguments
+    describe and :func:`degrade` can give each node ``degrade_k`` more neighbors."""
     if n < c or c < 1:
         raise ValueError("need n >= c >= 1")
     if d < 1:
@@ -173,6 +174,8 @@ def check_synth_args(n: int, c: int, d: int, homophily: float, avg_degree: float
     # the draws that placing them takes on average by four standard deviations
     # of the difference (binomial draw count, geometric waits).
     small, big = divmod(n, c)  # balanced classes: n % c of them hold one node more
+    if degrade_k > (others := n - small - (big > 0)):  # the largest class holds small + (big > 0)
+        raise ValueError(f"degrade_k must be <= {others}, the different-label nodes of the largest class")
     same = (c - big) * (small * (small - 1) // 2) + big * (small * (small + 1) // 2)
     cross = n * (n - 1) // 2 - same
     target, cap = _edge_budget(n, avg_degree)

@@ -127,22 +127,12 @@ def build_pairs(g: Graph, t: NodeTable, cfg: TrainConfig) -> PairSet:
     return PairSet(u=u, v=v, labels=labels, provenance=prov)
 
 
-def _both_ways(g: Graph) -> Graph:
-    """``g`` with every edge taken both ways: ``g`` itself when each edge's
-    reverse is an edge too, else its mirror."""
-    n, sources = g.num_nodes, g.edge_sources()
-    if np.array_equal(np.sort(g.col_targets * n + sources), sources * n + g.col_targets):
-        return g
-    edges = g.edge_array()
-    return Graph.from_edges(n, np.concatenate([edges, edges[:, ::-1]]), add_self_loops=False)
-
-
 def _structural_pairs(g: Graph, include_two_hop: bool, eligible) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pairs ``u < v`` that ``eligible(u, v)`` keeps: first those joined by an
     edge, then (with ``include_two_hop``) those at distance exactly two, each
-    block ordered by u, then v. An edge joins its pair whichever way it is
-    stored. Returns ``(u, v, provenance)``."""
-    g = _both_ways(g)
+    block ordered by u, then v. Both read :meth:`Graph.both_ways`, so an edge
+    joins its pair whichever way it is stored. Returns ``(u, v, provenance)``."""
+    g = g.both_ways()
     edges = g.edge_array()
     blocks = [(edges[:, 0], edges[:, 1], ONE_HOP)]
     if include_two_hop:

@@ -95,6 +95,13 @@ class Graph:
         n = self.num_nodes
         return csr_array((np.ones(self.num_edges), self.col_targets, self.row_offsets), shape=(n, n))
 
+    def both_ways(self) -> "Graph":
+        """The graph of every edge and its reverse."""
+        n = self.num_nodes
+        a = csr_array((np.ones(self.num_edges, dtype=bool), self.col_targets, self.row_offsets), shape=(n, n))
+        both = (a + a.T).tocsr()  # canonical: rows sorted, no repeats
+        return Graph(n, both.indptr, both.indices, self.has_self_loops)
+
     @property
     def num_edges(self) -> int:
         """Directed edge count, self loops included."""

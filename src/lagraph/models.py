@@ -102,7 +102,6 @@ def sgc_loss_and_grad(model: SgcModel, z_train: np.ndarray, y_train: np.ndarray,
     return loss, grad_w, grad_b
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow shows as a non-finite loss, which raises
 def _descend(model, fields: tuple[str, ...], t: NodeTable, cfg: FitConfig, loss_and_grad, logits):
     """Full-batch gradient descent on the named ``fields`` of ``model``.
 
@@ -116,11 +115,13 @@ def _descend(model, fields: tuple[str, ...], t: NodeTable, cfg: FitConfig, loss_
     best_acc = -1.0
     stale = 0
     for _ in range(cfg.epochs):
-        loss, *grads = loss_and_grad()
-        if not np.isfinite(loss):
-            raise RuntimeError(f"training diverged: non-finite loss (lr={cfg.learning_rate})")
-        for name, grad in zip(fields, grads):
-            setattr(model, name, getattr(model, name) - cfg.learning_rate * grad)
+        # an overflowing step makes the next loss (or predict's logits) non-finite, which raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, *grads = loss_and_grad()
+            if not np.isfinite(loss):
+                raise RuntimeError(f"training diverged: non-finite loss (lr={cfg.learning_rate})")
+            for name, grad in zip(fields, grads):
+                setattr(model, name, getattr(model, name) - cfg.learning_rate * grad)
         if cfg.early_stop:
             if not np.any(val):
                 raise ValueError("early stopping needs a labeled val split")
@@ -233,17 +234,17 @@ def gcn_fit(g: Graph, t: NodeTable, cfg: FitConfig = FitConfig(learning_rate=0.0
                     lambda: _gcn_layers(model, inputs.agg, inputs.a1)[2])
 
 
-@np.errstate(over="ignore", invalid="ignore")  # non-finite logits raise below
 def predict(model, g: Graph, t: NodeTable) -> np.ndarray:
     """Predicted class per node; ties resolve to the lowest class id. Raises
     when a logit is not finite, as after a last step that diverged."""
-    if isinstance(model, SgcModel):
-        z = propagate(g, t.features, PropagationConfig(k=model.k, norm=model.norm))
-        logits = z @ model.weights + model.bias
-    elif isinstance(model, GcnModel):
-        logits = gcn_forward(model, g, t.features)
-    else:
-        raise TypeError("model must be SgcModel or GcnModel")
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite logits raise below
+        if isinstance(model, SgcModel):
+            z = propagate(g, t.features, PropagationConfig(k=model.k, norm=model.norm))
+            logits = z @ model.weights + model.bias
+        elif isinstance(model, GcnModel):
+            logits = gcn_forward(model, g, t.features)
+        else:
+            raise TypeError("model must be SgcModel or GcnModel")
     if not np.isfinite(logits).all():
         raise RuntimeError("training diverged: non-finite logits")
     # argmax returns the first (lowest) index among ties

@@ -159,8 +159,6 @@ class TestConfigResolution:
         ({"edge_classifier": {"momentum": 5}}, r"edge_classifier: momentum must lie in \[0, 1\)"),
         ({"edge_classifier": {"momentum": -0.5}}, r"edge_classifier: momentum must lie in \[0, 1\)"),
         ({"edge_classifier": {"learning_rate": 0}}, "edge_classifier: learning_rate must be positive"),
-        ({"dataset": {"c": 1, "homophily": 1.0}, "degrade_k": 1}, "degrade_k must be <= 0, the different-label"),
-        ({"dataset": {"n": 1001, "c": 4}, "degrade_k": 751}, "degrade_k must be <= 750, the different-label"),
     ])
     def test_validation(self, raw, match):
         with pytest.raises(ConfigError, match=match):
@@ -703,6 +701,26 @@ class TestDegradeCommand:
                     continue
                 av, bv = a[col], b[col]
                 assert av == bv or (isinstance(av, float) and math.isnan(av) and math.isnan(bv))
+
+    @pytest.mark.parametrize("argv", [["degrade", "--k", "67"], ["pipeline"]])
+    def test_unreachable_k_exits_2_before_any_arm(self, tmp_path, capsys, argv):
+        # 100 nodes in 3 classes: the largest holds 34, so 66 nodes carry another label
+        cfg_path = write_json(tmp_path, fast_config(degrade_k=67 if argv == ["pipeline"] else 0))
+        out = tmp_path / "o"
+        assert main([*argv, "--config", cfg_path, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "dataset: degrade_k must be <= 66, the different-label nodes" in err[0]
+        assert not out.exists()
+
+    def test_k_is_checked_by_the_commands_that_degrade(self, tmp_path):
+        # a config loads whatever its degrade_k; ablation, sweep, theory and synth never read it
+        cfg = config_from_dict(fast_config(degrade_k=67), str(tmp_path / "o"))
+        assert cfg.degrade_k == 67
+        with pytest.raises(ConfigError, match="degrade_k must be <= 66"):
+            run_degradation(cfg)
+        with pytest.raises(ConfigError, match="degrade_k must be <= 66"):
+            run_pipeline(dataclasses.replace(cfg, degrade_k=0), degrade_k=67)
+        assert not (tmp_path / "o").exists()
 
     def test_degradation_lowers_ratio(self, tmp_path):
         cfg = config_from_dict(fast_config(), str(tmp_path / "o"))

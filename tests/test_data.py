@@ -248,6 +248,19 @@ class TestSynth:
         with pytest.raises(ValueError, match="edge target 21 exceeds the 20 cross-class pairs"):
             check_synth_args(n=9, c=2, d=2, homophily=0.0, avg_degree=14 / 3, feature_sep=1.0)
 
+    def test_degrade_k_bound_is_what_degrade_can_wire(self):
+        # 10 nodes in 3 classes of 4, 3 and 3: a node of the class of 4 has 6 others
+        args = dict(n=10, c=3, d=2, homophily=0.5, avg_degree=2.0, feature_sep=1.0)
+        check_synth_args(**args, degrade_k=6)
+        with pytest.raises(ValueError, match="degrade_k must be <= 6, the different-label nodes"):
+            check_synth_args(**args, degrade_k=7)
+        g, t = synth(**args, seed=0)
+        degrade(g, t, 6, seed=0)
+        with pytest.raises(ValueError, match="only 6 different-label nodes, need 7"):
+            degrade(g, t, 7, seed=0)
+        with pytest.raises(ValueError, match="degrade_k must be <= 0"):
+            check_synth_args(n=5, c=1, d=2, homophily=1.0, avg_degree=2.0, feature_sep=1.0, degrade_k=1)
+
     def test_unlikely_homophily_names_the_expected_draws(self):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="edge target 8000 exceeds the 0 cross-class pairs by 8000, "

@@ -116,6 +116,22 @@ class TestGraphConstruction:
         assert g.adjacency is g.adjacency
         assert np.array_equal(g.adjacency.toarray(), dense_adjacency(g))
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_both_ways_is_the_mirror(self, data):
+        """``both_ways`` is the graph ``from_edges`` builds from every edge and
+        its reverse; a mirrored edge list comes back edge for edge."""
+        g = draw_graph(data)
+        edges = g.edge_array()
+        want = Graph.from_edges(g.num_nodes, np.concatenate([edges, edges[:, ::-1]]), add_self_loops=False)
+        got = g.both_ways()
+        assert np.array_equal(got.row_offsets, want.row_offsets)
+        assert np.array_equal(got.col_targets, want.col_targets)
+        assert got.has_self_loops == want.has_self_loops == g.has_self_loops
+        assert got.row_offsets.dtype == got.col_targets.dtype == np.int64
+        if np.array_equal(dense_adjacency(g), dense_adjacency(g).T):
+            assert np.array_equal(got.col_targets, g.col_targets)
+
 
 class TestNodeTable:
     def make(self, labels, split=None, c=2):
