@@ -386,6 +386,10 @@ def _run_experiment(cfg: ExperimentConfig, experiment: str, arm_names, make_arms
     ``make_arms`` raises, every name in ``arm_names`` fails for that seed.
     A trained classifier's loss curve goes to the ``*_training.json`` sidecar.
     """
+    ds = cfg.dataset
+    if ds["kind"] == "synth" and ds["n"] <= 2 * ds["c"]:  # a class of two nodes splits into train and val
+        raise ConfigError(f"dataset: n = {ds['n']} <= 2c = {2 * ds['c']} leaves every class at most "
+                          "two nodes, so the test split is empty")
     rows, timings, failures = [], [], []
     sidecars = {"refinement": {}, "training": {}}
 

@@ -379,8 +379,8 @@ def make_scorer(clf: EdgeClassifier, features: np.ndarray):
         out = np.empty(u.shape[0])
         for start in range(0, u.shape[0], SCORE_BLOCK):
             stop = start + SCORE_BLOCK
-            logits, _ = _head(clf, emb[u[start:stop]], emb[v[start:stop]])
-            out[start:stop] = _sigmoid(logits)
+            # the backprop cache is dropped at once, not kept into the next block
+            out[start:stop] = _sigmoid(_head(clf, emb[u[start:stop]], emb[v[start:stop]])[0])
         return out
 
     return scorer

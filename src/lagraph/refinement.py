@@ -1,11 +1,13 @@
 """Graph refinement driven by a pair scorer.
 
 Filtering drops every non-self edge whose unordered pair scores below the
-threshold (both directions go together; self loops stay). Adding walks nodes
-in ascending id order and, while a node's non-self degree is under ``n_max``,
+threshold (both directions go together; self loops stay). Adding reads the
+graph both ways, as the edge classifier's pairs do: it walks nodes in
+ascending id order and, while a node's non-self degree is under ``n_max``,
 connects it to its highest-scoring distance-two candidates. Edges added this
 way count against the active node only; the passive endpoint may exceed
-``n_max``.
+``n_max``. Both kinds of scorer rank the pools into one queue, walked by
+one pick loop.
 """
 
 from __future__ import annotations
@@ -115,27 +117,42 @@ def filter_edges(g: Graph, scorer: PairScorer, threshold: float) -> tuple[Graph,
 def add_edges(g: Graph, scorer: PairScorer, n_max: int, threshold: float) -> tuple[Graph, RefinementReport]:
     """Connect nodes to their best-scoring distance-two candidates.
 
-    Nodes are visited in ascending id order. A node keeps adding its
+    The pass reads ``g.both_ways()``: pools are the two-hop candidates of the
+    graph with every edge mirrored, and ``n_max`` bounds the non-self degree
+    there. Nodes are visited in ascending id order. A node keeps adding its
     highest-scoring eligible candidates (ties broken by ascending id) until
-    its non-self degree reaches ``n_max``. Candidates come from the input
-    graph; edges created earlier in the pass are skipped, not re-added.
+    that degree reaches ``n_max``. Candidates come from the input graph;
+    edges created earlier in the pass are skipped, not re-added. A candidate
+    shares no edge with its node either way, so both directions of each
+    added pair are new edges of the refined graph.
 
     The scorer is called before the loop, once per pair of the pool of each
-    node whose non-self degree starts under ``n_max``, on blocks of whole
-    pools (see :func:`_pool_ranker`); it must score each pair independently
-    of the others in the call. A scorer may instead carry a
-    ``walk(g, threshold)`` function attribute, as the add-mode oracle does.
-    It returns ``rank(v, excluded, budget)``: a list of the first
-    ``budget`` candidates, in order, that scoring ``v``'s pool without
-    ``excluded`` would rank at or above ``threshold``. The pass then takes its
-    candidates from ``rank`` and never calls the scorer.
+    node whose degree starts under ``n_max``, on blocks of whole pools (see
+    :func:`_ranked_pools`); it must score each pair independently of the
+    others in the call. A scorer may instead carry a ``walk(g)`` function
+    attribute, as the add-mode oracle does. It returns ``(queue, p_pre)``:
+    ``g``'s ranked pools and the share of leading entries to take (see
+    :func:`_quota_walk`), where step ``r`` of a pool of ``m`` remaining
+    candidates scores ``1 - (r + 1) / (2 (m + 1))``. The pass then never
+    calls the scorer.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    degrees = g.nonself_degrees()
     walk = getattr(scorer, "walk", None)
-    rank = walk(g, threshold) if walk is not None else _pool_ranker(g, scorer, threshold, degrees < n_max)
-    degrees = degrees.tolist()
+    if walk is not None:
+        (ranked, p_pre), cut = walk(g), threshold
+    else:
+        def order(owners: np.ndarray, cand: np.ndarray):
+            scores = np.asarray(scorer(owners, cand.astype(np.int64)), dtype=np.float64)
+            if scores.shape != cand.shape:
+                raise ValueError("scorer must return one score per pair")
+            kept = np.flatnonzero(scores >= threshold)
+            # a pool is ascending, and the sort is stable, so equal scores keep ascending ids
+            kept = kept[np.lexsort((-scores[kept], owners[kept]))]
+            return kept, kept  # all leading: the walk takes each pool in (-score, id) order
+
+        ranked, p_pre, cut = _ranked_pools(g, order, n_max), 1.0, 0.0
+    degrees, indptr, lead = ranked.degrees.tolist(), ranked.indptr.tolist(), ranked.lead.tolist()
     n = g.num_nodes
     added_adj: list[list[int]] = [[] for _ in range(n)]
     active: list[int] = []
@@ -143,7 +160,8 @@ def add_edges(g: Graph, scorer: PairScorer, n_max: int, threshold: float) -> tup
     for v in range(n):
         if degrees[v] >= n_max:
             continue
-        picks = rank(v, added_adj[v], n_max - degrees[v])
+        pool = ranked.queue[indptr[v]:indptr[v + 1]].tolist()
+        picks = _quota_walk(pool, lead[v], p_pre, n_max - degrees[v], set(added_adj[v]), cut)
         active += [v] * len(picks)
         passive += picks
         added_adj[v] += picks
@@ -153,10 +171,8 @@ def add_edges(g: Graph, scorer: PairScorer, n_max: int, threshold: float) -> tup
             degrees[w] += 1
     arr = np.empty((len(active), 2), dtype=np.int64)
     arr[:, 0], arr[:, 1] = active, passive
-    # both directions of each added pair; one may already be an edge of a one-way edge list
     keys = np.sort(np.concatenate([g.edge_sources() * n + g.col_targets,
                                    arr[:, 0] * n + arr[:, 1], arr[:, 1] * n + arr[:, 0]]))
-    keys = keys[np.diff(keys, prepend=-1) != 0]
     refined = Graph.from_sorted(n, keys // n, keys % n)
     report = RefinementReport(
         edges_before=g.num_edges,
@@ -190,51 +206,53 @@ def _pool_blocks(indptr: np.ndarray):
         node = stop
 
 
-def _pool_ranker(g: Graph, scorer: PairScorer, threshold: float, active: np.ndarray):
-    """``rank`` for a plain pair scorer, which scores the pools of the
-    ``active`` nodes once, before the pass.
+@dataclass(frozen=True)
+class _PoolQueue:
+    """The ranked two-hop pools of one graph read both ways.
 
-    Pools are scored a block of whole pools at a time (:func:`_pool_blocks`).
-    Each node's candidates that score at or above ``threshold`` are kept in
-    one int32 queue ordered by (node, -score, id), with per-node offsets;
-    no score is kept. Dropping the excluded nodes keeps the order of the
-    rest, so ``rank`` walks the node's slice and skips them, which is the
-    ranking of the pool scored without them.
+    Node ``v``'s slice ``queue[indptr[v]:indptr[v + 1]]`` (int32) holds its
+    ``lead[v]`` leading candidates, then the rest, each part in the order an
+    add pass takes it; ``degrees`` holds each node's non-self degree in the
+    mirrored graph. Dropping candidates keeps the order of the rest, so one
+    queue serves every set of exclusions.
     """
-    indptr, pools = two_hop_pools(g)
-    sizes = np.diff(indptr)
-    pools = pools[np.repeat(active, sizes)]  # the pools of the active nodes, as one CSR
-    indptr = np.concatenate(([0], np.cumsum(sizes * active)))
+
+    indptr: np.ndarray
+    queue: np.ndarray
+    lead: np.ndarray
+    degrees: np.ndarray
+
+
+def _ranked_pools(g: Graph, order, n_max: int | None = None) -> _PoolQueue:
+    """The :class:`_PoolQueue` of ``g``, built ``KEY_BLOCK`` pool entries
+    (whole pools, :func:`_pool_blocks`) at a time.
+
+    ``order(owners, cand)`` ranks one block: it returns the indices of the
+    entries to keep, in queue order (owners ascending), and an index or mask
+    of the leading ones. With ``n_max``, only the pools of nodes whose degree
+    is under it are ranked; the others are left empty. Nothing of a block
+    outlives it but its slice of the queue and its counts.
+    """
+    mirror = g.both_ways()
+    degrees = mirror.nonself_degrees()
+    indptr, pools = two_hop_pools(mirror)
+    del mirror  # dropped before the pools are ranked
+    if n_max is not None:
+        active, sizes = degrees < n_max, np.diff(indptr)
+        pools = pools[np.repeat(active, sizes)]  # the pools of the active nodes, as one CSR
+        indptr = np.concatenate(([0], np.cumsum(sizes * active)))
     queue = np.empty_like(pools)
     counts = np.zeros(g.num_nodes + 1, dtype=np.int64)
+    lead = np.zeros(g.num_nodes, dtype=np.int64)
     end = 0
     for node, stop, lo, hi, owners in _pool_blocks(indptr):
-        cand = pools[lo:hi].astype(np.int64)
-        scores = np.asarray(scorer(owners, cand), dtype=np.float64)
-        if scores.shape != cand.shape:
-            raise ValueError("scorer must return one score per pair")
-        keep = scores >= threshold
-        owners, cand, scores = owners[keep], cand[keep], scores[keep]
-        # a pool is ascending, and the sort is stable, so equal scores keep ascending ids
-        queue[end:end + cand.size] = cand[np.lexsort((-scores, owners))]
-        end += cand.size
-        counts[node + 1:stop + 1] = np.bincount(owners - node, minlength=stop - node)
-    offsets = np.cumsum(counts).tolist()
-
-    def rank(v: int, excluded: list[int], budget: int) -> list[int]:
-        ranked = queue[offsets[v]:offsets[v + 1]].tolist()
-        if not excluded:
-            return ranked[:budget]
-        skip = set(excluded)
-        picks = []
-        for w in ranked:
-            if w not in skip:
-                picks.append(w)
-                if len(picks) == budget:
-                    break
-        return picks
-
-    return rank
+        cand = pools[lo:hi]
+        kept, leading = order(owners, cand)
+        queue[end:end + kept.size] = cand[kept]
+        end += kept.size
+        counts[node + 1:stop + 1] = np.bincount(owners[kept] - node, minlength=stop - node)
+        lead[node:stop] = np.bincount(owners[leading] - node, minlength=stop - node)
+    return _PoolQueue(np.cumsum(counts), queue, lead, degrees)
 
 
 def refine(g: Graph, t: NodeTable, classifier, cfg: RefinementConfig = RefinementConfig(),
@@ -321,93 +339,57 @@ class OracleClassifier:
                 raise ValueError(f"{name} must lie in [0, 1]")
 
 
-def _quota_walk(queue: list[int], num_same: int, p_pre: float, steps: int, skip: set[int]) -> list[int]:
-    """The first ``steps`` picks of the add-mode oracle's ranking of one pool.
+def _quota_walk(pool: list[int], num_lead: int, p_pre: float, steps: int, skip: set[int],
+                cut: float) -> list[int]:
+    """The first ``steps`` picks of one ranked pool, or fewer.
 
-    ``queue`` holds the pool's ``num_same`` same-label entries, then the
-    others, each in shuffle-key order; entries in ``skip`` are passed over.
-    The ideal ranking holds ``floor(p_pre * k + 0.5)`` same-label picks among
-    its first ``k``. Since ``p_pre <= 1`` that count grows by 0 or 1 per
-    step, so step ``r`` takes from the same-label queue when it grows and
-    that queue is not dry, and from the other queue otherwise. Once one
-    queue runs dry, every later step takes from the other.
+    ``pool`` holds ``num_lead`` leading entries, then the others, each in the
+    order they are taken; entries in ``skip`` are passed over. The ideal
+    ranking holds ``floor(p_pre * k + 0.5)`` leading picks among its first
+    ``k``. Since ``p_pre <= 1`` that count grows by 0 or 1 per step, so step
+    ``r`` takes a leading entry when it grows and some are left, and another
+    entry otherwise. Once one part runs dry, every later step takes from the
+    other. A ``cut`` over 0.5 ends the walk at the first step ``r`` whose
+    score ``1 - (r + 1) / (2 (m + 1))`` is under it, ``m`` being the pool's
+    entries outside ``skip``: the add-mode oracle's scores, all in (0.5, 1).
     """
+    if cut > 0.5:
+        m = len(pool) - len(skip.intersection(pool))
+        r = 0
+        while r < steps and 1.0 - (r + 1.0) / (2.0 * (m + 1.0)) >= cut:
+            r += 1
+        steps = r
+    if not skip and num_lead in (0, len(pool)):  # one part, nothing passed over: the pool in order
+        return pool[:steps]
     picks = []
-    si, di, end = 0, num_same, len(queue)
+    si, di, end = 0, num_lead, len(pool)
     for r in range(steps):
-        while si < num_same and queue[si] in skip:
+        while si < num_lead and pool[si] in skip:
             si += 1
-        while di < end and queue[di] in skip:
+        while di < end and pool[di] in skip:
             di += 1
         grows = math.floor(p_pre * (r + 1) + 0.5) > math.floor(p_pre * r + 0.5)
-        if si < num_same and (grows or di == end):
-            picks.append(queue[si])
+        if si < num_lead and (grows or di == end):
+            picks.append(pool[si])
             si += 1
         elif di < end:
-            picks.append(queue[di])
+            picks.append(pool[di])
             di += 1
         else:
             break
     return picks
 
 
-class _AddQueue:
-    """Every two-hop pool of one graph in the add-mode oracle's queue order.
-
-    Node ``v``'s slice of ``queue`` (laid out like :func:`two_hop_pools`)
-    holds its ``num_same[v]`` same-label candidates, then the others, each
-    sorted by the shuffle key (ties by ascending id). A key depends only on
-    (seed, node, candidate), and dropping candidates keeps the order of the
-    rest, so one queue serves every ``p_pre`` and every set of exclusions.
-    Keys are hashed and sorted ``KEY_BLOCK`` pool entries (whole pools) at
-    a time; no key is kept, only the queue, its ``indptr`` and the counts.
-    """
-
-    def __init__(self, g: Graph, labels: np.ndarray, seed: int):
-        indptr, pools = two_hop_pools(g)
-        self.graph, self.labels, self.seed, self.indptr = g, labels, seed, indptr
-        self.queue = np.empty_like(pools)
-        self.num_same = np.zeros(g.num_nodes, dtype=np.int32)
-        for node, stop, lo, hi, owners in _pool_blocks(indptr):
-            cand = pools[lo:hi]
-            same = labels[cand] == labels[owners]
-            self.queue[lo:hi] = cand[np.lexsort((unit_uniform(seed, owners, cand), ~same, owners))]
-            self.num_same[node:stop] = np.bincount(owners[same] - node, minlength=stop - node)
-
-    def built_for(self, g: Graph, labels: np.ndarray, seed: int) -> bool:
-        return self.graph is g and self.labels is labels and self.seed == seed
-
-    def ranker(self, p_pre: float, threshold: float):
-        """The ``rank(v, excluded, budget)`` of one ``add_edges`` pass.
-
-        Step ``r`` of a pool of ``n`` kept candidates scores
-        ``1 - (r + 1) / (2 (n + 1))``, in (0.5, 1), and the pass stops at
-        the first step that scores under ``threshold``.
-        """
-        indptr, num_same, queue = self.indptr.tolist(), self.num_same.tolist(), self.queue
-
-        def rank(v: int, excluded: list[int], budget: int) -> list[int]:
-            pool = queue[indptr[v]:indptr[v + 1]].tolist()
-            skip = set(excluded)
-            if threshold > 0.5:  # a lower threshold keeps every step, as each scores above 0.5
-                n = len(pool) - len(skip.intersection(pool))  # the candidates the pool keeps
-                steps = 0
-                while steps < budget and 1.0 - (steps + 1.0) / (2.0 * (n + 1.0)) >= threshold:
-                    steps += 1
-                budget = steps
-            return _quota_walk(pool, num_same[v], p_pre, budget, skip)
-
-        return rank
-
-
 def oracle_scorer(t: NodeTable, oc: OracleClassifier, _shared: dict | None = None) -> PairScorer:
     """Build the pair scorer for an :class:`OracleClassifier`.
 
-    An add-mode scorer ranks pools only through its ``walk`` attribute,
-    which ranks ``add_edges`` passes from one sorted queue per graph (see
-    :class:`_AddQueue`); a direct call raises. Add-mode scorers built with
-    one ``_shared`` dict, for the same table and seed, share that queue: the
-    first pass on a graph leaves it there for the others.
+    An add-mode scorer ranks pools only through its ``walk`` attribute; a
+    direct call raises. Its queue puts each node's same-label candidates
+    first, then the others, each part sorted by a shuffle key that depends
+    only on (seed, node, candidate), ties by ascending id; so one queue
+    serves every ``p_pre``. Add-mode scorers built with one ``_shared`` dict,
+    for the same table and seed, share that queue: the first pass on a graph
+    leaves it there for the others.
     """
     if not t.known_mask().all():
         raise ValueError("oracle scoring requires fully known labels")
@@ -429,12 +411,16 @@ def oracle_scorer(t: NodeTable, oc: OracleClassifier, _shared: dict | None = Non
     def scorer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise ValueError("the add-mode oracle ranks pools only through add_edges")
 
-    def walk(g: Graph, threshold: float):
+    def order(owners: np.ndarray, cand: np.ndarray):
+        same = labels[cand] == labels[owners]
+        return np.lexsort((unit_uniform(oc.seed, owners, cand), ~same, owners)), same
+
+    def walk(g: Graph) -> tuple[_PoolQueue, float]:
         store = {} if _shared is None else _shared
-        queue = store.get("queue")
-        if queue is None or not queue.built_for(g, labels, oc.seed):
-            queue = store["queue"] = _AddQueue(g, labels, oc.seed)
-        return queue.ranker(oc.target_p_pre, threshold)
+        built_for = store.get("built_for", (None, None, None))
+        if built_for[0] is not g or built_for[1] is not labels or built_for[2] != oc.seed:
+            store["built_for"], store["queue"] = (g, labels, oc.seed), _ranked_pools(g, order)
+        return store["queue"], oc.target_p_pre
 
     scorer.walk = walk
     return scorer

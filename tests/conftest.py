@@ -189,15 +189,17 @@ def reference_score_pairs(clf, features, u, v):
 
 
 def reference_add_edges(g, scorer, n_max, threshold):
-    """``add_edges`` as a per-node loop over ``two_hop_candidates``; returns
-    the refined graph and the added ``(active, passive)`` pairs."""
-    degrees = g.nonself_degrees().astype(np.int64)
+    """``add_edges`` as a per-node loop over ``two_hop_candidates`` of the
+    mirrored graph; returns the refined graph (``g``'s edges plus both
+    directions of each added pair) and the added ``(active, passive)`` pairs."""
+    both = mirrored(g)
+    degrees = both.nonself_degrees().astype(np.int64)
     added_adj = [set() for _ in range(g.num_nodes)]
     added = []
     for v in range(g.num_nodes):
         if degrees[v] >= n_max:
             continue
-        cand = two_hop_candidates(g, v)
+        cand = two_hop_candidates(both, v)
         if added_adj[v]:
             cand = cand[~np.isin(cand, np.fromiter(added_adj[v], dtype=np.int64))]
         if cand.size == 0:

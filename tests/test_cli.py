@@ -503,6 +503,16 @@ class TestErrorExits:
         assert f"edge target {target} exceeds the {allowed} " in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["pipeline", "degrade", "ablation", "sweep"])
+    def test_empty_test_split_exits_2_before_any_seed(self, tmp_path, capsys, command):
+        cfg_path = write_json(tmp_path, fast_config(dataset={"n": 4, "c": 2}))
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg_path, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: lagraph.cli.ConfigError: dataset: n = 4 <= 2c = 4 leaves every class "
+                       "at most two nodes, so the test split is empty"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["pipeline", "degrade", "ablation"])
     def test_add_oracle_for_a_filter_stage_exits_2_before_any_arm(self, tmp_path, capsys, command):
         cfg_path = write_json(tmp_path, fast_config(scorer={"kind": "oracle", "mode": "add"}))
@@ -588,9 +598,10 @@ class TestSweepCommand:
         """Each seed builds and hashes its pools once for its six add passes,
         every pass walks a queue built from its own graph, and no queue
         outlives its seed."""
-        seeds, queues, current = [], [], {}
+        seeds, queues, current, built_from = [], [], {}, {}
         load_dataset, pools = cli._load_dataset, refinement.two_hop_pools
         hash_keys, add_edges = refinement.unit_uniform, refinement.add_edges
+        ranked_pools, oracle_scorer = refinement._ranked_pools, cli.oracle_scorer
 
         def seed_start(cfg, seed):
             gc.collect()
@@ -611,20 +622,31 @@ class TestSweepCommand:
             current["graph"] = g
             return add_edges(g, *args)
 
-        class Queue(refinement._AddQueue):
-            def __init__(self, *args):
-                super().__init__(*args)
-                queues.append(weakref.ref(self))
+        def recorded_queue(g, *args):
+            queue = ranked_pools(g, *args)
+            assert isinstance(queue, refinement._PoolQueue)
+            queues.append(weakref.ref(queue))
+            built_from[id(queue)] = weakref.ref(g)
+            return queue
 
-            def ranker(self, *args):
-                seeds[-1]["own_graph"].append(self.graph is current["graph"])
-                return super().ranker(*args)
+        def scorer_of_record(t, oc, _shared=None):
+            scorer = oracle_scorer(t, oc, _shared=_shared)
+            walk = scorer.walk
+
+            def walk_of_record(g):
+                queue, p_pre = walk(g)
+                seeds[-1]["own_graph"].append(built_from[id(queue)]() is current["graph"])
+                return queue, p_pre
+
+            scorer.walk = walk_of_record
+            return scorer
 
         monkeypatch.setattr(cli, "_load_dataset", seed_start)
+        monkeypatch.setattr(cli, "oracle_scorer", scorer_of_record)
         monkeypatch.setattr(refinement, "two_hop_pools", counted_pools)
         monkeypatch.setattr(refinement, "unit_uniform", counted_hash)
         monkeypatch.setattr(refinement, "add_edges", add_pass)
-        monkeypatch.setattr(refinement, "_AddQueue", Queue)
+        monkeypatch.setattr(refinement, "_ranked_pools", recorded_queue)
         monkeypatch.setattr(refinement, "KEY_BLOCK", 1000)
         raw = fast_config(dataset={"n": 400}, seeds=[0, 1],
                           sweep={"kind": "p_pre", "values": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]})

@@ -1,9 +1,10 @@
 """Fuzz the config boundary: every drawn config runs, or is refused at load.
 
-A ``pipeline`` run on a drawn config must exit 0, or exit 2 with exactly one
-``error:`` line before any arm runs. Exit 1 is allowed only when every
-``FAILED`` line names a failure that depends on the drawn data, not on a
-value the config check could have refused.
+A ``pipeline``, ``ablation``, ``sweep`` or ``degrade`` run on a drawn
+config must exit 0, or exit 2 with exactly one ``error:`` line before any
+arm runs. Exit 1 is allowed only when every ``FAILED`` line names a
+failure that depends on the drawn data, not on a value the config check
+could have refused.
 """
 
 import contextlib
@@ -30,7 +31,10 @@ BASE = {
     "edge_classifier": {"proj_dim": 4, "hidden_widths": [4], "epochs": 2, "num_sampled": 100},
     "model": {"epochs": 2},
     "seeds": [0],
+    "sweep": {"values": [0.0, 1.0]},
 }
+
+COMMANDS = ("pipeline", "ablation", "sweep", "degrade")
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 BOOLS = st.booleans()
@@ -81,6 +85,8 @@ FIELDS = {
     ("scorer", "mode"): st.sampled_from(["filter", "add"]),
     ("scorer", "target_p"): floats(-0.5, 1.5),
     ("scorer", "target_q"): floats(-0.5, 1.5),
+    ("sweep", "kind"): st.sampled_from(["p_minus_q", "p_pre", "p"]),
+    ("sweep", "values"): st.lists(floats(-0.5, 1.5), max_size=2),
     (None, "seeds"): SEEDS,
     (None, "degrade_k"): ints(-1, 2),
 }
@@ -96,14 +102,14 @@ def configs(draw):
 
 
 @settings(max_examples=25, deadline=2000)
-@given(configs())
-def test_pipeline_runs_or_is_refused_at_load(tmp_path_factory, raw):
+@given(st.sampled_from(COMMANDS), configs())
+def test_experiment_runs_or_is_refused_at_load(tmp_path_factory, command, raw):
     work = tmp_path_factory.mktemp("fuzz")
     path = work / "config.json"
     path.write_text(json.dumps(raw), encoding="utf-8")  # non-finite floats as NaN / Infinity
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["pipeline", "--config", str(path), "--output-dir", str(work / "o")])
+        code = main([command, "--config", str(path), "--output-dir", str(work / "o")])
     lines = err.getvalue().splitlines()
     errors = [line for line in lines if line.startswith("error:")]
     failed = [line for line in lines if line.startswith("FAILED")]

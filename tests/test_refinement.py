@@ -29,6 +29,7 @@ from lagraph.refinement import (
 from conftest import (
     draw_graph,
     draw_table,
+    mirrored,
     path_graph,
     reference_add_edges,
     reference_oracle_add_scorer,
@@ -145,15 +146,39 @@ class TestAddEdges:
         with pytest.raises(ValueError, match="n_max"):
             add_edges(path_graph(3), dict_scorer({}), n_max=0, threshold=0.5)
 
-    def test_pair_stored_one_way_is_not_doubled(self):
-        # the one-way cycle 0 -> 1 -> 2 -> 0: node 0 reaches 2 in two hops, and 2 -> 0 is stored already
+    def test_one_way_edges_are_read_both_ways(self):
+        # the one-way cycle 0 -> 1 -> 2 -> 0 read both ways is a triangle: every pool is empty
         g = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)], add_self_loops=False)
         refined, rep = add_edges(g, dict_scorer({}, default=1.0), 3, 0.5)
-        assert rep.added_pairs.tolist() == [[0, 2], [1, 0], [2, 1]]
-        assert_same_graph(refined, Graph.from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)],
+        assert rep.added_pairs.tolist() == [] and rep.edges_added == 0
+        assert_same_graph(refined, g)
+        # the one-way path 2 -> 1 -> 0: node 0, whose edge points at it, reaches 2
+        g = Graph.from_edges(3, [(2, 1), (1, 0)], add_self_loops=False)
+        refined, rep = add_edges(g, dict_scorer({}, default=1.0), 5, 0.5)
+        assert rep.added_pairs.tolist() == [[0, 2]]
+        assert_same_graph(refined, Graph.from_edges(3, [(2, 1), (1, 0), (0, 2), (2, 0)],
                                                     add_self_loops=False))
-        # three pairs, but only their three missing directions are new edges
-        assert (rep.edges_before, rep.edges_added, rep.edges_after) == (3, 3, 6)
+        assert (rep.edges_before, rep.edges_added, rep.edges_after) == (2, 2, 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_one_way_graph_adds_the_pairs_of_its_mirror(self, data):
+        n = data.draw(st.integers(1, 30), label="nodes")
+        node = st.integers(0, n - 1)
+        g = Graph.from_edges(n, data.draw(st.lists(st.tuples(node, node), max_size=80), label="pairs"),
+                             add_self_loops=data.draw(st.booleans(), label="self loops"))
+        t = draw_table(data, n, allow_unknown=False)
+        p_pre = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="p_pre")
+        oc = OracleClassifier(mode="add", target_p_pre=p_pre)
+        n_max = data.draw(st.integers(1, 4), label="n_max")
+        seed = data.draw(st.integers(0, 99), label="seed")
+        cut = data.draw(st.sampled_from([0.5, 0.9]), label="cut")
+        for scorer, threshold in [(coarse_hash_scorer(seed), 0.5), (oracle_scorer(t, oc), cut)]:
+            refined, rep = add_edges(g, scorer, n_max, threshold)
+            _, want = add_edges(mirrored(g), scorer, n_max, threshold)
+            assert np.array_equal(rep.added_pairs, want.added_pairs)
+            # no added pair was an edge either way, so both of its directions are new
+            assert rep.edges_added == refined.num_edges - g.num_edges == 2 * len(rep.added_pairs)
 
 
 def coarse_hash_scorer(seed):
@@ -513,6 +538,18 @@ class TestOracleFilter:
         assert ratios[-1] > ratios[0] + 0.2
 
 
+def oracle_rank(scorer, g, threshold):
+    """``rank(v, excluded, budget)``: the picks an add pass at ``threshold``
+    takes from node ``v``'s pool of the add-mode oracle's queue for ``g``."""
+    ranked, p_pre = scorer.walk(g)
+
+    def rank(v, excluded, budget):
+        pool = ranked.queue[ranked.indptr[v]:ranked.indptr[v + 1]].tolist()
+        return refinement._quota_walk(pool, int(ranked.lead[v]), p_pre, budget, set(excluded), threshold)
+
+    return rank
+
+
 class TestOracleAdd:
     def test_prefix_quota_exact(self):
         """Every prefix of the ranking holds round(p_pre * k) same-label picks."""
@@ -522,7 +559,7 @@ class TestOracleAdd:
                       split=np.zeros(42, dtype=np.int8))
         g = undirected_graph(42, [(0, 41)] + [(41, j) for j in range(1, 41)])
         scorer = oracle_scorer(t, OracleClassifier(mode="add", target_p_pre=0.5, seed=9))
-        ranked = scorer.walk(g, 0.5)(0, [], 40)
+        ranked = oracle_rank(scorer, g, 0.5)(0, [], 40)
         assert sorted(ranked) == list(range(1, 41))  # every step scores above 0.5
         same = (labels[ranked] == labels[0]).cumsum()
         for k in range(1, 41):
@@ -613,7 +650,7 @@ class TestOracleAddMatchesReference:
         threshold = data.draw(st.sampled_from([0.5, 0.6, 0.9]), label="threshold")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(refinement, "KEY_BLOCK", data.draw(st.sampled_from([1, 7, 16384]), label="block"))
-            rank = scorer.walk(g, threshold)
+            rank = oracle_rank(scorer, g, threshold)
 
         def ranked(cand, scores):
             keep = scores >= threshold
@@ -623,7 +660,8 @@ class TestOracleAddMatchesReference:
         budget = data.draw(st.integers(1, n + 1), label="budget")
         assert rank(0, np.setdiff1d(full, pool).tolist() + [hub], budget) == ranked(pool, want)[:budget]
         # at threshold 0.5 every step is kept: the whole pool in descending score
-        assert scorer.walk(g, 0.5)(0, np.setdiff1d(full, pool).tolist(), n) == pool[np.argsort(-want)].tolist()
+        rank_all = oracle_rank(scorer, g, 0.5)
+        assert rank_all(0, np.setdiff1d(full, pool).tolist(), n) == pool[np.argsort(-want)].tolist()
         if full.size:
             other = int(full[0])
             other_pool = np.setdiff1d(np.union1d([0], full), [other])
@@ -635,8 +673,9 @@ class TestOracleAddMatchesReference:
         edges = g.edge_array()
         one_way = Graph.from_edges(g.num_nodes, edges[edges[:, 0] % 3 != 0], add_self_loops=False)
         builds = []
-        pools = refinement.two_hop_pools
-        monkeypatch.setattr(refinement, "two_hop_pools", lambda graph: builds.append(graph) or pools(graph))
+        ranked_pools = refinement._ranked_pools
+        monkeypatch.setattr(refinement, "_ranked_pools",
+                            lambda graph, *args: builds.append(graph) or ranked_pools(graph, *args))
         shared = {}
         for graph, p_pre, seed in [(g, 0.3, 2), (g, 0.8, 2), (one_way, 0.6, 2), (one_way, 0.6, 3)]:
             oc = OracleClassifier(mode="add", target_p_pre=p_pre, seed=seed)
@@ -686,7 +725,7 @@ class TestAddPassKeys:
         quota_walk = refinement._quota_walk
         scorer = oracle_scorer(t, OracleClassifier(mode="add", target_p_pre=0.7))
 
-        class Queue(refinement._AddQueue):
+        class Queue(refinement._PoolQueue):
             def __init__(self, *args):
                 super().__init__(*args)
                 queues.append(weakref.ref(self))
@@ -697,7 +736,7 @@ class TestAddPassKeys:
                 raise RuntimeError("walk failed")
             return quota_walk(*args)
 
-        monkeypatch.setattr(refinement, "_AddQueue", Queue)
+        monkeypatch.setattr(refinement, "_PoolQueue", Queue)
         monkeypatch.setattr(refinement, "_quota_walk", failing_walk)
         with pytest.raises(RuntimeError, match="walk failed"):
             add_edges(g, scorer, 6, 0.5)
