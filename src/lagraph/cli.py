@@ -224,12 +224,19 @@ def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> Experimen
         raise ConfigError("degrade_k must be >= 0")
     if scalars["theory_trials"] < 2:
         raise ConfigError("theory_trials must be >= 2")
+    values = resolved["sweep"]["values"]
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"sweep.values must be a non-empty list, got {values!r}")
+    try:
+        sweep = dict(resolved["sweep"], values=[_coerce(float, v) for v in values])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"sweep.values: {exc}") from exc
     classes = {"edge_features": EdgeFeatureConfig, "edge_classifier": TrainConfig, "refinement": RefinementConfig}
     sections = {name: _typed(cls, resolved[name], name) for name, cls in classes.items()}
     model = _typed(FitConfig, model, "model")
     # hash covers everything that shapes the numbers, as coerced; where they land does not
     hashed = {**{k: v for k, v in scalars.items() if k != "output_dir"},
-              "dataset": ds, "scorer": scorer, "model": model, **sections}
+              "dataset": ds, "scorer": scorer, "model": model, "sweep": sweep, **sections}
     blob = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
     return ExperimentConfig(
         dataset=ds,
@@ -240,7 +247,7 @@ def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> Experimen
         seeds=scalars["seeds"],
         output_dir=out,
         degrade_k=scalars["degrade_k"],
-        sweep=resolved["sweep"],
+        sweep=sweep,
         dump_refined=scalars["dump_refined"],
         theory_trials=scalars["theory_trials"],
         config_hash=hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12],
@@ -273,6 +280,12 @@ def write_csv(path, header, rows) -> None:
         lines.append(",".join(_fmt(row[col]) for col in header))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_json(path, record) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def append_summary_rows(rows: list[dict]) -> list[dict]:
@@ -457,10 +470,7 @@ def _run_experiment(cfg: ExperimentConfig, experiment: str, arm_names, make_arms
     write_csv(os.path.join(cfg.output_dir, f"{experiment}_timings.csv"), TIMINGS_HEADER, timings)
     for suffix, sidecar in sidecars.items():
         if sidecar:
-            with open(os.path.join(cfg.output_dir, f"{experiment}_{suffix}.json"), "w",
-                      encoding="utf-8") as fh:
-                json.dump(sidecar, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_json(os.path.join(cfg.output_dir, f"{experiment}_{suffix}.json"), sidecar)
     print(f"{experiment}: wrote {metrics_path} ({len(rows)} arm rows)")
     for failure in failures:
         print(f"FAILED {failure}", file=sys.stderr)
@@ -523,12 +533,6 @@ def run_oracle_sweep(cfg: ExperimentConfig) -> tuple[list[dict], int]:
     kind, values = cfg.sweep["kind"], cfg.sweep["values"]
     if kind not in ("p_minus_q", "p_pre"):
         raise ConfigError("sweep.kind must be 'p_minus_q' or 'p_pre'")
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"sweep.values must be a non-empty list, got {values!r}")
-    try:
-        values = [_coerce(float, v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sweep.values: {exc}") from exc
     if any(not 0.0 <= v <= 1.0 for v in values):
         raise ConfigError("sweep values must lie in [0, 1]")
     if kind == "p_pre" and cfg.refinement.threshold > 0.5:
@@ -571,9 +575,7 @@ def run_theory(cfg: ExperimentConfig) -> int:
     report = check_propositions()
     elapsed = time.perf_counter() - start
     prop_path = os.path.join(cfg.output_dir, "theory_propositions.json")
-    with open(prop_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(prop_path, report.to_dict())
 
     gm, seed, trials = SWEEP_MIXTURE, cfg.seeds[0], cfg.theory_trials
     rows = []

@@ -149,12 +149,12 @@ def _structural_pairs(g: Graph, include_two_hop: bool, eligible) -> tuple[np.nda
 
 def _sample_pairs(train_ids: np.ndarray, used_u: np.ndarray, used_v: np.ndarray,
                   count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform unordered train-train pairs, excluding self and ``used`` pairs."""
+    """Uniform unordered train-train pairs, excluding self and ``used`` pairs
+    (each ``used_u < used_v``, both in ``train_ids``, which is ascending)."""
     n_train = train_ids.size
     total = n_train * (n_train - 1) // 2
     pos = {int(i): k for k, i in enumerate(train_ids)}
-    used = {(pos[int(a)], pos[int(b)]) for a, b in zip(used_u, used_v)
-            if int(a) in pos and int(b) in pos}
+    used = {(pos[int(a)], pos[int(b)]) for a, b in zip(used_u, used_v)}
     budget = min(count, total - len(used))
     rng = np.random.default_rng(seed + 2)
     chosen: list[tuple[int, int]] = []

@@ -13,12 +13,12 @@ one pick loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
-from .edge_classifier import EdgeClassifier, make_scorer
+from .edge_classifier import EdgeClassifier, make_scorer, pair_quality
 from .graph import Graph, NodeTable, positive_ratio, two_hop_pools, unordered_pairs
 # bound for the benchmark tracer (perfbench/spans.py wraps this module's name); unused here
 from .graph import two_hop_candidates  # noqa: F401
@@ -56,7 +56,8 @@ class RefinementReport:
     Edge counts are directed and include self loops, so
     ``edges_before - edges_removed + edges_added == edges_after`` exactly.
     Ratios are NaN when labels were unavailable; ``added_precision`` is the
-    same-label fraction among added pairs (NaN when nothing was added).
+    same-label fraction among added pairs with both labels known (NaN when
+    there are none).
     """
 
     edges_before: int
@@ -71,25 +72,29 @@ class RefinementReport:
     added_pairs: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
 
     def to_dict(self) -> dict:
-        def opt(x):
-            return None if isinstance(x, float) and math.isnan(x) else x
-
-        return {
-            "edges_before": self.edges_before,
-            "edges_removed": self.edges_removed,
-            "edges_added": self.edges_added,
-            "edges_after": self.edges_after,
-            "ratio_before": opt(self.ratio_before),
-            "ratio_after": opt(self.ratio_after),
-            "degree_hist_before": list(self.degree_hist_before),
-            "degree_hist_after": list(self.degree_hist_after),
-            "added_precision": opt(self.added_precision),
-        }
+        """The fields but ``added_pairs``, NaN written as None."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "added_pairs"}
+        return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in out.items()}
 
 
 def _degree_hist(g: Graph) -> list[int]:
     degs = g.nonself_degrees()
     return np.bincount(degs).tolist() if degs.size else []
+
+
+def _report(before: Graph, after: Graph, removed: int = 0,
+            added_pairs: np.ndarray | None = None) -> RefinementReport:
+    """The edge counts and degree histograms of going from ``before`` to
+    ``after`` by removing ``removed`` edges and adding ``added_pairs``."""
+    return RefinementReport(
+        edges_before=before.num_edges,
+        edges_removed=removed,
+        edges_added=after.num_edges - before.num_edges + removed,
+        edges_after=after.num_edges,
+        degree_hist_before=_degree_hist(before),
+        degree_hist_after=_degree_hist(after),
+        added_pairs=np.zeros((0, 2), dtype=np.int64) if added_pairs is None else added_pairs,
+    )
 
 
 def filter_edges(g: Graph, scorer: PairScorer, threshold: float) -> tuple[Graph, RefinementReport]:
@@ -103,15 +108,7 @@ def filter_edges(g: Graph, scorer: PairScorer, threshold: float) -> tuple[Graph,
             raise ValueError("scorer must return one score per pair")
         keep[nonself] = (scores >= threshold)[inverse]
     refined = Graph.from_sorted(g.num_nodes, edges[keep, 0], edges[keep, 1])
-    report = RefinementReport(
-        edges_before=g.num_edges,
-        edges_removed=int(np.count_nonzero(~keep)),
-        edges_added=0,
-        edges_after=refined.num_edges,
-        degree_hist_before=_degree_hist(g),
-        degree_hist_after=_degree_hist(refined),
-    )
-    return refined, report
+    return refined, _report(g, refined, removed=int(np.count_nonzero(~keep)))
 
 
 def add_edges(g: Graph, scorer: PairScorer, n_max: int, threshold: float) -> tuple[Graph, RefinementReport]:
@@ -174,16 +171,7 @@ def add_edges(g: Graph, scorer: PairScorer, n_max: int, threshold: float) -> tup
     keys = np.sort(np.concatenate([g.edge_sources() * n + g.col_targets,
                                    arr[:, 0] * n + arr[:, 1], arr[:, 1] * n + arr[:, 0]]))
     refined = Graph.from_sorted(n, keys // n, keys % n)
-    report = RefinementReport(
-        edges_before=g.num_edges,
-        edges_removed=0,
-        edges_added=refined.num_edges - g.num_edges,
-        edges_after=refined.num_edges,
-        degree_hist_before=_degree_hist(g),
-        degree_hist_after=_degree_hist(refined),
-        added_pairs=arr,
-    )
-    return refined, report
+    return refined, _report(g, refined, added_pairs=arr)
 
 
 def _pool_blocks(indptr: np.ndarray):
@@ -275,40 +263,19 @@ def refine(g: Graph, t: NodeTable, classifier, cfg: RefinementConfig = Refinemen
         raise TypeError("classifier must be an EdgeClassifier or a pair-scorer callable")
 
     before = positive_ratio(g, t)
-    hist_before = _degree_hist(g)
-    current = g
-    removed = 0
-    added_count = 0
-    added_pairs = np.zeros((0, 2), dtype=np.int64)
+    current, removed, added_pairs = g, 0, None
     if cfg.do_filter:
         current, rep = filter_edges(current, scorer, cfg.threshold)
         removed = rep.edges_removed
     if cfg.do_add:
         current, rep = add_edges(current, scorer, cfg.n_max, cfg.threshold)
-        added_count = rep.edges_added
         added_pairs = rep.added_pairs
-    after = positive_ratio(current, t)
-
-    precision = float("nan")
-    if added_pairs.shape[0]:
-        known = t.known_mask()
-        ok = known[added_pairs[:, 0]] & known[added_pairs[:, 1]]
-        if np.any(ok):
-            same = t.labels[added_pairs[ok, 0]] == t.labels[added_pairs[ok, 1]]
-            precision = float(np.count_nonzero(same) / np.count_nonzero(ok))
-
-    report = RefinementReport(
-        edges_before=g.num_edges,
-        edges_removed=removed,
-        edges_added=added_count,
-        edges_after=current.num_edges,
-        ratio_before=before.graph_ratio,
-        ratio_after=after.graph_ratio,
-        degree_hist_before=hist_before,
-        degree_hist_after=_degree_hist(current),
-        added_precision=precision,
-        added_pairs=added_pairs,
-    )
+    report = _report(g, current, removed, added_pairs)
+    report.ratio_before, report.ratio_after = before.graph_ratio, positive_ratio(current, t).graph_ratio
+    pairs, known = report.added_pairs, t.known_mask()
+    ok = known[pairs[:, 0]] & known[pairs[:, 1]]
+    same = t.labels[pairs[ok, 0]] == t.labels[pairs[ok, 1]]
+    report.added_precision = pair_quality(np.ones_like(same), same).p_pre
     return current, report
 
 

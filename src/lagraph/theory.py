@@ -20,7 +20,7 @@ instead of hidden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -409,17 +409,9 @@ class PropositionReport:
                 and self.add_boundary_max_err <= 1e-12)
 
     def to_dict(self) -> dict:
-        return {
-            "filter_points": self.filter_points,
-            "filter_violations": self.filter_violations[:50],
-            "filter_boundary_points": self.filter_boundary_points,
-            "filter_boundary_max_err": self.filter_boundary_max_err,
-            "add_points": self.add_points,
-            "add_violations": self.add_violations[:50],
-            "add_boundary_points": self.add_boundary_points,
-            "add_boundary_max_err": self.add_boundary_max_err,
-            "passed": self.passed,
-        }
+        """The fields, each violation list cut to its first 50, plus ``passed``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**{k: v[:50] if isinstance(v, list) else v for k, v in out.items()}, "passed": self.passed}
 
 
 def check_propositions(grid: PropositionGrid = PropositionGrid()) -> PropositionReport:

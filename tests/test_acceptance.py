@@ -339,6 +339,9 @@ def test_golden_output_digests(benchmark_pipeline, benchmark_ablation, benchmark
              if not p.name.endswith("_timings.csv")}
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
            for p in sorted(paths)}
-    assert got == GOLDEN_DIGESTS[fingerprint], f"outputs moved; this build writes {got}"
+    want = GOLDEN_DIGESTS[fingerprint]
+    moved = [f"{name}: {want.get(name)} → {got.get(name)}"
+             for name in sorted(want.keys() | got.keys()) if want.get(name) != got.get(name)]
+    assert got == want, "outputs moved: " + "; ".join(moved)
     print(f"PASS golden outputs: {len(got)} files byte-identical to the table for "
           f"{', '.join(fingerprint)}")

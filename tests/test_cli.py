@@ -120,6 +120,13 @@ class TestConfigResolution:
         assert config_from_dict({"model": {"epochs": "7"}, "seeds": [1.0, "2"]}).config_hash == typed.config_hash
         assert config_from_dict({"model": {"epochs": 8}, "seeds": [1, 2]}).config_hash != typed.config_hash
 
+    def test_sweep_values_hash_as_coerced(self):
+        as_float = config_from_dict({"sweep": {"values": [1.0]}})
+        as_int = config_from_dict({"sweep": {"values": [1]}})
+        assert as_int.config_hash == as_float.config_hash == "34583bc52d4a"
+        assert as_int.sweep["values"] == [1.0] and isinstance(as_int.sweep["values"][0], float)
+        assert config_from_dict({"sweep": {"values": ["1"]}}).config_hash == as_float.config_hash
+
     @pytest.mark.parametrize("raw,match", [
         ({"dataset": {"kind": "csv"}}, "dataset.kind"),
         ({"dataset": {"kind": "files"}}, "needs nodes_path"),
@@ -684,6 +691,14 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg_path, "--output-dir", str(out)]) == 2
         assert "ConfigError: sweep.values" in capsys.readouterr().err
         assert not list(tmp_path.glob("o/sweep_*.csv"))
+
+    @pytest.mark.parametrize("command", ["pipeline", "ablation", "degrade", "theory", "synth"])
+    def test_every_command_refuses_malformed_values_at_load(self, tmp_path, capsys, command):
+        cfg_path = write_json(tmp_path, fast_config(sweep={"values": ["x"]}))
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg_path, "--output-dir", str(out)]) == 2
+        assert "ConfigError: sweep.values" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["p_minus_q", "p_pre"])
     def test_empty_values_exit_2_before_any_arm(self, tmp_path, capsys, kind):

@@ -1,5 +1,6 @@
 """Edge filtering, greedy edge addition, and the combined refine pass."""
 
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -25,6 +26,7 @@ from lagraph.refinement import (
     oracle_scorer,
     refine,
 )
+from lagraph.theory import PropositionReport
 
 from conftest import (
     draw_graph,
@@ -479,6 +481,47 @@ class TestRefine:
         got, rep = refine(g, t, scorer, cfg)
         assert (rep.edges_before, rep.edges_after) == (g.num_edges, got.num_edges)
         assert rep.edges_before - rep.edges_removed + rep.edges_added == rep.edges_after
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.booleans(), st.booleans())
+    def test_report_composes_its_stage_reports(self, data, do_filter, do_add):
+        """``refine``'s report reads the input and output graphs, the filter
+        stage's ``edges_removed`` and the add stage's ``added_pairs``."""
+        g = draw_graph(data, max_nodes=8, max_pairs=16)
+        t = draw_table(data, g.num_nodes)
+        cfg = RefinementConfig(threshold=data.draw(st.sampled_from([0.0, 0.5, 0.75]), label="threshold"),
+                               n_max=data.draw(st.integers(1, 4), label="n_max"),
+                               do_filter=do_filter, do_add=do_add)
+        scorer = coarse_hash_scorer(data.draw(st.integers(0, 99), label="seed"))
+        got, rep = refine(g, t, scorer, cfg)
+
+        def hist(graph):
+            degs = graph.nonself_degrees()
+            return np.bincount(degs).tolist() if degs.size else []
+
+        filtered, removed = g, 0
+        if do_filter:
+            filtered, filter_rep = filter_edges(g, scorer, cfg.threshold)
+            removed = filter_rep.edges_removed
+        added = np.zeros((0, 2), dtype=np.int64)
+        if do_add:
+            _, add_rep = add_edges(filtered, scorer, cfg.n_max, cfg.threshold)
+            added = add_rep.added_pairs
+        assert (rep.edges_before, rep.degree_hist_before) == (g.num_edges, hist(g))
+        assert (rep.edges_after, rep.degree_hist_after) == (got.num_edges, hist(got))
+        assert rep.edges_removed == removed
+        assert np.array_equal(rep.added_pairs, added) and rep.added_pairs.shape == added.shape
+        assert rep.edges_before - rep.edges_removed + rep.edges_added == rep.edges_after
+
+    @pytest.mark.parametrize("report,skipped,extra", [
+        (RefinementReport(edges_before=1, edges_removed=0, edges_added=0, edges_after=1),
+         {"added_pairs"}, set()),
+        (PropositionReport(), set(), {"passed"}),
+    ])
+    def test_report_dict_keys_are_the_fields(self, report, skipped, extra):
+        """A field added to a report is serialized with no second edit."""
+        names = {f.name for f in dataclasses.fields(report)}
+        assert set(report.to_dict()) == (names - skipped) | extra
 
     def test_report_dict_round_trips_finite_values(self):
         rep = RefinementReport(edges_before=10, edges_removed=2, edges_added=4,
