@@ -28,7 +28,6 @@ import numpy as np
 
 from . import data
 from .edge_classifier import (
-    EdgeClassifier,
     TrainConfig,
     build_pairs,
     evaluate_quality,
@@ -182,7 +181,7 @@ class ExperimentConfig:
     edge_classifier: TrainConfig
     refinement: RefinementConfig
     fit: FitConfig
-    scorer: dict
+    scorer: OracleClassifier | None  # None: each seed trains its classifier
     model: dict
     seeds: tuple[int, ...]
     output_dir: str
@@ -202,12 +201,12 @@ def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> Experimen
     if ds["kind"] == "files" and not (ds["nodes_path"] and ds["edges_path"]):
         raise ConfigError("dataset.kind 'files' needs nodes_path and edges_path")
     _check_synth(ds)
-    scorer, model = resolved["scorer"], resolved["model"]
+    scorer, model, oracle = resolved["scorer"], resolved["model"], None
     if scorer["kind"] not in ("trained", "oracle"):
         raise ConfigError("scorer.kind must be 'trained' or 'oracle'")
     if scorer["kind"] == "oracle":
         scorer = _typed(OracleClassifier, scorer, "scorer")
-        _build(OracleClassifier, scorer, "scorer")
+        oracle = _build(OracleClassifier, scorer, "scorer")
     if model["kind"] not in ("sgc", "gcn"):
         raise ConfigError("model.kind must be 'sgc' or 'gcn'")
     if model["kind"] == "sgc":
@@ -242,7 +241,7 @@ def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> Experimen
         dataset=ds,
         **{name: _build(cls, sections[name], name) for name, cls in classes.items()},
         fit=_build(FitConfig, model, "model"),
-        scorer=scorer,
+        scorer=oracle,
         model=model,
         seeds=scalars["seeds"],
         output_dir=out,
@@ -340,30 +339,23 @@ def _fit_metrics(g: Graph, t: NodeTable, model_cfg: dict, fit: FitConfig) -> dic
 
 
 def _oracle(g: Graph, t: NodeTable, oc: OracleClassifier, threshold: float, shared: dict | None = None):
-    """Oracle pair scorer plus its quality columns: in filter mode the (p, q)
-    it realizes at ``threshold`` over the pairs ``filter_edges`` scores, all
-    NaN in add mode (p_pre comes from the refinement report). Add-mode
-    scorers given one ``shared`` dict share one sorted queue per graph."""
+    """The oracle's ``(scorer, None, quality_cols)``: no features, as it reads
+    labels. The columns hold, in filter mode, the (p, q) it realizes at
+    ``threshold`` over the pairs ``filter_edges`` scores; in add mode all NaN
+    (p_pre comes from the refinement report). Add-mode scorers given one
+    ``shared`` dict share one sorted queue per graph."""
     scorer = oracle_scorer(t, oc, _shared=shared)
     cols = {"p": float("nan"), "q": float("nan"), "p_pre": float("nan")}
     if oc.mode == "filter":
         u, v, _, _ = unordered_pairs(g.edge_array(), g.num_nodes)
         quality = pair_quality(scorer(u, v) >= threshold, t.labels[u] == t.labels[v])
         cols.update(p=quality.p, q=quality.q)
-    return scorer, cols
+    return scorer, None, cols
 
 
-def _scorer_for_seed(cfg: ExperimentConfig, g: Graph, t: NodeTable, seed: int):
-    """The configured scorer as ``(scorer_or_classifier, features, quality_cols)``.
-
-    A trained scorer reports its held-out p/q/p_pre, counted at
-    ``refinement.threshold`` like every other rate; features are None for
-    oracles, which read labels instead.
-    """
-    if cfg.scorer["kind"] == "oracle":
-        oc = _build(OracleClassifier, cfg.scorer, "scorer", seed=seed)
-        scorer, cols = _oracle(g, t, oc, cfg.refinement.threshold)
-        return scorer, None, cols
+def _trained(cfg: ExperimentConfig, g: Graph, t: NodeTable, seed: int):
+    """The seed's classifier as ``(classifier, features, quality_cols)``: its
+    held-out p/q/p_pre, counted at ``refinement.threshold`` like every other rate."""
     tc = dataclasses.replace(cfg.edge_classifier, seed=seed)
     features = edge_input_features(g, t, cfg.edge_features)
     clf = train(build_pairs(g, t, tc), features, tc)
@@ -388,17 +380,19 @@ def _row(experiment, arm, seed, cfg, ratio_before, ratio_after, quality_cols, me
     return row
 
 
-def _run_experiment(cfg: ExperimentConfig, experiment: str, arm_names, make_arms,
+def _run_experiment(cfg: ExperimentConfig, experiment: str,
+                    arms: list[tuple[str, RefinementConfig, OracleClassifier | None]],
                     degrade_k: int = 0) -> tuple[list[dict], int]:
     """The one experiment loop behind ``pipeline``, ``degrade``, ``ablation`` and ``sweep``.
 
     Per seed: build the dataset (wiring ``degrade_k`` different-label
-    neighbors per node when >= 1), fit the origin arm on it, then refine and
-    fit each arm that ``make_arms(g, t, seed)`` returns as
-    ``(arm, RefinementConfig, scorer, features, quality_cols)``. If
-    ``make_arms`` raises, every name in ``arm_names`` fails for that seed.
-    A trained classifier's loss curve goes to the ``*_training.json`` sidecar.
-    """
+    neighbors per node when >= 1), fit the origin arm, build every arm's
+    scorer, then refine and fit each arm. Arms without an oracle share the
+    seed's classifier, whose loss curve goes to ``*_training.json``. If a
+    scorer cannot be built, every arm fails for that seed."""
+    if any(rcfg.do_filter and oc is not None and oc.mode == "add" for _, rcfg, oc in arms):
+        # it ranks pools only through add_edges and cannot score the edges of the graph
+        raise ConfigError("scorer: an add-mode oracle cannot score the filter stage")
     ds = cfg.dataset
     if ds["kind"] == "synth" and ds["n"] <= 2 * ds["c"]:  # a class of two nodes splits into train and val
         raise ConfigError(f"dataset: n = {ds['n']} <= 2c = {2 * ds['c']} leaves every class at most "
@@ -436,19 +430,21 @@ def _run_experiment(cfg: ExperimentConfig, experiment: str, arm_names, make_arms
         run("origin", seed, lambda: _row(experiment, "origin", seed, cfg, ratio, ratio, {},
                                          _fit_metrics(g, t, cfg.model, fit)))
         try:
-            arms = make_arms(g, t, seed)
+            trained = _trained(cfg, g, t, seed) if any(oc is None for _, _, oc in arms) else None
+            shared = {}  # the add-mode oracles of a seed sort its pools once
+            scorers = [trained if oc is None else
+                       _oracle(g, t, dataclasses.replace(oc, seed=seed), rcfg.threshold, shared)
+                       for _, rcfg, oc in arms]
         except Exception as exc:  # noqa: BLE001
-            for arm in arm_names:
+            for arm, _, _ in arms:
                 fail(arm, seed, exc)
             return
-        for _, _, scorer, _, _ in arms:
-            if isinstance(scorer, EdgeClassifier):
-                sidecars["training"][f"seed{seed}"] = {"final_loss": float(scorer.final_loss),
-                                                       "loss_history": scorer.loss_history.tolist()}
-        for arm, rcfg, scorer, features, cols in arms:
+        if trained:
+            sidecars["training"][f"seed{seed}"] = {"final_loss": float(trained[0].final_loss),
+                                                   "loss_history": trained[0].loss_history.tolist()}
+        for (arm, rcfg, _), (scorer, features, cols) in zip(arms, scorers):
             def refined_arm():
-                refined, report = refine(g, t, scorer, rcfg, features=features,
-                                         feature_cfg=cfg.edge_features)
+                refined, report = refine(g, t, scorer, rcfg, features=features)
                 sidecars["refinement"][f"seed{seed}/{arm}"] = report.to_dict()
                 metrics = _fit_metrics(refined, t, cfg.model, fit)
                 if cfg.dump_refined:
@@ -477,11 +473,10 @@ def _run_experiment(cfg: ExperimentConfig, experiment: str, arm_names, make_arms
     return rows, 1 if failures else 0
 
 
-def _check_filter_scorer(cfg: ExperimentConfig) -> None:
-    """Reject an add-mode oracle for a run whose arms filter: it ranks pools
-    only through ``add_edges`` and cannot score the edges of the graph."""
-    if cfg.scorer["kind"] == "oracle" and cfg.scorer["mode"] == "add":
-        raise ConfigError("scorer: an add-mode oracle cannot score the filter stage")
+def _stages(cfg: ExperimentConfig, do_filter: bool, do_add: bool) -> RefinementConfig:
+    """``cfg.refinement`` with the given stages on; an ``n_max`` that cannot add is refused."""
+    stages = {**dataclasses.asdict(cfg.refinement), "do_filter": do_filter, "do_add": do_add}
+    return _build(RefinementConfig, stages, "refinement")
 
 
 def run_pipeline(cfg: ExperimentConfig, experiment: str = "pipeline",
@@ -489,14 +484,7 @@ def run_pipeline(cfg: ExperimentConfig, experiment: str = "pipeline",
     """Baseline model on the input graph vs the same model on the refined one."""
     k = cfg.degrade_k if degrade_k is None else degrade_k
     _check_synth(cfg.dataset, k)
-    if cfg.refinement.do_filter:
-        _check_filter_scorer(cfg)
-
-    def arms(g, t, seed):
-        scorer, features, cols = _scorer_for_seed(cfg, g, t, seed)
-        return [("refined", cfg.refinement, scorer, features, cols)]
-
-    return _run_experiment(cfg, experiment, ("refined",), arms, k)
+    return _run_experiment(cfg, experiment, [("refined", cfg.refinement, cfg.scorer)], k)
 
 
 def run_degradation(cfg: ExperimentConfig, k: int | None = None) -> tuple[list[dict], int]:
@@ -514,14 +502,8 @@ ABLATION_ARMS = (
 
 def run_ablation(cfg: ExperimentConfig) -> tuple[list[dict], int]:
     """origin / filter-only / add-only / filter+add, sharing one classifier per seed."""
-    _check_filter_scorer(cfg)
-
-    def arms(g, t, seed):
-        scorer, features, cols = _scorer_for_seed(cfg, g, t, seed)
-        return [(arm, dataclasses.replace(cfg.refinement, do_filter=do_filter, do_add=do_add),
-                 scorer, features, cols) for arm, do_filter, do_add in ABLATION_ARMS]
-
-    return _run_experiment(cfg, "ablation", [arm for arm, _, _ in ABLATION_ARMS], arms)
+    return _run_experiment(cfg, "ablation", [(arm, _stages(cfg, do_filter, do_add), cfg.scorer)
+                                             for arm, do_filter, do_add in ABLATION_ARMS])
 
 
 def run_oracle_sweep(cfg: ExperimentConfig) -> tuple[list[dict], int]:
@@ -537,27 +519,15 @@ def run_oracle_sweep(cfg: ExperimentConfig) -> tuple[list[dict], int]:
         raise ConfigError("sweep values must lie in [0, 1]")
     if kind == "p_pre" and cfg.refinement.threshold > 0.5:
         raise ConfigError("p_pre sweep needs refinement.threshold <= 0.5 (oracle ranks in (0.5, 1])")
-    short = "pmq" if kind == "p_minus_q" else "ppre"
+    filtering = kind == "p_minus_q"
+    short = "pmq" if filtering else "ppre"
     names = [f"{short}={value:.2f}" for value in values]
     if len(set(names)) < len(names):
         raise ConfigError(f"sweep.values: arm names collide: {names}")
-
-    def arms(g, t, seed):
-        filtering = kind == "p_minus_q"
-        rcfg = dataclasses.replace(cfg.refinement, do_filter=filtering, do_add=not filtering)
-        shared = None if filtering else {}  # the add arms of a seed sort the pools once
-        out = []
-        for arm, value in zip(names, values):
-            if filtering:
-                oc = OracleClassifier(mode="filter", target_p=(1.0 + value) / 2.0,
-                                      target_q=(1.0 - value) / 2.0, seed=seed)
-            else:
-                oc = OracleClassifier(mode="add", target_p_pre=value, seed=seed)
-            scorer, cols = _oracle(g, t, oc, rcfg.threshold, shared)
-            out.append((arm, rcfg, scorer, None, cols))
-        return out
-
-    return _run_experiment(cfg, f"sweep_{short}", names, arms)
+    rcfg = _stages(cfg, filtering, not filtering)
+    oracles = [OracleClassifier(mode="filter", target_p=(1.0 + v) / 2.0, target_q=(1.0 - v) / 2.0)
+               if filtering else OracleClassifier(mode="add", target_p_pre=v) for v in values]
+    return _run_experiment(cfg, f"sweep_{short}", [(name, rcfg, oc) for name, oc in zip(names, oracles)])
 
 
 THEORY_SWEEP_HEADER = ("mode", "n_plus", "n_minus", "n_added", "p", "q", "p_pre",

@@ -20,10 +20,10 @@ import numpy as np
 
 from .edge_classifier import EdgeClassifier, make_scorer, pair_quality
 from .graph import Graph, NodeTable, positive_ratio, two_hop_pools, unordered_pairs
-# bound for the benchmark tracer (perfbench/spans.py wraps this module's name); unused here
+# bound for the benchmark tracer (perfbench/spans.py wraps these module names); unused here
 from .graph import two_hop_candidates  # noqa: F401
 from .hashing import unit_uniform
-from .propagation import EdgeFeatureConfig, edge_input_features
+from .propagation import edge_input_features  # noqa: F401
 
 # Scores pairs (u[i], v[i]). A scorer must score each pair on its own, not
 # depending on the other pairs of the call: filtering scores every edge in one
@@ -82,17 +82,19 @@ def _degree_hist(g: Graph) -> list[int]:
     return np.bincount(degs).tolist() if degs.size else []
 
 
-def _report(before: Graph, after: Graph, removed: int = 0,
-            added_pairs: np.ndarray | None = None) -> RefinementReport:
+def _report(before: Graph, after: Graph, removed: int = 0, added_pairs: np.ndarray | None = None,
+            hists: tuple[list[int], list[int]] | None = None) -> RefinementReport:
     """The edge counts and degree histograms of going from ``before`` to
-    ``after`` by removing ``removed`` edges and adding ``added_pairs``."""
+    ``after`` by removing ``removed`` edges and adding ``added_pairs``;
+    ``hists``, when given, are the two graphs' histograms, already counted."""
+    hist_before, hist_after = hists or (_degree_hist(before), _degree_hist(after))
     return RefinementReport(
         edges_before=before.num_edges,
         edges_removed=removed,
         edges_added=after.num_edges - before.num_edges + removed,
         edges_after=after.num_edges,
-        degree_hist_before=_degree_hist(before),
-        degree_hist_after=_degree_hist(after),
+        degree_hist_before=hist_before,
+        degree_hist_after=hist_after,
         added_pairs=np.zeros((0, 2), dtype=np.int64) if added_pairs is None else added_pairs,
     )
 
@@ -244,18 +246,16 @@ def _ranked_pools(g: Graph, order, n_max: int | None = None) -> _PoolQueue:
 
 
 def refine(g: Graph, t: NodeTable, classifier, cfg: RefinementConfig = RefinementConfig(),
-           features: np.ndarray | None = None,
-           feature_cfg: EdgeFeatureConfig = EdgeFeatureConfig()) -> tuple[Graph, RefinementReport]:
+           features: np.ndarray | None = None) -> tuple[Graph, RefinementReport]:
     """Filter then add edges, scoring pairs with a classifier or callable.
 
-    ``classifier`` is either an :class:`EdgeClassifier` (scored over
-    ``features``, which default to ``edge_input_features`` of the input
-    graph) or a pair-scorer callable. Both stages share one feature matrix
-    computed on the input graph.
+    ``classifier`` is either an :class:`EdgeClassifier`, scored over the
+    edge input ``features`` of the input graph by both stages, or a
+    pair-scorer callable.
     """
     if isinstance(classifier, EdgeClassifier):
         if features is None:
-            features = edge_input_features(g, t, feature_cfg)
+            raise ValueError("an EdgeClassifier scores pairs over features; none were given")
         scorer = make_scorer(classifier, features)
     elif callable(classifier):
         scorer = classifier
@@ -263,14 +263,17 @@ def refine(g: Graph, t: NodeTable, classifier, cfg: RefinementConfig = Refinemen
         raise TypeError("classifier must be an EdgeClassifier or a pair-scorer callable")
 
     before = positive_ratio(g, t)
-    current, removed, added_pairs = g, 0, None
+    current, stages = g, []
     if cfg.do_filter:
         current, rep = filter_edges(current, scorer, cfg.threshold)
-        removed = rep.edges_removed
+        stages.append(rep)
     if cfg.do_add:
         current, rep = add_edges(current, scorer, cfg.n_max, cfg.threshold)
-        added_pairs = rep.added_pairs
-    report = _report(g, current, removed, added_pairs)
+        stages.append(rep)
+    # the first stage counted the input graph's histogram and the last the output's
+    first, last = (stages[0], stages[-1]) if stages else (_report(g, g),) * 2
+    report = _report(g, current, first.edges_removed, last.added_pairs,
+                     (first.degree_hist_before, last.degree_hist_after))
     report.ratio_before, report.ratio_after = before.graph_ratio, positive_ratio(current, t).graph_ratio
     pairs, known = report.added_pairs, t.known_mask()
     ok = known[pairs[:, 0]] & known[pairs[:, 1]]

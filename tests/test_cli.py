@@ -1,5 +1,6 @@
 """Config handling, CSV output contracts, and the experiment subcommands."""
 
+import ast
 import csv
 import dataclasses
 import gc
@@ -177,8 +178,10 @@ class TestConfigResolution:
         assert cfg.edge_classifier.hidden_widths == (8, 4)
         assert cfg.fit.epochs == 7 and cfg.fit.early_stop is True
         assert cfg.fit.learning_rate == DEFAULT_CONFIG["model"]["learning_rate"]
-        # an unused scorer section is not checked
-        assert config_from_dict({"scorer": {"mode": "bogus"}}).scorer["mode"] == "bogus"
+        # an unused scorer section is not checked: a trained scorer builds no oracle
+        assert config_from_dict({"scorer": {"mode": "bogus"}}).scorer is None
+        oracle = config_from_dict({"scorer": {"kind": "oracle", "target_p": "0.9"}}).scorer
+        assert oracle == OracleClassifier(mode="filter", target_p=0.9)
 
     def test_load_config_file_and_overrides(self, tmp_path):
         path = write_json(tmp_path, {"seeds": [3, 4], "degrade_k": 1})
@@ -326,7 +329,7 @@ class TestPipelineCommand:
         for seed in cfg.seeds:
             # the sidecar holds the loss of the classifier the run trained, over all its pairs
             g, t = cli._load_dataset(cfg, seed)
-            clf, features, _ = cli._scorer_for_seed(cfg, g, t, seed)
+            clf, features, _ = cli._trained(cfg, g, t, seed)
             pairs = build_pairs(g, t, dataclasses.replace(cfg.edge_classifier, seed=seed))
             weights = pair_weights(pairs, cfg.edge_classifier.class_weighting)
             curve = curves[f"seed{seed}"]
@@ -369,7 +372,8 @@ class TestRealizedFilterQuality:
             return scorer
 
         monkeypatch.setattr(cli, "oracle_scorer", recording_oracle)
-        scorer, cols = cli._oracle(g, t, OracleClassifier(mode="filter"), 0.5)
+        scorer, features, cols = cli._oracle(g, t, OracleClassifier(mode="filter"), 0.5)
+        assert features is None
         filter_edges(g, scorer, 0.5)
         assert (cols["p"], cols["q"]) == (1.0, 0.0) and math.isnan(cols["p_pre"])
         assert seen == [([0, 1], [2, 3])] * 2
@@ -525,8 +529,22 @@ class TestErrorExits:
         cfg_path = write_json(tmp_path, fast_config(scorer={"kind": "oracle", "mode": "add"}))
         out = tmp_path / "o"
         assert main([command, "--config", cfg_path, "--output-dir", str(out)]) == 2
-        assert "add-mode oracle" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "error: lagraph.cli.ConfigError: scorer: an add-mode oracle cannot score the filter stage"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ablation", "sweep"])
+    def test_arm_that_cannot_add_exits_2_before_any_seed(self, tmp_path, capsys, monkeypatch, command):
+        # n_max = 0 is valid for a config that does not add, but these commands' arms add
+        loads = []
+        monkeypatch.setattr(cli, "_load_dataset", lambda *args: loads.append(args))
+        cfg_path = write_json(tmp_path, fast_config(refinement={"n_max": 0, "do_add": False},
+                                                    sweep={"kind": "p_pre"}))
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg_path, "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: lagraph.cli.ConfigError: refinement: n_max must be >= 1 when adding is enabled"]
+        assert loads == [] and not out.exists()
 
     @pytest.mark.parametrize("command", ["pipeline", "ablation", "sweep", "synth"])
     def test_output_dir_under_a_file_exits_2_before_any_seed(self, tmp_path, capsys, monkeypatch, command):
@@ -575,6 +593,47 @@ class TestAblationCommand:
         assert {r["arm"] for r in csv_rows} == {"origin", "filter", "add", "filter_add"}
         filt = next(r for r in rows if r["arm"] == "filter")
         assert filt["ratio_after"] > filt["ratio_before"]
+
+    def test_one_classifier_per_seed_serves_every_arm(self, tmp_path, monkeypatch):
+        trained = []
+        train = cli.train
+
+        def counted_train(pairs, features, tc):
+            clf = train(pairs, features, tc)
+            trained.append((tc.seed, clf))
+            return clf
+
+        scored = []
+        refine = cli.refine
+
+        def recorded_refine(g, t, scorer, rcfg, features=None):
+            scored.append(scorer)
+            return refine(g, t, scorer, rcfg, features=features)
+
+        monkeypatch.setattr(cli, "train", counted_train)
+        monkeypatch.setattr(cli, "refine", recorded_refine)
+        _, code = run_ablation(config_from_dict(fast_config(seeds=[0, 1]), str(tmp_path / "o")))
+        assert code == 0
+        assert [seed for seed, _ in trained] == [0, 1]
+        shared = [clf for _, clf in trained for _ in cli.ABLATION_ARMS]
+        assert len(scored) == 6 and all(got is want for got, want in zip(scored, shared))
+        curves = json.loads((tmp_path / "o" / "ablation_training.json").read_text(encoding="utf-8"))
+        assert set(curves) == {"seed0", "seed1"}
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_diverged_classifier_fails_every_arm_of_its_seed(self, tmp_path, capsys):
+        # the config of TestErrorExits.test_divergence_names_the_feature_scale
+        cfg_path = write_json(tmp_path, {"edge_features": {"k": 8, "binary": True},
+                                         "dataset": {"n": 300}, "seeds": [0]})
+        out = tmp_path / "o"
+        assert main(["ablation", "--config", cfg_path, "--output-dir", str(out)]) == 1
+        reason = ("builtins.RuntimeError: training diverged: non-finite loss at epoch 1, batch offset 256 "
+                  "(lr=0.1, largest |feature| 1.75e+08)")
+        assert capsys.readouterr().err.splitlines() == [
+            f"FAILED ablation/{arm}/seed0: {reason}" for arm, _, _ in cli.ABLATION_ARMS]
+        assert [(r["arm"], r["seed"]) for r in read_rows(out / "ablation.csv")] == [
+            ("origin", "0"), ("origin", "mean"), ("origin", "std")]
+        assert not (out / "ablation_training.json").exists()
 
 
 class TestSweepCommand:
@@ -856,3 +915,19 @@ class TestDispatch:
         cfg = calls[0][0]
         assert isinstance(cfg, ExperimentConfig)
         assert cfg.seeds == (3,) and cfg.output_dir == str(tmp_path)
+
+    def test_every_function_the_benchmark_replaces_is_dispatched_at_call_time(self, tmp_path,
+                                                                             monkeypatch):
+        """``perfbench/child.py`` times a command by replacing the attribute its
+        ``RUN_FUNCTIONS`` names; each must be what ``main`` then calls."""
+        child = (Path(__file__).resolve().parents[1] / "perfbench" / "child.py").read_text(encoding="utf-8")
+        assigns = [node for node in ast.parse(child).body if isinstance(node, ast.Assign)]
+        run_functions = next(ast.literal_eval(node.value) for node in assigns
+                             if [target.id for target in node.targets] == ["RUN_FUNCTIONS"])
+        assert run_functions
+        for command, attr in run_functions.items():
+            calls = []
+            monkeypatch.setattr(cli, attr, lambda cfg, calls=calls, command=command:
+                                calls.append(cfg) or (0 if command == "theory" else ([], 0)))
+            assert main([command, "--output-dir", str(tmp_path), "--seeds", "3"]) == 0
+            assert [cfg.seeds for cfg in calls] == [(3,)], command

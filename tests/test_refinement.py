@@ -422,6 +422,25 @@ class TestRefine:
         assert rep.ratio_before == positive_ratio(g, t).graph_ratio
         assert rep.ratio_after == positive_ratio(got, t).graph_ratio
 
+    def test_classifier_without_features_is_refused(self):
+        g, t = self.graph()
+        clf = init_classifier(4, TrainConfig(proj_dim=4, hidden_widths=(6,), seed=3))
+        with pytest.raises(ValueError, match="scores pairs over features"):
+            refine(g, t, clf, RefinementConfig())
+
+    @pytest.mark.parametrize("do_filter,do_add,counted", [(True, True, 4), (True, False, 2),
+                                                          (False, True, 2), (False, False, 2)])
+    def test_each_degree_histogram_is_counted_once(self, monkeypatch, do_filter, do_add, counted):
+        """The report reuses the first stage's input histogram and the last
+        stage's output one; ``refine`` counts its own only when no stage runs."""
+        g, t = self.graph()
+        calls = []
+        degree_hist = refinement._degree_hist
+        monkeypatch.setattr(refinement, "_degree_hist", lambda graph: calls.append(graph) or degree_hist(graph))
+        got, rep = refine(g, t, label_scorer(t.labels), RefinementConfig(do_filter=do_filter, do_add=do_add))
+        assert len(calls) == counted
+        assert (rep.degree_hist_before, rep.degree_hist_after) == (degree_hist(g), degree_hist(got))
+
     def test_callable_scorer_accepted(self):
         g, t = self.graph()
         got, rep = refine(g, t, label_scorer(t.labels),
