@@ -19,16 +19,19 @@ from .graph import two_hop_candidates  # noqa: F401
 
 ONE_HOP, TWO_HOP, SAMPLED = 0, 1, 2
 
-# pairs per scoring block: bounds the head's temporaries whatever the pair count
-SCORE_BLOCK = 16_384
+# pairs per block of every pass over pairs (scoring, train's final loss): the head holds
+# 9 * proj_dim float64 a pair, 1.2 MB a block at the CLI's proj_dim 16, inside a 2 MB L2;
+# held-out scoring at n = 16000 ran fastest at 512-1,024, 1.2-1.8x slower at 1,536-16,384
+SCORE_BLOCK = 1_024
 
 
 @dataclass(frozen=True)
 class PairSet:
-    """Node pairs with same-label targets.
+    """Node pairs with same-label targets, 10 bytes a pair.
 
-    ``labels`` is 1 where the endpoints share a class. ``provenance`` tags
-    each pair as ONE_HOP, TWO_HOP, or SAMPLED.
+    ``u`` and ``v`` hold int32 node ids. ``labels`` (int8) is 1 where the
+    endpoints share a class. ``provenance`` (int8) tags each pair as ONE_HOP,
+    TWO_HOP, or SAMPLED. Every value is checked before it is narrowed.
     """
 
     u: np.ndarray
@@ -37,16 +40,14 @@ class PairSet:
     provenance: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=np.int64)
-        v = np.asarray(self.v, dtype=np.int64)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        prov = np.asarray(self.provenance, dtype=np.int8)
+        u = _narrow(self.u, np.int32, 0, np.iinfo(np.int32).max, "pair node ids")
+        v = _narrow(self.v, np.int32, 0, np.iinfo(np.int32).max, "pair node ids")
+        labels = _narrow(self.labels, np.int8, 0, 1, "pair labels")
+        prov = _narrow(self.provenance, np.int8, ONE_HOP, SAMPLED, "pair provenance")
         if not (u.shape == v.shape == labels.shape == prov.shape):
             raise ValueError("pair arrays must share one shape")
         if np.any(u == v):
             raise ValueError("self pairs are not allowed")
-        if labels.size and not np.isin(labels, (0, 1)).all():
-            raise ValueError("pair labels must be 0 or 1")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "labels", labels)
@@ -54,6 +55,16 @@ class PairSet:
 
     def __len__(self) -> int:
         return int(self.u.shape[0])
+
+
+def _narrow(values, dtype, lo: int, hi: int, what: str) -> np.ndarray:
+    """``values`` as ``dtype``, checked first: each must be an integer in ``[lo, hi]``."""
+    a = np.asarray(values)
+    if ((a >= lo) & (a <= hi)).all():
+        out = a.astype(dtype, copy=False)
+        if (out == a).all():
+            return out
+    raise ValueError(f"{what} must be integers in [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -123,7 +134,7 @@ def build_pairs(g: Graph, t: NodeTable, cfg: TrainConfig) -> PairSet:
         prov = np.concatenate([prov, np.full(su.shape[0], SAMPLED, dtype=np.int8)])
     if u.size == 0:
         raise ValueError("no eligible training pairs (need train-train edges)")
-    labels = (t.labels[u] == t.labels[v]).astype(np.int64)
+    labels = (t.labels[u] == t.labels[v]).astype(np.int8)
     return PairSet(u=u, v=v, labels=labels, provenance=prov)
 
 
@@ -133,16 +144,16 @@ def _structural_pairs(g: Graph, include_two_hop: bool, eligible) -> tuple[np.nda
     block ordered by u, then v. Both read :meth:`Graph.both_ways`, so an edge
     joins its pair whichever way it is stored. Returns ``(u, v, provenance)``."""
     g = g.both_ways()
-    edges = g.edge_array()
+    edges = g.edge_array().astype(np.int32)
     blocks = [(edges[:, 0], edges[:, 1], ONE_HOP)]
     if include_two_hop:
         indptr, cand = two_hop_pools(g)
-        blocks.append((np.repeat(np.arange(g.num_nodes, dtype=np.int64), np.diff(indptr)), cand, TWO_HOP))
+        blocks.append((np.repeat(np.arange(g.num_nodes, dtype=np.int32), np.diff(indptr)), cand, TWO_HOP))
     us, vs, prov = [], [], []
     for a, b, tag in blocks:
         keep = (a < b) & eligible(a, b)
         us.append(a[keep])
-        vs.append(b[keep].astype(np.int64))
+        vs.append(b[keep])
         prov.append(np.full(us[-1].shape[0], tag, dtype=np.int8))
     return np.concatenate(us), np.concatenate(vs), np.concatenate(prov)
 
@@ -186,7 +197,7 @@ def holdout_pairs(g: Graph, t: NodeTable, include_two_hop: bool = True) -> PairS
                                    lambda a, b: known[a] & known[b] & ~(train[a] & train[b]))
     if u.size == 0:
         raise ValueError("no eligible held-out pairs")
-    labels = (t.labels[u] == t.labels[v]).astype(np.int64)
+    labels = (t.labels[u] == t.labels[v]).astype(np.int8)
     return PairSet(u=u, v=v, labels=labels, provenance=prov)
 
 
@@ -354,7 +365,10 @@ def train(pairset: PairSet, features: np.ndarray, cfg: TrainConfig = TrainConfig
                 vel -= cfg.learning_rate * grad
                 params += vel
             history.append(total / n)
-        logits, _ = _forward(clf, features[pairset.u], features[pairset.v])
+        logits = np.empty(n)
+        for start in range(0, n, SCORE_BLOCK):
+            block = slice(start, start + SCORE_BLOCK)
+            logits[block] = _forward(clf, features[pairset.u[block]], features[pairset.v[block]])[0]
         clf.final_loss = _weighted_bce(logits, pairset.labels.astype(np.float64), weights)
     if not np.isfinite(clf.final_loss):
         raise RuntimeError(f"training diverged: non-finite loss after the last step (lr={cfg.learning_rate})")

@@ -16,6 +16,8 @@ from lagraph.edge_classifier import (
     _forward,
     _sample_pairs,
     _sigmoid,
+    _weighted_bce,
+    pair_weights,
 )
 from lagraph.hashing import unit_uniform
 
@@ -186,6 +188,12 @@ def reference_score_pairs(clf, features, u, v):
     """``score_pairs`` as one forward pass over every pair, each endpoint's
     row projected on its own."""
     return _sigmoid(_forward(clf, features[np.asarray(u)], features[np.asarray(v)])[0])
+
+
+def reference_final_loss(clf, features, pairs, class_weighting):
+    """``train``'s final loss as one forward pass over every training pair."""
+    logits = _forward(clf, features[pairs.u], features[pairs.v])[0]
+    return _weighted_bce(logits, pairs.labels.astype(np.float64), pair_weights(pairs, class_weighting))
 
 
 def reference_add_edges(g, scorer, n_max, threshold):

@@ -40,6 +40,7 @@ from conftest import (
     draw_table,
     flatten_params,
     reference_build_pairs,
+    reference_final_loss,
     reference_holdout_pairs,
     reference_score_pairs,
 )
@@ -338,6 +339,18 @@ def reference_train(pairset, features, cfg):
     return clf
 
 
+@dataclasses.dataclass
+class WidePairs:
+    """What ``train`` reads of a ``PairSet``, held as given: int64 ids and labels."""
+
+    u: np.ndarray
+    v: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self):
+        return self.u.shape[0]
+
+
 class TestTraining:
     def separable_problem(self, rng, n=40):
         labels = np.arange(n) % 2
@@ -389,6 +402,33 @@ class TestTraining:
         # only the index batches whose gradients are applied
         assert len(batches) == epochs * math.ceil(len(pairs) / cfg.batch_size)
         assert all(idx is not None for idx in batches)
+
+    def test_blocked_final_loss_equals_one_pass(self, rng, monkeypatch):
+        features, pairs = self.separable_problem(rng, n=60)
+        features = np.concatenate([features, rng.normal(size=features.shape)], axis=1)
+        cfg = TrainConfig(proj_dim=3, hidden_widths=(5, 4), epochs=2, seed=5)
+        assert len(pairs) > edge_classifier.SCORE_BLOCK
+        clf = train(pairs, features, cfg)
+        want = reference_final_loss(clf, features, pairs, cfg.class_weighting)
+        assert clf.final_loss == want
+        for block in (1, 7):
+            monkeypatch.setattr(edge_classifier, "SCORE_BLOCK", block)
+            got = train(pairs, features, cfg)
+            assert np.array_equal(got.proj, clf.proj)
+            np.testing.assert_allclose(got.final_loss, want, rtol=1e-12, atol=0.0)
+
+    def test_training_does_not_depend_on_pair_storage(self, rng):
+        features, pairs = self.separable_problem(rng, n=30)
+        u, v, labels = (a.astype(np.int64) for a in (pairs.u, pairs.v, pairs.labels))
+        wide = WidePairs(u=u, v=v, labels=labels)
+        cfg = TrainConfig(proj_dim=3, hidden_widths=(4,), epochs=3, seed=1, batch_size=64)
+        want = train(wide, features, cfg)
+        got = train(PairSet(u=u, v=v, labels=labels, provenance=np.zeros(u.size, dtype=np.int64)),
+                    features, cfg)
+        for a, b in zip(classifier_params(got), classifier_params(want)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(got.loss_history, want.loss_history)
+        assert got.final_loss == want.final_loss
 
     def test_bitwise_deterministic(self, rng):
         features, pairs = self.separable_problem(rng, n=16)
@@ -519,8 +559,9 @@ class TestBlockedScoring:
         clf = init_classifier(t.feature_dim, TrainConfig(proj_dim=5, hidden_widths=(7,), seed=3))
         return g, t, clf, holdout_pairs(g, t)
 
-    def test_one_block_equals_reference(self):
+    def test_one_block_equals_reference(self, monkeypatch):
         g, t, clf, pairs = self.synthetic()
+        monkeypatch.setattr(edge_classifier, "SCORE_BLOCK", max(edge_classifier.SCORE_BLOCK, len(pairs)))
         assert 0 < len(pairs) <= edge_classifier.SCORE_BLOCK
         want = reference_score_pairs(clf, t.features, pairs.u, pairs.v)
         assert np.array_equal(score_pairs(clf, t.features, pairs.u, pairs.v), want)
@@ -580,11 +621,15 @@ class TestBlockedScoring:
         assert np.array_equal(scorer(u, v), want)
 
     def test_evaluation_memory_is_bounded(self):
-        # one forward pass over these 100k pairs held about 135 MB; blocks hold about 31 MB
+        # the head holds eu, ev, eu - ev, |eu - ev|, eu + ev, eu * ev and their
+        # concatenation at once: 9p float64 values per pair of its block. The bound
+        # allows the scores, both masks, the node projection and twice that over a
+        # cache-sized block of 1,024 pairs. These 100k pairs trace about 2.1 MB;
+        # blocks of 16,384 pairs trace about 19 MB
         rng = np.random.default_rng(0)
-        n, count = 2000, 100_000
+        n, count, p = 2000, 100_000, 16
         features = rng.normal(size=(n, 16))
-        clf = init_classifier(16, TrainConfig(proj_dim=16, hidden_widths=(16,), seed=0))
+        clf = init_classifier(16, TrainConfig(proj_dim=p, hidden_widths=(16,), seed=0))
         u = rng.integers(0, n - 1, size=count)
         v = u + 1 + rng.integers(0, n - 1 - u)
         pairs = PairSet(u=u, v=v, labels=rng.integers(0, 2, size=count), provenance=np.zeros(count))
@@ -595,7 +640,8 @@ class TestBlockedScoring:
         finally:
             tracemalloc.stop()
         assert quality.total == count
-        assert peak < 40 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+        bound = count * (8 + 2) + n * p * 8 + 2 * 1024 * 9 * p * 8
+        assert peak <= bound, f"traced peak {peak / 2**20:.2f} MB over {bound / 2**20:.2f} MB"
 
 
 class TestQuality:
@@ -678,3 +724,25 @@ class TestPairSetValidation:
             PairSet(u=np.array([0]), v=np.array([1]),
                     labels=np.array([2], dtype=np.int64),
                     provenance=np.zeros(1, dtype=np.int8))
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("u", [0.5], "node ids"),
+        ("v", [np.nan], "node ids"),
+        ("u", [-1], "node ids"),
+        ("v", [2**31], "node ids"),
+        ("labels", [0.5], "labels"),
+        ("provenance", [SAMPLED + 1], "provenance"),
+    ], ids=["fractional_id", "nan_id", "negative_id", "id_past_int32", "fractional_label", "unknown_provenance"])
+    def test_bad_values_rejected(self, field, value, match):
+        arrays = {"u": [0], "v": [1], "labels": [1], "provenance": [ONE_HOP], field: value}
+        with pytest.raises(ValueError, match=match):
+            PairSet(**arrays)
+
+    def test_empty_lists_build(self):
+        pairs = PairSet(u=[], v=[], labels=[], provenance=[])
+        assert len(pairs) == 0
+
+    def test_compact_storage(self):
+        pairs = PairSet(u=[0, 2**31 - 1], v=[5, 3], labels=[True, False], provenance=[TWO_HOP, SAMPLED])
+        assert [a.dtype for a in (pairs.u, pairs.v, pairs.labels, pairs.provenance)] == [np.int32, np.int32, np.int8, np.int8]
+        assert pairs.u.tolist() == [0, 2**31 - 1] and pairs.labels.tolist() == [1, 0]
