@@ -347,7 +347,7 @@ def _oracle(g: Graph, t: NodeTable, oc: OracleClassifier, threshold: float, shar
     scorer = oracle_scorer(t, oc, _shared=shared)
     cols = {"p": float("nan"), "q": float("nan"), "p_pre": float("nan")}
     if oc.mode == "filter":
-        u, v, _, _ = unordered_pairs(g.edge_array(), g.num_nodes)
+        u, v, _, _ = unordered_pairs(g.edge_sources(), g.col_targets, g.num_nodes)
         quality = pair_quality(scorer(u, v) >= threshold, t.labels[u] == t.labels[v])
         cols.update(p=quality.p, q=quality.q)
     return scorer, None, cols

@@ -319,10 +319,9 @@ def synth(n: int, c: int, d: int, homophily: float, avg_degree: float,
     label_of = labels.tolist()
     pools = [m.tolist() for m in members]
     draws = _Pcg64Draws(rng)
-    seen: set[int] = set()
-    pairs: list[tuple[int, int]] = []
+    seen: set[int] = set()  # each placed pair a < b as its key a * n + b
     attempts = 0
-    while len(pairs) < target_edges:
+    while len(seen) < target_edges:
         attempts += 1
         if attempts > cap:
             raise RuntimeError("synth: edge sampling failed to place the requested edges")
@@ -344,11 +343,11 @@ def synth(n: int, c: int, d: int, homophily: float, avg_degree: float,
         if key in seen:
             continue
         seen.add(key)
-        pairs.append((a, b))
     draws.finish()
-    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    both = np.concatenate([arr, arr[:, ::-1]], axis=0) if arr.size else arr
-    g = Graph.from_edges(n, both, add_self_loops=True)
+    a, b = np.divmod(np.fromiter(seen, dtype=np.int64, count=len(seen)), n)
+    del draws  # its last raw block, before the edge arrays are sorted
+    g = Graph.from_edges(n, np.concatenate([np.stack([a, b], axis=1), np.stack([b, a], axis=1)]),
+                         add_self_loops=True)
 
     scale = feature_sep / np.sqrt(2.0 * d)
     means = rng.normal(0.0, scale, size=(c, d))

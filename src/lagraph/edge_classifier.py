@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, NodeTable, two_hop_pools
+from .graph import Graph, NodeTable, two_hop_blocks
 # bound for the benchmark tracer (perfbench/spans.py wraps this module's name); unused here
 from .graph import two_hop_candidates  # noqa: F401
 
@@ -126,36 +126,38 @@ def build_pairs(g: Graph, t: NodeTable, cfg: TrainConfig) -> PairSet:
     out). Each unordered pair appears once; labels compare node classes.
     """
     train = t.split_mask("train") & t.known_mask()
-    u, v, prov = _structural_pairs(g, cfg.include_two_hop, lambda a, b: train[a] & train[b])
+    u, v, labels, prov = _structural_pairs(g, t.labels, cfg.include_two_hop, lambda a, b: train[a] & train[b])
     if cfg.num_sampled > 0:
         su, sv = _sample_pairs(np.flatnonzero(train), u, v, cfg.num_sampled, cfg.seed)
         u = np.concatenate([u, su])
         v = np.concatenate([v, sv])
+        labels = np.concatenate([labels, (t.labels[su] == t.labels[sv]).view(np.int8)])
         prov = np.concatenate([prov, np.full(su.shape[0], SAMPLED, dtype=np.int8)])
     if u.size == 0:
         raise ValueError("no eligible training pairs (need train-train edges)")
-    labels = (t.labels[u] == t.labels[v]).astype(np.int8)
     return PairSet(u=u, v=v, labels=labels, provenance=prov)
 
 
-def _structural_pairs(g: Graph, include_two_hop: bool, eligible) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pairs ``u < v`` that ``eligible(u, v)`` keeps: first those joined by an
-    edge, then (with ``include_two_hop``) those at distance exactly two, each
-    block ordered by u, then v. Both read :meth:`Graph.both_ways`, so an edge
-    joins its pair whichever way it is stored. Returns ``(u, v, provenance)``."""
-    g = g.both_ways()
-    edges = g.edge_array().astype(np.int32)
-    blocks = [(edges[:, 0], edges[:, 1], ONE_HOP)]
-    if include_two_hop:
-        indptr, cand = two_hop_pools(g)
-        blocks.append((np.repeat(np.arange(g.num_nodes, dtype=np.int32), np.diff(indptr)), cand, TWO_HOP))
-    us, vs, prov = [], [], []
-    for a, b, tag in blocks:
+def _structural_pairs(g: Graph, labels: np.ndarray, include_two_hop: bool, eligible) -> tuple[np.ndarray, ...]:
+    """``(u, v, same, provenance)`` of the pairs ``u < v`` that ``eligible(u, v)``
+    keeps: those joined by an edge, then (with ``include_two_hop``) those at
+    distance exactly two, each part ordered by u, then v, and kept and labeled
+    (``same`` where ``labels`` match) block by block. Both read
+    :meth:`Graph.both_ways`, so an edge joins its pair whichever way it is stored."""
+    def blocks(g):  # a generator, so neither a block nor the mirror outlives its turn
+        yield g.edge_sources(), g.col_targets, ONE_HOP
+        for lo, indptr, cand in two_hop_blocks(g) if include_two_hop else ():
+            yield np.repeat(np.arange(lo, lo + indptr.size - 1, dtype=np.int32), np.diff(indptr)), cand, TWO_HOP
+
+    columns = [[], [], [], []]
+    for a, b, tag in blocks(g.both_ways()):
         keep = (a < b) & eligible(a, b)
-        us.append(a[keep])
-        vs.append(b[keep])
-        prov.append(np.full(us[-1].shape[0], tag, dtype=np.int8))
-    return np.concatenate(us), np.concatenate(vs), np.concatenate(prov)
+        a, b = a[keep].astype(np.int32, copy=False), b[keep].astype(np.int32, copy=False)
+        parts = a, b, (labels[a] == labels[b]).view(np.int8), np.full(a.size, tag, np.int8)
+        for column, part in zip(columns, parts):
+            column.append(part)
+    # a column's parts go once it is joined, so at most one column is held twice
+    return tuple(np.concatenate(columns.pop(0)) for _ in range(4))
 
 
 def _sample_pairs(train_ids: np.ndarray, used_u: np.ndarray, used_v: np.ndarray,
@@ -193,11 +195,10 @@ def holdout_pairs(g: Graph, t: NodeTable, include_two_hop: bool = True) -> PairS
     """Labeled pairs at distance <= 2 with at least one non-train endpoint."""
     known = t.known_mask()
     train = t.split_mask("train")
-    u, v, prov = _structural_pairs(g, include_two_hop,
-                                   lambda a, b: known[a] & known[b] & ~(train[a] & train[b]))
+    u, v, labels, prov = _structural_pairs(g, t.labels, include_two_hop,
+                                           lambda a, b: known[a] & known[b] & ~(train[a] & train[b]))
     if u.size == 0:
         raise ValueError("no eligible held-out pairs")
-    labels = (t.labels[u] == t.labels[v]).astype(np.int8)
     return PairSet(u=u, v=v, labels=labels, provenance=prov)
 
 
@@ -445,6 +446,12 @@ def pair_quality(predicted: np.ndarray, same: np.ndarray) -> ClassifierQuality:
 def evaluate_quality(clf: EdgeClassifier, labeled_pairs: PairSet, features: np.ndarray,
                      threshold: float) -> ClassifierQuality:
     """Confusion rates of the classifier on labeled pairs, a pair predicted
-    same-label when it scores at or above ``threshold``."""
-    scores = score_pairs(clf, features, labeled_pairs.u, labeled_pairs.v)
-    return pair_quality(scores >= threshold, labeled_pairs.labels == 1)
+    same-label when it scores at or above ``threshold``; counted 64 blocks of
+    ``SCORE_BLOCK`` at a time, each pair scored in the block one call would use."""
+    counts = np.zeros(4, dtype=np.int64)
+    for start in range(0, len(labeled_pairs), 64 * SCORE_BLOCK):
+        part = slice(start, start + 64 * SCORE_BLOCK)
+        q = pair_quality(score_pairs(clf, features, labeled_pairs.u[part], labeled_pairs.v[part]) >= threshold,
+                         labeled_pairs.labels[part] == 1)
+        counts += (q.tp, q.fp, q.fn, q.tn)
+    return quality_from_counts(*counts.tolist())

@@ -54,7 +54,7 @@ class Graph:
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
         if targets.size > 1:
             same_row = rows[1:] == rows[:-1]
-            if np.any(targets[1:][same_row] <= targets[:-1][same_row]):
+            if np.any((targets[1:] <= targets[:-1]) & same_row):
                 raise ValueError("col_targets must be strictly increasing within each row")
         loops = int(np.count_nonzero(rows == targets))
         if self.has_self_loops and loops != n:
@@ -100,7 +100,7 @@ class Graph:
         n = self.num_nodes
         a = csr_array((np.ones(self.num_edges, dtype=bool), self.col_targets, self.row_offsets), shape=(n, n))
         both = (a + a.T).tocsr()  # canonical: rows sorted, no repeats
-        return Graph(n, both.indptr, both.indices, self.has_self_loops)
+        return Graph(n, both.indptr, both.indices.copy(), self.has_self_loops)  # the sum's buffer fits both terms
 
     @property
     def num_edges(self) -> int:
@@ -221,19 +221,23 @@ def positive_ratio(g: Graph, t: NodeTable, use_splits=ALL_SPLITS) -> PositiveRat
     return PositiveRatioReport(per_node=per_node, graph_ratio=ratio, positive_edges=pos, counted_edges=tot)
 
 
-def unordered_pairs(edges: np.ndarray, num_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each unordered non-self pair among directed ``(E, 2)`` ``edges``, once.
+def unordered_pairs(sources: np.ndarray, targets: np.ndarray, num_nodes: int) -> tuple[np.ndarray, ...]:
+    """Each unordered non-self pair among directed edges ``sources[i] -> targets[i]``, once.
 
     Returns ``(lo, hi, nonself, inverse)``: the pairs as ``lo < hi``, sorted
-    by (lo, hi), whichever direction the edges store; the mask of the rows of
-    ``edges`` that are not self loops; and, for each of those rows, the index
-    of its pair.
+    by (lo, hi), whichever direction the edges store; the mask of the edges
+    that are not self loops; and, for each of those edges, the index of its
+    pair.
     """
-    nonself = edges[:, 0] != edges[:, 1]
-    lo = np.minimum(edges[nonself, 0], edges[nonself, 1])
-    hi = np.maximum(edges[nonself, 0], edges[nonself, 1])
-    keys = lo * np.int64(num_nodes) + hi
-    uniq, inverse = np.unique(keys, return_inverse=True)
+    nonself = sources != targets
+    keys = np.minimum(sources, targets)[nonself] * np.int64(num_nodes) + np.maximum(sources, targets)[nonself]
+    order = np.argsort(keys)  # np.unique's steps, holding fewer arrays at once
+    keys = keys[order]
+    first = np.diff(keys, prepend=-1) != 0  # keys are >= 0
+    uniq = keys[first]
+    del keys
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
     return uniq // num_nodes, uniq % num_nodes, nonself, inverse
 
 
@@ -250,13 +254,18 @@ def two_hop_candidates(g: Graph, v: int) -> np.ndarray:
     return cand[mask]
 
 
-def two_hop_pools(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Every node's :func:`two_hop_candidates` as one int32 CSR ``(indptr, indices)``.
+# nodes per block of the two-hop scan: at n = 16000 on a 2-core Xeon, holdout_pairs
+# traced 8.0/8.5/9.5/11.6/21.9 MB at 512/1,024/2,048/4,096/16,384 rows (the last
+# one whole-graph product) and took 103/91/91/86/90 ms
+POOL_ROWS = 1024
 
-    Row ``v`` is ``indices[indptr[v]:indptr[v + 1]]``: the nodes at distance
-    exactly two from ``v``, ascending. With ``A`` the boolean adjacency
-    without self loops, the pools are the entries of ``A @ A`` outside ``A + I``.
-    """
+
+def two_hop_blocks(g: Graph):
+    """Every node's :func:`two_hop_candidates`, ``POOL_ROWS`` nodes at a time, as one
+    int32 CSR ``(lo, indptr, indices)`` per block: node ``v``'s pool, ascending, is
+    ``indices[indptr[v - lo]:indptr[v - lo + 1]]``. With ``A`` the boolean adjacency
+    without self loops, a block's pools are the entries of ``A[lo:hi] @ A`` outside
+    ``A[lo:hi] + I[lo:hi]``."""
     n = g.num_nodes
     sources = g.edge_sources()
     nonself = sources != g.col_targets
@@ -265,10 +274,15 @@ def two_hop_pools(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     a = csr_array((np.ones(int(indptr[-1]), dtype=bool), g.col_targets[nonself].astype(np.int32), indptr),
                   shape=(n, n))
     del sources, nonself
-    reach = a @ a
-    near = a + eye_array(n, dtype=bool, format="csr")
-    del a
-    pools = reach > near
-    del reach, near
-    pools.sort_indices()
-    return pools.indptr, pools.indices
+    for lo in range(0, n, POOL_ROWS):
+        rows = a[lo:lo + POOL_ROWS]
+        pools = rows @ a > rows + eye_array(rows.shape[0], n, k=lo, dtype=bool, format="csr")
+        pools.sort_indices()
+        yield lo, pools.indptr.astype(np.int32, copy=False), pools.indices.astype(np.int32, copy=False)
+
+
+def two_hop_pools(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of :func:`two_hop_blocks` joined into one int32 CSR ``(indptr, indices)``."""
+    blocks = [(np.diff(indptr), indices) for _, indptr, indices in two_hop_blocks(g)]
+    return (np.cumsum(np.concatenate([[0], *(sizes for sizes, _ in blocks)]), dtype=np.int32),
+            np.concatenate([np.zeros(0, np.int32), *(pools for _, pools in blocks)]))

@@ -101,15 +101,15 @@ def _report(before: Graph, after: Graph, removed: int = 0, added_pairs: np.ndarr
 
 def filter_edges(g: Graph, scorer: PairScorer, threshold: float) -> tuple[Graph, RefinementReport]:
     """Drop non-self edges whose unordered pair scores under ``threshold``."""
-    edges = g.edge_array()
-    pu, pv, nonself, inverse = unordered_pairs(edges, g.num_nodes)
-    keep = np.ones(edges.shape[0], dtype=bool)
+    sources, targets = g.edge_sources(), g.col_targets
+    pu, pv, nonself, inverse = unordered_pairs(sources, targets, g.num_nodes)
+    keep = np.ones(g.num_edges, dtype=bool)
     if pu.size:
         scores = np.asarray(scorer(pu, pv), dtype=np.float64)
         if scores.shape != pu.shape:
             raise ValueError("scorer must return one score per pair")
         keep[nonself] = (scores >= threshold)[inverse]
-    refined = Graph.from_sorted(g.num_nodes, edges[keep, 0], edges[keep, 1])
+    refined = Graph.from_sorted(g.num_nodes, sources[keep], targets[keep])
     return refined, _report(g, refined, removed=int(np.count_nonzero(~keep)))
 
 
@@ -170,8 +170,10 @@ def add_edges(g: Graph, scorer: PairScorer, n_max: int, threshold: float) -> tup
             degrees[w] += 1
     arr = np.empty((len(active), 2), dtype=np.int64)
     arr[:, 0], arr[:, 1] = active, passive
-    keys = np.sort(np.concatenate([g.edge_sources() * n + g.col_targets,
-                                   arr[:, 0] * n + arr[:, 1], arr[:, 1] * n + arr[:, 0]]))
+    del ranked, degrees, indptr, lead, added_adj, active, passive  # the pass's lists go before the new graph
+    keys = np.concatenate([g.edge_sources() * n + g.col_targets,
+                           arr[:, 0] * n + arr[:, 1], arr[:, 1] * n + arr[:, 0]])
+    keys.sort()  # in place, not into a second array of every edge key
     refined = Graph.from_sorted(n, keys // n, keys % n)
     return refined, _report(g, refined, added_pairs=arr)
 
@@ -231,18 +233,16 @@ def _ranked_pools(g: Graph, order, n_max: int | None = None) -> _PoolQueue:
         active, sizes = degrees < n_max, np.diff(indptr)
         pools = pools[np.repeat(active, sizes)]  # the pools of the active nodes, as one CSR
         indptr = np.concatenate(([0], np.cumsum(sizes * active)))
-    queue = np.empty_like(pools)
+    queue = [pools[:0]]
     counts = np.zeros(g.num_nodes + 1, dtype=np.int64)
     lead = np.zeros(g.num_nodes, dtype=np.int64)
-    end = 0
     for node, stop, lo, hi, owners in _pool_blocks(indptr):
-        cand = pools[lo:hi]
-        kept, leading = order(owners, cand)
-        queue[end:end + kept.size] = cand[kept]
-        end += kept.size
+        kept, leading = order(owners, pools[lo:hi])
+        queue.append(pools[lo + kept])
         counts[node + 1:stop + 1] = np.bincount(owners[kept] - node, minlength=stop - node)
         lead[node:stop] = np.bincount(owners[leading] - node, minlength=stop - node)
-    return _PoolQueue(np.cumsum(counts), queue, lead, degrees)
+    del pools  # the queue holds only the kept entries
+    return _PoolQueue(np.cumsum(counts), np.concatenate(queue), lead, degrees)
 
 
 def refine(g: Graph, t: NodeTable, classifier, cfg: RefinementConfig = RefinementConfig(),

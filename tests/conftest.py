@@ -1,11 +1,12 @@
 """Shared builders and independent oracles for the test suite."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, eye_array
 
 from lagraph.graph import SPLIT_CODES, Graph, NodeTable, two_hop_candidates
 from lagraph.edge_classifier import (
@@ -114,6 +115,31 @@ def assert_gradients_match(analytic_flat, fd_grads, rel_tol=1e-4):
         denom = max(abs(an), abs(fd), 1e-8)
         assert abs(an - fd) / denom < rel_tol, (
             f"coordinate {idx}: analytic {an!r} vs finite-difference {fd!r}")
+
+
+def traced_peak(fn, *args):
+    """``(fn(*args), peak)``: the result and the most bytes ``tracemalloc``
+    saw allocated at once during the call, the result included."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def reference_two_hop_pools(g):
+    """``two_hop_pools`` as one whole-graph sparse product: with ``A`` the
+    boolean adjacency without self loops, the entries of ``A @ A`` outside
+    ``A + I``, as ``(indptr, indices)``."""
+    n = g.num_nodes
+    sources = g.edge_sources()
+    nonself = sources != g.col_targets
+    a = csr_array((np.ones(int(nonself.sum()), dtype=bool), (sources[nonself], g.col_targets[nonself])),
+                  shape=(n, n))
+    pools = (a @ a) > (a + eye_array(n, dtype=bool, format="csr"))
+    pools.sort_indices()
+    return pools.indptr, pools.indices
 
 
 def mirrored(g):

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lagraph.data import (
+    _RAW_BLOCK,
     DataFormatError,
     _edge_budget,
     _Pcg64Draws,
@@ -21,7 +22,7 @@ from lagraph.data import (
 )
 from lagraph.graph import NodeTable, positive_ratio
 
-from conftest import reference_synth
+from conftest import reference_synth, traced_peak
 
 NODES_TSV = """\
 # id\tlabel\tsplit\tfeatures
@@ -183,6 +184,16 @@ class TestSynth:
         assert np.array_equal(t1.features, t2.features)
         g3, _ = synth(n=50, c=3, d=4, homophily=0.5, avg_degree=4.0, feature_sep=1.0, seed=10)
         assert not np.array_equal(g1.col_targets, g3.col_targets)
+
+    def test_memory_is_bounded(self):
+        # the graph and node table it returns; one raw block of the generator, _RAW_BLOCK
+        # Python ints at 40 bytes each with their list slot; and the set of placed edge
+        # keys, at 128 bytes a key, room for its table to grow. n = 4000 traces about
+        # 4.3 MB; keeping a list of pair tuples beside the keys traces about 7.8 MB
+        (g, t), peak = traced_peak(synth, 4000, 4, 16, 0.4, 8.0, 4.0, 0)
+        out = sum(a.nbytes for a in (g.row_offsets, g.col_targets, t.features, t.labels, t.split))
+        bound = out + _RAW_BLOCK * 40 + _edge_budget(4000, 8.0)[0] * 128
+        assert peak <= bound, f"traced peak {peak / 2**20:.2f} MB over {bound / 2**20:.2f} MB"
 
     def test_homophily_law_of_large_numbers(self):
         g, t = synth(n=5000, c=4, d=2, homophily=0.5, avg_degree=8.0, feature_sep=1.0, seed=0)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lagraph.edge_classifier as edge_classifier
+import lagraph.graph as graph
 from lagraph.data import synth
 from lagraph.edge_classifier import (
     ONE_HOP,
@@ -43,6 +43,7 @@ from conftest import (
     reference_final_loss,
     reference_holdout_pairs,
     reference_score_pairs,
+    traced_peak,
 )
 
 
@@ -171,6 +172,21 @@ class TestHoldoutPairs:
         for a, b in held_keys:
             assert b in adj[a] or (adj[a] & adj[b])
 
+    def test_memory_is_bounded(self):
+        # the pairs (10 bytes each) and their u column once more while the columns are
+        # joined; the mirrored graph's CSR and adjacency, 16 bytes an edge; and one block
+        # of the two-hop scan, 24 bytes a pool entry. These 141k pairs trace about 2.9 MB;
+        # one whole-graph product in place of the blocks traces about 5.7 MB
+        n = 4000
+        g, t = synth(n=n, c=4, d=16, homophily=0.4, avg_degree=8.0, feature_sep=4.0, seed=0)
+        mirror = g.both_ways()
+        indptr, _ = two_hop_pools(mirror)
+        rows = graph.POOL_ROWS
+        block = max(int(indptr[min(lo + rows, n)] - indptr[lo]) for lo in range(0, n, rows))
+        pairs, peak = traced_peak(holdout_pairs, g, t)
+        bound = len(pairs) * (10 + 4) + mirror.num_edges * 16 + block * 24
+        assert peak <= bound, f"traced peak {peak / 2**20:.2f} MB over {bound / 2**20:.2f} MB"
+
 
 def pairs_or_error(fn, *args):
     try:
@@ -199,8 +215,10 @@ class TestPoolsMatchPerNodeLoop:
         t = draw_table(data, g.num_nodes)
         cfg = TrainConfig(include_two_hop=data.draw(st.booleans()),
                           num_sampled=data.draw(st.sampled_from([0, 7])), seed=data.draw(st.integers(0, 9)))
-        assert_same_pairset(pairs_or_error(build_pairs, g, t, cfg),
-                            pairs_or_error(reference_build_pairs, g, t, cfg))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "POOL_ROWS", data.draw(st.sampled_from([1, 3, 1024]), label="scan rows"))
+            got = pairs_or_error(build_pairs, g, t, cfg)
+        assert_same_pairset(got, pairs_or_error(reference_build_pairs, g, t, cfg))
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -208,8 +226,10 @@ class TestPoolsMatchPerNodeLoop:
         g = draw_graph(data)
         t = draw_table(data, g.num_nodes)
         two_hop = data.draw(st.booleans())
-        assert_same_pairset(pairs_or_error(holdout_pairs, g, t, two_hop),
-                            pairs_or_error(reference_holdout_pairs, g, t, two_hop))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "POOL_ROWS", data.draw(st.sampled_from([1, 3, 1024]), label="scan rows"))
+            got = pairs_or_error(holdout_pairs, g, t, two_hop)
+        assert_same_pairset(got, pairs_or_error(reference_holdout_pairs, g, t, two_hop))
 
     def test_synthetic_graph(self):
         g, t = synth(n=400, c=4, d=4, homophily=0.4, avg_degree=8.0, feature_sep=1.0, seed=5)
@@ -633,15 +653,35 @@ class TestBlockedScoring:
         u = rng.integers(0, n - 1, size=count)
         v = u + 1 + rng.integers(0, n - 1 - u)
         pairs = PairSet(u=u, v=v, labels=rng.integers(0, 2, size=count), provenance=np.zeros(count))
-        tracemalloc.start()
-        try:
-            quality = evaluate_quality(clf, pairs, features, 0.5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        quality, peak = traced_peak(evaluate_quality, clf, pairs, features, 0.5)
         assert quality.total == count
         bound = count * (8 + 2) + n * p * 8 + 2 * 1024 * 9 * p * 8
         assert peak <= bound, f"traced peak {peak / 2**20:.2f} MB over {bound / 2**20:.2f} MB"
+
+    @pytest.mark.parametrize("block", [7, edge_classifier.SCORE_BLOCK])
+    def test_chunked_counts_equal_one_scoring_pass(self, block, monkeypatch):
+        # more than two chunks of 64 blocks, the last one ragged
+        monkeypatch.setattr(edge_classifier, "SCORE_BLOCK", block)
+        rng = np.random.default_rng(3)
+        n, count = 500, 2 * 64 * block + block // 2 + 1
+        features = rng.normal(size=(n, 4))
+        clf = init_classifier(4, TrainConfig(proj_dim=3, hidden_widths=(4,), seed=1))
+        u = rng.integers(0, n - 1, size=count)
+        v = u + 1 + rng.integers(0, n - 1 - u)
+        pairs = PairSet(u=u, v=v, labels=rng.integers(0, 2, size=count), provenance=np.zeros(count))
+        scores = score_pairs(clf, features, pairs.u, pairs.v)
+        calls = []
+
+        def recording(*args):
+            calls.append(score_pairs(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(edge_classifier, "score_pairs", recording)
+        threshold = float(np.median(scores))
+        got = evaluate_quality(clf, pairs, features, threshold)
+        assert counts(got) == counts(pair_quality(scores >= threshold, pairs.labels == 1))
+        assert [c.size for c in calls] == [64 * block, 64 * block, block // 2 + 1]
+        assert np.array_equal(np.concatenate(calls), scores)  # each pair scored in the same block
 
 
 class TestQuality:

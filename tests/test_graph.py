@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagraph.graph import Graph, NodeTable, positive_ratio, two_hop_candidates, two_hop_pools
+import lagraph.graph as graph
+from lagraph.graph import Graph, NodeTable, positive_ratio, two_hop_blocks, two_hop_candidates, two_hop_pools
 
-from conftest import dense_adjacency, draw_graph, undirected_graph
+from conftest import dense_adjacency, draw_graph, reference_two_hop_pools, undirected_graph
 
 
 def small_graph():
@@ -283,3 +284,36 @@ class TestTwoHopPools:
     def test_rows_match_bfs_oracle(self, data):
         g = draw_graph(data)
         assert pool_rows(g) == [bfs_two_hop(g, v) for v in range(g.num_nodes)]
+
+
+class TestTwoHopBlocks:
+    """The row-block scan, block by block and joined, is the whole-graph product."""
+
+    @pytest.mark.parametrize("rows", [1, 2, "n", "past n"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_blocks_join_to_whole_product(self, rows, data):
+        g = draw_graph(data)  # one-way or mirrored edges
+        isolated = data.draw(st.integers(0, 3), label="isolated nodes")
+        g = Graph.from_edges(g.num_nodes + isolated, g.edge_array(), add_self_loops=g.has_self_loops)
+        n = g.num_nodes
+        size = {"n": n, "past n": n + 3}.get(rows, rows)
+        want_indptr, want_indices = reference_two_hop_pools(g)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "POOL_ROWS", size)
+            blocks = list(two_hop_blocks(g))
+            indptr, indices = two_hop_pools(g)
+        assert [lo for lo, _, _ in blocks] == list(range(0, n, size))
+        for lo, block_indptr, block_indices in blocks:
+            hi = min(lo + size, n)
+            assert block_indptr.dtype == block_indices.dtype == np.int32
+            assert block_indptr.tolist() == (want_indptr[lo:hi + 1] - want_indptr[lo]).tolist()
+            assert block_indices.tolist() == want_indices[want_indptr[lo]:want_indptr[hi]].tolist()
+        assert indptr.dtype == indices.dtype == np.int32
+        assert indptr.tolist() == want_indptr.tolist() and indices.tolist() == want_indices.tolist()
+
+    def test_no_nodes_no_blocks(self):
+        g = Graph.from_edges(0, np.zeros((0, 2), dtype=np.int64))
+        assert list(two_hop_blocks(g)) == []
+        indptr, indices = two_hop_pools(g)
+        assert indptr.tolist() == [0] and indices.size == 0 and indices.dtype == np.int32

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from lagraph import refinement
 from lagraph.data import synth
-from lagraph.edge_classifier import TrainConfig, init_classifier, make_scorer
+from lagraph.edge_classifier import TrainConfig, build_pairs, init_classifier, make_scorer, train
 from lagraph.graph import Graph, NodeTable, positive_ratio, two_hop_pools
 from lagraph.hashing import unit_uniform
 from lagraph.propagation import EdgeFeatureConfig, edge_input_features
@@ -35,6 +35,7 @@ from conftest import (
     path_graph,
     reference_add_edges,
     reference_oracle_add_scorer,
+    traced_peak,
     undirected_graph,
 )
 
@@ -392,6 +393,18 @@ class TestTrainedAddPass:
         finally:
             tracemalloc.stop()
 
+    def test_queue_holds_only_kept_entries(self, monkeypatch):
+        g, features = self.graph()
+        clf = init_classifier(features.shape[1], TrainConfig(proj_dim=4, hidden_widths=(6,), seed=0))
+        queues, ranked_pools = [], refinement._ranked_pools
+        monkeypatch.setattr(refinement, "_ranked_pools",
+                            lambda *args: queues.append(ranked_pools(*args)) or queues[-1])
+        _, rep = add_edges(g, make_scorer(clf, features), 10, 0.497)
+        (ranked,) = queues
+        assert rep.edges_added > 0 and ranked.queue.dtype == np.int32
+        assert ranked.queue.size == ranked.indptr[-1]
+        assert 0 < ranked.queue.size < scored_entries(g, 10)
+
     def test_scorer_of_wrong_shape_rejected(self):
         g, _ = self.graph()
         with pytest.raises(ValueError, match="one score per pair"):
@@ -421,6 +434,20 @@ class TestRefine:
         assert rep.edges_before - rep.edges_removed + rep.edges_added == rep.edges_after
         assert rep.ratio_before == positive_ratio(g, t).graph_ratio
         assert rep.ratio_after == positive_ratio(got, t).graph_ratio
+
+    def test_memory_is_bounded(self):
+        # the refined graph and the added pairs; the scorer's node projection; and the
+        # filter's one pass over the edge list at 64 bytes an edge: its sources, pair keys,
+        # their sort and the scores. At n = 4000 this traces about 2.6 MB; a whole-graph
+        # two-hop product, and the add pass's lists kept to its end, make it 4.3 MB
+        n, cfg = 4000, TrainConfig(proj_dim=16, hidden_widths=(16,), epochs=5, num_sampled=4000)
+        g, t = synth(n=n, c=4, d=16, homophily=0.4, avg_degree=8.0, feature_sep=4.0, seed=0)
+        clf = train(build_pairs(g, t, cfg), t.features, cfg)
+        (refined, rep), peak = traced_peak(refine, g, t, clf, RefinementConfig(n_max=10), t.features)
+        assert rep.edges_removed > 0 and rep.edges_added > 0
+        out = refined.row_offsets.nbytes + refined.col_targets.nbytes + rep.added_pairs.nbytes
+        bound = out + n * cfg.proj_dim * 8 + g.num_edges * 64
+        assert peak <= bound, f"traced peak {peak / 2**20:.2f} MB over {bound / 2**20:.2f} MB"
 
     def test_classifier_without_features_is_refused(self):
         g, t = self.graph()
