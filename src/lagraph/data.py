@@ -25,7 +25,7 @@ class DataFormatError(ValueError):
 
 
 def _parse_nodes(path, num_classes):
-    ids, labels, splits, feats = [], [], [], []
+    ids, lines, labels, splits, feats = [], [], [], [], []
     dim = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -40,6 +40,9 @@ def _parse_nodes(path, num_classes):
                 label = int(parts[1])
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: non-integer id or label") from exc
+            if label < UNKNOWN_LABEL:
+                raise DataFormatError(f"{path}:{lineno}: node {node_id}: label must be -1 or a class id, "
+                                      f"got {label}")
             if parts[2] not in SPLIT_CODES:
                 raise DataFormatError(f"{path}:{lineno}: unknown split tag {parts[2]!r}")
             try:
@@ -53,21 +56,25 @@ def _parse_nodes(path, num_classes):
             elif len(row) != dim:
                 raise DataFormatError(f"{path}:{lineno}: feature dim {len(row)} != {dim}")
             ids.append(node_id)
+            lines.append(lineno)
             labels.append(label)
             splits.append(SPLIT_CODES[parts[2]])
             feats.append(row)
     if not ids:
         raise DataFormatError(f"{path}: no node records")
     n = len(ids)
-    order = np.argsort(np.asarray(ids))
+    order = np.argsort(np.asarray(ids, dtype=np.int64), kind="stable")
     ids_arr = np.asarray(ids, dtype=np.int64)[order]
-    if ids_arr[0] != 0 or ids_arr[-1] != n - 1 or np.any(np.diff(ids_arr) != 1):
-        raise DataFormatError(f"{path}: node ids must be 0-based and contiguous")
+    repeats = np.flatnonzero(np.diff(ids_arr) == 0)
+    if repeats.size:
+        first, again = lines[order[repeats[0]]], lines[order[repeats[0] + 1]]
+        raise DataFormatError(f"{path}:{again}: node id {ids_arr[repeats[0]]} repeats line {first}; "
+                              "node ids must be 0-based and contiguous")
+    if ids_arr[0] != 0 or ids_arr[-1] != n - 1:
+        missing = int(np.setdiff1d(np.arange(n), ids_arr)[0])
+        raise DataFormatError(f"{path}: node ids must be 0-based and contiguous; no line has node id {missing}")
     labels_arr = np.asarray(labels, dtype=np.int64)[order]
     known = labels_arr != UNKNOWN_LABEL
-    if np.any(labels_arr < UNKNOWN_LABEL):
-        bad = int(np.argmax(labels_arr < UNKNOWN_LABEL))
-        raise DataFormatError(f"{path}: node {bad}: label must be -1 or a class id")
     if num_classes is None:
         num_classes = int(labels_arr[known].max()) + 1 if known.any() else 1
     elif known.any() and int(labels_arr[known].max()) >= num_classes:

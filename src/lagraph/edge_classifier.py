@@ -145,12 +145,12 @@ def _structural_pairs(g: Graph, labels: np.ndarray, include_two_hop: bool, eligi
     (``same`` where ``labels`` match) block by block. Both read
     :meth:`Graph.both_ways`, so an edge joins its pair whichever way it is stored."""
     def blocks(g):  # a generator, so neither a block nor the mirror outlives its turn
-        yield g.edge_sources(), g.col_targets, ONE_HOP
-        for lo, indptr, cand in two_hop_blocks(g) if include_two_hop else ():
-            yield np.repeat(np.arange(lo, lo + indptr.size - 1, dtype=np.int32), np.diff(indptr)), cand, TWO_HOP
+        yield g.edge_sources(), g.col_targets
+        yield from two_hop_blocks(g) if include_two_hop else ()  # no name here keeps a block alive
 
     columns = [[], [], [], []]
-    for a, b, tag in blocks(g.both_ways()):
+    for a, b in blocks(g.both_ways()):
+        tag = TWO_HOP if columns[0] else ONE_HOP  # the edges come first
         keep = (a < b) & eligible(a, b)
         a, b = a[keep].astype(np.int32, copy=False), b[keep].astype(np.int32, copy=False)
         parts = a, b, (labels[a] == labels[b]).view(np.int8), np.full(a.size, tag, np.int8)
@@ -166,29 +166,19 @@ def _sample_pairs(train_ids: np.ndarray, used_u: np.ndarray, used_v: np.ndarray,
     (each ``used_u < used_v``, both in ``train_ids``, which is ascending)."""
     n_train = train_ids.size
     total = n_train * (n_train - 1) // 2
-    pos = {int(i): k for k, i in enumerate(train_ids)}
-    used = {(pos[int(a)], pos[int(b)]) for a, b in zip(used_u, used_v)}
-    budget = min(count, total - len(used))
+    seen = np.unique(np.searchsorted(train_ids, used_u) * n_train + np.searchsorted(train_ids, used_v))
+    budget = min(count, total - seen.size)
     rng = np.random.default_rng(seed + 2)
-    chosen: list[tuple[int, int]] = []
-    seen = set(used)
+    chosen = np.zeros(0, dtype=np.int64)  # keys lo * n_train + hi of train_ids positions
     # rejection rounds; each draws a batch so the common case needs one pass
-    while len(chosen) < budget:
-        draw = rng.integers(0, n_train, size=(2 * (budget - len(chosen)) + 8, 2))
-        for a, b in draw:
-            if a == b:
-                continue
-            key = (int(min(a, b)), int(max(a, b)))
-            if key in seen:
-                continue
-            seen.add(key)
-            chosen.append(key)
-            if len(chosen) == budget:
-                break
-    if not chosen:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    idx = np.asarray(chosen, dtype=np.int64)
-    return train_ids[idx[:, 0]], train_ids[idx[:, 1]]
+    while chosen.size < budget:
+        draw = rng.integers(0, n_train, size=(2 * (budget - chosen.size) + 8, 2))
+        lo, hi = draw.min(axis=1), draw.max(axis=1)
+        keys = (lo * n_train + hi)[lo != hi]
+        keys = keys[np.sort(np.unique(keys, return_index=True)[1])]  # first draw of each, in draw order
+        keys = keys[~np.isin(keys, seen)][:budget - chosen.size]
+        chosen, seen = np.concatenate([chosen, keys]), np.concatenate([seen, keys])
+    return train_ids[chosen // n_train], train_ids[chosen % n_train]  # chosen is empty when n_train is 0
 
 
 def holdout_pairs(g: Graph, t: NodeTable, include_two_hop: bool = True) -> PairSet:

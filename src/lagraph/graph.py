@@ -262,10 +262,11 @@ POOL_ROWS = 1024
 
 def two_hop_blocks(g: Graph):
     """Every node's :func:`two_hop_candidates`, ``POOL_ROWS`` nodes at a time, as one
-    int32 CSR ``(lo, indptr, indices)`` per block: node ``v``'s pool, ascending, is
-    ``indices[indptr[v - lo]:indptr[v - lo + 1]]``. With ``A`` the boolean adjacency
-    without self loops, a block's pools are the entries of ``A[lo:hi] @ A`` outside
-    ``A[lo:hi] + I[lo:hi]``."""
+    int32 pair ``(owners, cand)`` per block: ``cand`` holds the block's pools, each
+    ascending, in ascending node order, and ``owners`` the node of each entry. With
+    ``A`` the boolean adjacency without self loops, a block's pools are the entries of
+    ``A[lo:hi] @ A`` outside ``A[lo:hi] + I[lo:hi]``. The scan holds only ``A``, not
+    ``g``, once it starts."""
     n = g.num_nodes
     sources = g.edge_sources()
     nonself = sources != g.col_targets
@@ -273,16 +274,11 @@ def two_hop_blocks(g: Graph):
     np.cumsum(np.bincount(sources[nonself], minlength=n), out=indptr[1:])
     a = csr_array((np.ones(int(indptr[-1]), dtype=bool), g.col_targets[nonself].astype(np.int32), indptr),
                   shape=(n, n))
-    del sources, nonself
+    del g, sources, nonself
     for lo in range(0, n, POOL_ROWS):
         rows = a[lo:lo + POOL_ROWS]
         pools = rows @ a > rows + eye_array(rows.shape[0], n, k=lo, dtype=bool, format="csr")
         pools.sort_indices()
-        yield lo, pools.indptr.astype(np.int32, copy=False), pools.indices.astype(np.int32, copy=False)
-
-
-def two_hop_pools(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks of :func:`two_hop_blocks` joined into one int32 CSR ``(indptr, indices)``."""
-    blocks = [(np.diff(indptr), indices) for _, indptr, indices in two_hop_blocks(g)]
-    return (np.cumsum(np.concatenate([[0], *(sizes for sizes, _ in blocks)]), dtype=np.int32),
-            np.concatenate([np.zeros(0, np.int32), *(pools for _, pools in blocks)]))
+        # unnamed, so a caller that drops or filters the owners frees them
+        yield (np.repeat(np.arange(lo, lo + rows.shape[0], dtype=np.int32), np.diff(pools.indptr)),
+               pools.indices.astype(np.int32, copy=False))

@@ -19,20 +19,17 @@ from typing import Callable
 import numpy as np
 
 from .edge_classifier import EdgeClassifier, make_scorer, pair_quality
-from .graph import Graph, NodeTable, positive_ratio, two_hop_pools, unordered_pairs
+from .graph import Graph, NodeTable, positive_ratio, two_hop_blocks, unordered_pairs
+from .hashing import unit_uniform
 # bound for the benchmark tracer (perfbench/spans.py wraps these module names); unused here
 from .graph import two_hop_candidates  # noqa: F401
-from .hashing import unit_uniform
 from .propagation import edge_input_features  # noqa: F401
 
-# Scores pairs (u[i], v[i]). A scorer must score each pair on its own, not
-# depending on the other pairs of the call: filtering scores every edge in one
-# call, and adding scores blocks of whole two-hop pools once, before its loop.
+# Scores pairs (u[i], v[i]) of integer node ids. A scorer must score each pair
+# on its own, not depending on the other pairs of the call: filtering scores
+# every edge in one call, and adding scores the two-hop pools of one block of
+# nodes (int32 ids) a call, before its loop.
 PairScorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-# pool entries (rounded up to whole pools) an add pass scores, or the add-mode
-# oracle hashes and sorts, at a time
-KEY_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -126,11 +123,12 @@ def add_edges(g: Graph, scorer: PairScorer, n_max: int, threshold: float) -> tup
     added pair are new edges of the refined graph.
 
     The scorer is called before the loop, once per pair of the pool of each
-    node whose degree starts under ``n_max``, on blocks of whole pools (see
+    node whose degree starts under ``n_max``, one block of nodes a call (see
     :func:`_ranked_pools`); it must score each pair independently of the
-    others in the call. A scorer may instead carry a ``walk(g)`` function
-    attribute, as the add-mode oracle does. It returns ``(queue, p_pre)``:
-    ``g``'s ranked pools and the share of leading entries to take (see
+    others in the call. A scorer may instead carry a ``walk(g, n_max)``
+    function attribute, as the add-mode oracle does. It returns
+    ``(queue, p_pre)``: ``g``'s ranked pools, those of the nodes under
+    ``n_max`` at least, and the share of leading entries to take (see
     :func:`_quota_walk`), where step ``r`` of a pool of ``m`` remaining
     candidates scores ``1 - (r + 1) / (2 (m + 1))``. The pass then never
     calls the scorer.
@@ -139,10 +137,10 @@ def add_edges(g: Graph, scorer: PairScorer, n_max: int, threshold: float) -> tup
         raise ValueError("n_max must be >= 1")
     walk = getattr(scorer, "walk", None)
     if walk is not None:
-        (ranked, p_pre), cut = walk(g), threshold
+        (ranked, p_pre), cut = walk(g, n_max), threshold
     else:
         def order(owners: np.ndarray, cand: np.ndarray):
-            scores = np.asarray(scorer(owners, cand.astype(np.int64)), dtype=np.float64)
+            scores = np.asarray(scorer(owners, cand), dtype=np.float64)
             if scores.shape != cand.shape:
                 raise ValueError("scorer must return one score per pair")
             kept = np.flatnonzero(scores >= threshold)
@@ -153,49 +151,28 @@ def add_edges(g: Graph, scorer: PairScorer, n_max: int, threshold: float) -> tup
         ranked, p_pre, cut = _ranked_pools(g, order, n_max), 1.0, 0.0
     degrees, indptr, lead = ranked.degrees.tolist(), ranked.indptr.tolist(), ranked.lead.tolist()
     n = g.num_nodes
+    # each node is walked once, in id order, so a walk changes only the degrees and
+    # exclusions of the nodes it picks; it picks at most n_max - its starting degree
+    arr = np.empty((int(np.maximum(n_max - ranked.degrees, 0).sum()), 2), dtype=np.int64)
     added_adj: list[list[int]] = [[] for _ in range(n)]
-    active: list[int] = []
-    passive: list[int] = []
+    k = 0
     for v in range(n):
         if degrees[v] >= n_max:
             continue
         pool = ranked.queue[indptr[v]:indptr[v + 1]].tolist()
         picks = _quota_walk(pool, lead[v], p_pre, n_max - degrees[v], set(added_adj[v]), cut)
-        active += [v] * len(picks)
-        passive += picks
-        added_adj[v] += picks
-        degrees[v] += len(picks)
+        arr[k:k + len(picks), 0], arr[k:k + len(picks), 1] = v, picks
+        k += len(picks)
         for w in picks:
             added_adj[w].append(v)
             degrees[w] += 1
-    arr = np.empty((len(active), 2), dtype=np.int64)
-    arr[:, 0], arr[:, 1] = active, passive
-    del ranked, degrees, indptr, lead, added_adj, active, passive  # the pass's lists go before the new graph
+    arr.resize((k, 2), refcheck=False)  # no view of it is held
+    del ranked, degrees, indptr, lead, added_adj  # the pass's lists go before the new graph
     keys = np.concatenate([g.edge_sources() * n + g.col_targets,
                            arr[:, 0] * n + arr[:, 1], arr[:, 1] * n + arr[:, 0]])
     keys.sort()  # in place, not into a second array of every edge key
     refined = Graph.from_sorted(n, keys // n, keys % n)
     return refined, _report(g, refined, added_pairs=arr)
-
-
-def _pool_blocks(indptr: np.ndarray):
-    """Blocks of whole pools of a pool CSR, ``KEY_BLOCK`` entries or more each
-    (only the last may hold fewer), skipping blocks without entries.
-
-    Yields ``(node, stop, lo, hi, owners)``: the pools of nodes
-    ``node..stop-1`` are entries ``lo:hi``, and ``owners`` (int64) holds the
-    node of each entry.
-    """
-    n = indptr.shape[0] - 1
-    node = 0
-    while node < n:
-        lo = int(indptr[node])
-        stop = min(max(int(np.searchsorted(indptr, lo + KEY_BLOCK)), node + 1), n)
-        hi = int(indptr[stop])
-        if hi > lo:
-            owners = np.repeat(np.arange(node, stop, dtype=np.int64), np.diff(indptr[node:stop + 1]))
-            yield node, stop, lo, hi, owners
-        node = stop
 
 
 @dataclass(frozen=True)
@@ -215,33 +192,32 @@ class _PoolQueue:
     degrees: np.ndarray
 
 
-def _ranked_pools(g: Graph, order, n_max: int | None = None) -> _PoolQueue:
-    """The :class:`_PoolQueue` of ``g``, built ``KEY_BLOCK`` pool entries
-    (whole pools, :func:`_pool_blocks`) at a time.
+def _ranked_pools(g: Graph, order, n_max: int) -> _PoolQueue:
+    """The :class:`_PoolQueue` of ``g``, ranked one :func:`two_hop_blocks`
+    block at a time, with only the pools of nodes whose degree is under
+    ``n_max``: the others are left empty.
 
-    ``order(owners, cand)`` ranks one block: it returns the indices of the
-    entries to keep, in queue order (owners ascending), and an index or mask
-    of the leading ones. With ``n_max``, only the pools of nodes whose degree
-    is under it are ranked; the others are left empty. Nothing of a block
-    outlives it but its slice of the queue and its counts.
+    ``order(owners, cand)`` ranks one block's pool entries: it returns the
+    indices of the entries to keep, in queue order (owners ascending), and an
+    index or mask of the leading ones. Nothing of a block outlives it but its
+    slice of the queue and its counts.
     """
     mirror = g.both_ways()
     degrees = mirror.nonself_degrees()
-    indptr, pools = two_hop_pools(mirror)
-    del mirror  # dropped before the pools are ranked
-    if n_max is not None:
-        active, sizes = degrees < n_max, np.diff(indptr)
-        pools = pools[np.repeat(active, sizes)]  # the pools of the active nodes, as one CSR
-        indptr = np.concatenate(([0], np.cumsum(sizes * active)))
-    queue = [pools[:0]]
+    blocks = two_hop_blocks(mirror)
+    del mirror  # the scan holds its own adjacency
+    active = degrees < n_max
+    queue = [np.zeros(0, dtype=np.int32)]
     counts = np.zeros(g.num_nodes + 1, dtype=np.int64)
     lead = np.zeros(g.num_nodes, dtype=np.int64)
-    for node, stop, lo, hi, owners in _pool_blocks(indptr):
-        kept, leading = order(owners, pools[lo:hi])
-        queue.append(pools[lo + kept])
-        counts[node + 1:stop + 1] = np.bincount(owners[kept] - node, minlength=stop - node)
-        lead[node:stop] = np.bincount(owners[leading] - node, minlength=stop - node)
-    del pools  # the queue holds only the kept entries
+    for owners, cand in blocks:
+        keep = active[owners]
+        owners, cand = owners[keep], cand[keep]
+        if owners.size:
+            kept, leading = order(owners, cand)
+            queue.append(cand[kept])
+            counts[1:] += np.bincount(owners[kept], minlength=g.num_nodes)
+            lead += np.bincount(owners[leading], minlength=g.num_nodes)
     return _PoolQueue(np.cumsum(counts), np.concatenate(queue), lead, degrees)
 
 
@@ -359,7 +335,7 @@ def oracle_scorer(t: NodeTable, oc: OracleClassifier, _shared: dict | None = Non
     only on (seed, node, candidate), ties by ascending id; so one queue
     serves every ``p_pre``. Add-mode scorers built with one ``_shared`` dict,
     for the same table and seed, share that queue: the first pass on a graph
-    leaves it there for the others.
+    at an ``n_max`` leaves it there for the others.
     """
     if not t.known_mask().all():
         raise ValueError("oracle scoring requires fully known labels")
@@ -385,11 +361,11 @@ def oracle_scorer(t: NodeTable, oc: OracleClassifier, _shared: dict | None = Non
         same = labels[cand] == labels[owners]
         return np.lexsort((unit_uniform(oc.seed, owners, cand), ~same, owners)), same
 
-    def walk(g: Graph) -> tuple[_PoolQueue, float]:
+    def walk(g: Graph, n_max: int) -> tuple[_PoolQueue, float]:
         store = {} if _shared is None else _shared
-        built_for = store.get("built_for", (None, None, None))
-        if built_for[0] is not g or built_for[1] is not labels or built_for[2] != oc.seed:
-            store["built_for"], store["queue"] = (g, labels, oc.seed), _ranked_pools(g, order)
+        built_for = store.get("built_for", (None, None, None, None))
+        if built_for[0] is not g or built_for[1] is not labels or built_for[2:] != (oc.seed, n_max):
+            store["built_for"], store["queue"] = (g, labels, oc.seed, n_max), _ranked_pools(g, order, n_max)
         return store["queue"], oc.target_p_pre
 
     scorer.walk = walk

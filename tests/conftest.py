@@ -15,7 +15,6 @@ from lagraph.edge_classifier import (
     TWO_HOP,
     PairSet,
     _forward,
-    _sample_pairs,
     _sigmoid,
     _weighted_bce,
     pair_weights,
@@ -129,9 +128,9 @@ def traced_peak(fn, *args):
 
 
 def reference_two_hop_pools(g):
-    """``two_hop_pools`` as one whole-graph sparse product: with ``A`` the
-    boolean adjacency without self loops, the entries of ``A @ A`` outside
-    ``A + I``, as ``(indptr, indices)``."""
+    """Every node's two-hop pool from one whole-graph sparse product: with
+    ``A`` the boolean adjacency without self loops, the entries of ``A @ A``
+    outside ``A + I``, as a CSR ``(indptr, indices)``."""
     n = g.num_nodes
     sources = g.edge_sources()
     nonself = sources != g.col_targets
@@ -169,7 +168,7 @@ def reference_build_pairs(g, t, cfg):
     u = np.concatenate(us)
     v = np.concatenate(vs)
     if cfg.num_sampled > 0:
-        su, sv = _sample_pairs(np.flatnonzero(train), u, v, cfg.num_sampled, cfg.seed)
+        su, sv = reference_sample_pairs(np.flatnonzero(train), u, v, cfg.num_sampled, cfg.seed)
         if su.size:
             u = np.concatenate([u, su])
             v = np.concatenate([v, sv])
@@ -178,6 +177,35 @@ def reference_build_pairs(g, t, cfg):
         raise ValueError("no eligible training pairs (need train-train edges)")
     labels = (t.labels[u] == t.labels[v]).astype(np.int64)
     return PairSet(u=u, v=v, labels=labels, provenance=np.concatenate(prov))
+
+
+def reference_sample_pairs(train_ids, used_u, used_v, count, seed):
+    """``_sample_pairs`` as a per-draw loop over each batch of
+    ``rng.integers``, keeping each new unordered pair in a set."""
+    n_train = train_ids.size
+    total = n_train * (n_train - 1) // 2
+    pos = {int(i): k for k, i in enumerate(train_ids)}
+    used = {(pos[int(a)], pos[int(b)]) for a, b in zip(used_u, used_v)}
+    budget = min(count, total - len(used))
+    rng = np.random.default_rng(seed + 2)
+    chosen = []
+    seen = set(used)
+    while len(chosen) < budget:
+        draw = rng.integers(0, n_train, size=(2 * (budget - len(chosen)) + 8, 2))
+        for a, b in draw:
+            if a == b:
+                continue
+            key = (int(min(a, b)), int(max(a, b)))
+            if key in seen:
+                continue
+            seen.add(key)
+            chosen.append(key)
+            if len(chosen) == budget:
+                break
+    if not chosen:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    idx = np.asarray(chosen, dtype=np.int64)
+    return train_ids[idx[:, 0]], train_ids[idx[:, 1]]
 
 
 def reference_holdout_pairs(g, t, include_two_hop=True):

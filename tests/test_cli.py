@@ -665,7 +665,7 @@ class TestSweepCommand:
         every pass walks a queue built from its own graph, and no queue
         outlives its seed."""
         seeds, queues, current, built_from = [], [], {}, {}
-        load_dataset, pools = cli._load_dataset, refinement.two_hop_pools
+        load_dataset, pools = cli._load_dataset, refinement.two_hop_blocks
         hash_keys, add_edges = refinement.unit_uniform, refinement.add_edges
         ranked_pools, oracle_scorer = refinement._ranked_pools, cli.oracle_scorer
 
@@ -676,9 +676,10 @@ class TestSweepCommand:
             return load_dataset(cfg, seed)
 
         def counted_pools(g):
-            out = pools(g)
-            seeds[-1]["entries"].append(int(out[0][-1]))
-            return out
+            seeds[-1]["entries"].append(0)
+            for owners, cand in pools(g):
+                seeds[-1]["entries"][-1] += cand.size
+                yield owners, cand
 
         def counted_hash(*args):
             seeds[-1]["hashes"] += 1
@@ -699,8 +700,8 @@ class TestSweepCommand:
             scorer = oracle_scorer(t, oc, _shared=_shared)
             walk = scorer.walk
 
-            def walk_of_record(g):
-                queue, p_pre = walk(g)
+            def walk_of_record(g, n_max):
+                queue, p_pre = walk(g, n_max)
                 seeds[-1]["own_graph"].append(built_from[id(queue)]() is current["graph"])
                 return queue, p_pre
 
@@ -709,11 +710,11 @@ class TestSweepCommand:
 
         monkeypatch.setattr(cli, "_load_dataset", seed_start)
         monkeypatch.setattr(cli, "oracle_scorer", scorer_of_record)
-        monkeypatch.setattr(refinement, "two_hop_pools", counted_pools)
+        monkeypatch.setattr(refinement, "two_hop_blocks", counted_pools)
         monkeypatch.setattr(refinement, "unit_uniform", counted_hash)
         monkeypatch.setattr(refinement, "add_edges", add_pass)
         monkeypatch.setattr(refinement, "_ranked_pools", recorded_queue)
-        monkeypatch.setattr(refinement, "KEY_BLOCK", 1000)
+        monkeypatch.setattr("lagraph.graph.POOL_ROWS", 100)
         raw = fast_config(dataset={"n": 400}, seeds=[0, 1],
                           sweep={"kind": "p_pre", "values": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]})
         _, code = run_oracle_sweep(config_from_dict(raw, str(tmp_path / "o")))
@@ -724,7 +725,7 @@ class TestSweepCommand:
         for seed in seeds:
             assert seed["queues_alive"] == 0
             assert len(seed["entries"]) == 1 and seed["entries"][0] > 1000
-            assert 1 <= seed["hashes"] <= math.ceil(seed["entries"][0] / 1000) + 1
+            assert 1 <= seed["hashes"] <= math.ceil(400 / 100)
             assert seed["own_graph"] == [True] * 6
 
     def test_flag_overrides(self, tmp_path, capsys):

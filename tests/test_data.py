@@ -131,6 +131,17 @@ class TestLoadErrors:
         with pytest.raises(DataFormatError, match="0-based and contiguous"):
             load(*paths)
 
+    def test_repeated_id_names_both_lines(self, tmp_path):
+        paths = self.write(tmp_path, nodes="0\t0\ttrain\t1.0\n# note\n1\t0\ttest\t1.0\n0\t1\tval\t1.0\n")
+        with pytest.raises(DataFormatError, match=r"n\.tsv:4: node id 0 repeats line 1; node ids must be 0-based"):
+            load(*paths)
+
+    @pytest.mark.parametrize("ids,missing", [([0, 2], 1), ([1, 2], 0), ([3, 0, 1], 2), ([-1, 0, 1], 2)])
+    def test_gap_in_ids_names_the_first_missing_id(self, tmp_path, ids, missing):
+        paths = self.write(tmp_path, nodes="".join(f"{i}\t0\ttrain\t1.0\n" for i in ids))
+        with pytest.raises(DataFormatError, match=f"0-based and contiguous; no line has node id {missing}$"):
+            load(*paths)
+
     def test_edge_out_of_range_names_line(self, tmp_path):
         paths = self.write(tmp_path, nodes="0\t0\ttrain\t1.0\n", edges="0\t9\n")
         with pytest.raises(DataFormatError, match=r":1: endpoint out of range"):
@@ -149,6 +160,12 @@ class TestLoadErrors:
     def test_negative_label_below_unknown(self, tmp_path):
         paths = self.write(tmp_path, nodes="0\t-3\ttrain\t1.0\n", edges="")
         with pytest.raises(DataFormatError, match="label must be -1 or a class id"):
+            load(*paths)
+
+    def test_negative_label_names_line(self, tmp_path):
+        # checked as the line is read, before the ids are known to be contiguous
+        paths = self.write(tmp_path, nodes="1\t0\ttrain\t1.0\n5\t-2\ttest\t1.0\n", edges="")
+        with pytest.raises(DataFormatError, match=r"n\.tsv:2: node 5: label must be -1 or a class id, got -2"):
             load(*paths)
 
 

@@ -19,6 +19,7 @@ from lagraph.edge_classifier import (
     PairSet,
     TrainConfig,
     _forward,
+    _sample_pairs,
     build_pairs,
     evaluate_quality,
     holdout_pairs,
@@ -31,7 +32,7 @@ from lagraph.edge_classifier import (
     score_pairs,
     train,
 )
-from lagraph.graph import Graph, NodeTable, two_hop_pools
+from lagraph.graph import Graph, NodeTable
 
 from conftest import (
     assert_gradients_match,
@@ -42,7 +43,9 @@ from conftest import (
     reference_build_pairs,
     reference_final_loss,
     reference_holdout_pairs,
+    reference_sample_pairs,
     reference_score_pairs,
+    reference_two_hop_pools,
     traced_peak,
 )
 
@@ -180,7 +183,7 @@ class TestHoldoutPairs:
         n = 4000
         g, t = synth(n=n, c=4, d=16, homophily=0.4, avg_degree=8.0, feature_sep=4.0, seed=0)
         mirror = g.both_ways()
-        indptr, _ = two_hop_pools(mirror)
+        indptr, _ = reference_two_hop_pools(mirror)
         rows = graph.POOL_ROWS
         block = max(int(indptr[min(lo + rows, n)] - indptr[lo]) for lo in range(0, n, rows))
         pairs, peak = traced_peak(holdout_pairs, g, t)
@@ -202,6 +205,44 @@ def assert_same_pairset(got, want):
     for name in ("u", "v", "labels", "provenance"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def assert_same_samples(train_ids, used_u, used_v, count, seed):
+    got = _sample_pairs(train_ids, used_u, used_v, count, seed)
+    want = reference_sample_pairs(train_ids, used_u, used_v, count, seed)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestSamplePairsMatchesPerDrawLoop:
+    """``_sample_pairs`` keeps, batch by batch, the pairs the per-draw loop keeps, in its order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_drawn_inputs(self, data):
+        n = data.draw(st.integers(0, 40), label="nodes")
+        train_ids = np.asarray(sorted(data.draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n),
+                                                label="train")), dtype=np.int64)
+        pairs = [(int(a), int(b)) for i, a in enumerate(train_ids) for b in train_ids[i + 1:]]
+        used = sorted(data.draw(st.sets(st.sampled_from(pairs), max_size=len(pairs)), label="used")) if pairs else []
+        used = np.asarray(used, dtype=np.int32).reshape(-1, 2)
+        count = data.draw(st.integers(0, len(pairs) + 5), label="count")
+        assert_same_samples(train_ids, used[:, 0], used[:, 1], count, data.draw(st.integers(0, 9), label="seed"))
+
+    @pytest.mark.parametrize("n_train,count", [(60, 500), (400, 2000), (2000, 4000), (16000, 1000)])
+    def test_large_pools(self, n_train, count):
+        rng = np.random.default_rng(n_train)
+        train_ids = np.sort(rng.choice(4 * n_train, size=n_train, replace=False))
+        lo, hi = np.sort(rng.integers(0, n_train, size=(3 * n_train, 2)), axis=1).T
+        keys = np.unique((lo * n_train + hi)[lo != hi])
+        assert_same_samples(train_ids, train_ids[keys // n_train], train_ids[keys % n_train], count, 3)
+
+    def test_exhausted_pool(self):
+        train_ids = np.arange(0, 40, 2, dtype=np.int64)
+        used = np.array([[0, 2], [4, 38]], dtype=np.int32)
+        u, v = _sample_pairs(train_ids, used[:, 0], used[:, 1], 10_000, 1)
+        assert u.size == 20 * 19 // 2 - 2
+        assert_same_samples(train_ids, used[:, 0], used[:, 1], 10_000, 1)
 
 
 class TestPoolsMatchPerNodeLoop:
@@ -590,7 +631,7 @@ class TestBlockedScoring:
     def test_add_pools_equal_reference(self):
         g, t, clf, _ = self.synthetic()
         scorer = make_scorer(clf, t.features)
-        indptr, pools = two_hop_pools(g)
+        indptr, pools = reference_two_hop_pools(g)
         for v in range(0, g.num_nodes, 37):
             cand = pools[indptr[v]:indptr[v + 1]].astype(np.int64)
             u = np.full(cand.shape[0], v, dtype=np.int64)

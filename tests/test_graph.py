@@ -1,12 +1,15 @@
 """CSR graph container, node table, positive ratio, and two-hop lookup."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lagraph.graph as graph
-from lagraph.graph import Graph, NodeTable, positive_ratio, two_hop_blocks, two_hop_candidates, two_hop_pools
+from lagraph.graph import Graph, NodeTable, positive_ratio, two_hop_blocks, two_hop_candidates
 
 from conftest import dense_adjacency, draw_graph, reference_two_hop_pools, undirected_graph
 
@@ -253,19 +256,23 @@ class TestTwoHop:
 
 
 def pool_rows(g):
-    indptr, indices = two_hop_pools(g)
-    assert indptr.shape == (g.num_nodes + 1,)
-    return [indices[indptr[v]:indptr[v + 1]].tolist() for v in range(g.num_nodes)]
+    """Each node's pool, read from the blocks of ``two_hop_blocks``."""
+    rows = [[] for _ in range(g.num_nodes)]
+    for owners, cand in two_hop_blocks(g):
+        assert owners.dtype == cand.dtype == np.int32
+        for v, w in zip(owners.tolist(), cand.tolist()):
+            rows[v].append(w)
+    return rows
 
 
 class TestTwoHopPools:
     def test_directed_path_hand_checked(self):
         # 0 -> 1 -> 2 -> 3, no self loops: only forward two-step walks count
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)], add_self_loops=False)
-        indptr, indices = two_hop_pools(g)
-        assert indptr.tolist() == [0, 1, 2, 2, 2]
-        assert indices.tolist() == [2, 3]
-        assert indices.dtype == np.int32
+        (owners, cand), = two_hop_blocks(g)
+        assert owners.tolist() == [0, 1]
+        assert cand.tolist() == [2, 3]
+        assert owners.dtype == cand.dtype == np.int32
 
     def test_triangle_and_tail(self):
         # 0-1-2 triangle with tail 2-3: 3 is two hops from 0 and 1, nothing else is
@@ -276,8 +283,7 @@ class TestTwoHopPools:
     def test_no_edges(self, n):
         for loops in (True, False):
             g = Graph.from_edges(n, np.zeros((0, 2), dtype=np.int64), add_self_loops=loops)
-            indptr, indices = two_hop_pools(g)
-            assert indptr.tolist() == [0] * (n + 1) and indices.size == 0
+            assert pool_rows(g) == [[] for _ in range(n)]
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -287,7 +293,7 @@ class TestTwoHopPools:
 
 
 class TestTwoHopBlocks:
-    """The row-block scan, block by block and joined, is the whole-graph product."""
+    """The row-block scan, block by block, is the whole-graph product."""
 
     @pytest.mark.parametrize("rows", [1, 2, "n", "past n"])
     @settings(max_examples=60, deadline=None)
@@ -302,18 +308,24 @@ class TestTwoHopBlocks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph, "POOL_ROWS", size)
             blocks = list(two_hop_blocks(g))
-            indptr, indices = two_hop_pools(g)
-        assert [lo for lo, _, _ in blocks] == list(range(0, n, size))
-        for lo, block_indptr, block_indices in blocks:
+        assert len(blocks) == len(range(0, n, size))
+        for lo, (owners, cand) in zip(range(0, n, size), blocks):
             hi = min(lo + size, n)
-            assert block_indptr.dtype == block_indices.dtype == np.int32
-            assert block_indptr.tolist() == (want_indptr[lo:hi + 1] - want_indptr[lo]).tolist()
-            assert block_indices.tolist() == want_indices[want_indptr[lo]:want_indptr[hi]].tolist()
-        assert indptr.dtype == indices.dtype == np.int32
-        assert indptr.tolist() == want_indptr.tolist() and indices.tolist() == want_indices.tolist()
+            assert owners.dtype == cand.dtype == np.int32
+            assert owners.tolist() == np.repeat(np.arange(lo, hi), np.diff(want_indptr[lo:hi + 1])).tolist()
+            assert cand.tolist() == want_indices[want_indptr[lo]:want_indptr[hi]].tolist()
 
     def test_no_nodes_no_blocks(self):
         g = Graph.from_edges(0, np.zeros((0, 2), dtype=np.int64))
         assert list(two_hop_blocks(g)) == []
-        indptr, indices = two_hop_pools(g)
-        assert indptr.tolist() == [0] and indices.size == 0 and indices.dtype == np.int32
+
+    def test_scan_drops_the_graph_once_started(self, monkeypatch):
+        monkeypatch.setattr(graph, "POOL_ROWS", 2)
+        g = undirected_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+        ref, blocks = weakref.ref(g), two_hop_blocks(g)
+        del g
+        owners, cand = next(blocks)
+        gc.collect()
+        assert ref() is None
+        assert owners.tolist() == [0, 1] and cand.tolist() == [2, 3]
+        assert len(list(blocks)) == 2

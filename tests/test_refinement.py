@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from lagraph import refinement
 from lagraph.data import synth
 from lagraph.edge_classifier import TrainConfig, build_pairs, init_classifier, make_scorer, train
-from lagraph.graph import Graph, NodeTable, positive_ratio, two_hop_pools
+from lagraph.graph import Graph, NodeTable, positive_ratio, two_hop_blocks
 from lagraph.hashing import unit_uniform
 from lagraph.propagation import EdgeFeatureConfig, edge_input_features
 from lagraph.refinement import (
@@ -35,6 +35,7 @@ from conftest import (
     path_graph,
     reference_add_edges,
     reference_oracle_add_scorer,
+    reference_two_hop_pools,
     traced_peak,
     undirected_graph,
 )
@@ -241,7 +242,7 @@ class TestAddEdgesMatchesPerNodeLoop:
     @given(data=st.data())
     def test_per_pair_scorer_small_key_blocks(self, block, data):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(refinement, "KEY_BLOCK", block)
+            mp.setattr("lagraph.graph.POOL_ROWS", block)
             assert_same_drawn_additions(data)
 
     @settings(max_examples=80, deadline=None)
@@ -260,7 +261,7 @@ class TestAddEdgesMatchesPerNodeLoop:
     @given(data=st.data())
     def test_add_mode_oracle_small_key_blocks(self, block, data):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(refinement, "KEY_BLOCK", block)
+            mp.setattr("lagraph.graph.POOL_ROWS", block)
             assert_same_drawn_oracle_additions(data)
 
     def test_sparse_synthetic_graph(self):
@@ -272,7 +273,7 @@ class TestAddEdgesMatchesPerNodeLoop:
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_synthetic_graph_small_key_blocks(self, block, monkeypatch):
-        monkeypatch.setattr(refinement, "KEY_BLOCK", block)
+        monkeypatch.setattr("lagraph.graph.POOL_ROWS", block)
         self.test_synthetic_graph()
         self.test_sparse_synthetic_graph()
 
@@ -312,13 +313,14 @@ def assert_same_trained_additions(g, features, n_max, threshold, seed=0):
 
 def scored_entries(g, n_max):
     """Pool entries of the nodes whose non-self degree starts under ``n_max``."""
-    indptr, _ = two_hop_pools(g)
+    indptr, _ = reference_two_hop_pools(g)
     return int(np.diff(indptr)[g.nonself_degrees() < n_max].sum())
 
 
 class TestTrainedAddPass:
-    """A plain scorer's pool entries are scored once, before the pass, in
-    blocks of whole pools; the added pairs are those of the per-node loop."""
+    """A plain scorer's pool entries are scored once, before the pass, one
+    block of the two-hop scan a call; the added pairs are those of the
+    per-node loop."""
 
     def graph(self):
         g, t = synth(n=400, c=4, d=4, homophily=0.4, avg_degree=8.0, feature_sep=1.0, seed=5)
@@ -326,7 +328,7 @@ class TestTrainedAddPass:
 
     @pytest.mark.parametrize("block", [1, 7, 16384])
     def test_synthetic_graph(self, block, monkeypatch):
-        monkeypatch.setattr(refinement, "KEY_BLOCK", block)
+        monkeypatch.setattr("lagraph.graph.POOL_ROWS", block)
         g, features = self.graph()
         for n_max, threshold in [(6, 0.0), (6, 0.497), (10, 0.5)]:
             assert_same_trained_additions(g, features, n_max, threshold)
@@ -341,19 +343,19 @@ class TestTrainedAddPass:
         n_max = data.draw(st.integers(1, 4), label="n_max")
         threshold = data.draw(st.sampled_from([0.0, 0.45, 0.5, 0.55]), label="threshold")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(refinement, "KEY_BLOCK", block)
+            mp.setattr("lagraph.graph.POOL_ROWS", block)
             assert_same_trained_additions(g, features, n_max, threshold, seed)
 
-    @pytest.mark.parametrize("block", [1, 7, 1000, refinement.KEY_BLOCK])
+    @pytest.mark.parametrize("block", [1, 7, 1000, 16384])
     def test_calls_bounded_by_blocks(self, block, monkeypatch):
         g, features = self.graph()
         clf = init_classifier(features.shape[1], TrainConfig(proj_dim=4, hidden_widths=(6,), seed=0))
-        monkeypatch.setattr(refinement, "KEY_BLOCK", block)
+        monkeypatch.setattr("lagraph.graph.POOL_ROWS", block)
         calls = []
         _, rep = add_edges(g, recording(make_scorer(clf, features), calls), 10, 0.497)
         entries = scored_entries(g, 10)
-        assert rep.edges_added > 0 and 0 < entries < int(two_hop_pools(g)[0][-1])
-        assert 1 <= len(calls) <= math.ceil(entries / block) + 1
+        assert rep.edges_added > 0 and 0 < entries < int(reference_two_hop_pools(g)[0][-1])
+        assert 1 <= len(calls) <= math.ceil(g.num_nodes / block)
         assert sum(u.size for u, _, _ in calls) == entries
         # each call holds whole pools: no node's pool runs on into the next call
         for (u, _, _), (nxt, _, _) in zip(calls, calls[1:]):
@@ -366,19 +368,20 @@ class TestTrainedAddPass:
         refs = []
 
         def pools(graph):
-            out = two_hop_pools(graph)
-            refs.extend(weakref.ref(a) for a in out)
-            return out
+            for block in two_hop_blocks(graph):
+                refs.extend(weakref.ref(a) for a in block)
+                yield block
 
         def weakly_recorded(u, v):
             scores = scorer(u, v)
             refs.extend(weakref.ref(a) for a in (u, v, scores))
             return scores
 
-        monkeypatch.setattr(refinement, "two_hop_pools", pools)
+        monkeypatch.setattr(refinement, "two_hop_blocks", pools)
+        monkeypatch.setattr("lagraph.graph.POOL_ROWS", 100)
         _, rep = add_edges(g, weakly_recorded, 10, 0.497)
         gc.collect()
-        assert rep.edges_added > 0 and len(refs) >= 5
+        assert rep.edges_added > 0 and len(refs) >= 2 * math.ceil(g.num_nodes / 100) + 3
         assert all(ref() is None for ref in refs)
 
         # nor does an array derived from them: a second pass leaves no memory behind
@@ -627,10 +630,11 @@ class TestOracleFilter:
         assert ratios[-1] > ratios[0] + 0.2
 
 
-def oracle_rank(scorer, g, threshold):
+def oracle_rank(scorer, g, threshold, n_max):
     """``rank(v, excluded, budget)``: the picks an add pass at ``threshold``
-    takes from node ``v``'s pool of the add-mode oracle's queue for ``g``."""
-    ranked, p_pre = scorer.walk(g)
+    takes from node ``v``'s pool of the add-mode oracle's queue for ``g``
+    and ``n_max``."""
+    ranked, p_pre = scorer.walk(g, n_max)
 
     def rank(v, excluded, budget):
         pool = ranked.queue[ranked.indptr[v]:ranked.indptr[v + 1]].tolist()
@@ -648,7 +652,7 @@ class TestOracleAdd:
                       split=np.zeros(42, dtype=np.int8))
         g = undirected_graph(42, [(0, 41)] + [(41, j) for j in range(1, 41)])
         scorer = oracle_scorer(t, OracleClassifier(mode="add", target_p_pre=0.5, seed=9))
-        ranked = oracle_rank(scorer, g, 0.5)(0, [], 40)
+        ranked = oracle_rank(scorer, g, 0.5, 2)(0, [], 40)  # node 0 has degree 1
         assert sorted(ranked) == list(range(1, 41))  # every step scores above 0.5
         same = (labels[ranked] == labels[0]).cumsum()
         for k in range(1, 41):
@@ -738,8 +742,8 @@ class TestOracleAddMatchesReference:
         g = undirected_graph(total + 1, [(0, hub)] + [(hub, int(w)) for w in full])
         threshold = data.draw(st.sampled_from([0.5, 0.6, 0.9]), label="threshold")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(refinement, "KEY_BLOCK", data.draw(st.sampled_from([1, 7, 16384]), label="block"))
-            rank = oracle_rank(scorer, g, threshold)
+            mp.setattr("lagraph.graph.POOL_ROWS", data.draw(st.sampled_from([1, 7, 16384]), label="block"))
+            rank = oracle_rank(scorer, g, threshold, 2)  # every node but the hub has degree 1
 
         def ranked(cand, scores):
             keep = scores >= threshold
@@ -749,7 +753,7 @@ class TestOracleAddMatchesReference:
         budget = data.draw(st.integers(1, n + 1), label="budget")
         assert rank(0, np.setdiff1d(full, pool).tolist() + [hub], budget) == ranked(pool, want)[:budget]
         # at threshold 0.5 every step is kept: the whole pool in descending score
-        rank_all = oracle_rank(scorer, g, 0.5)
+        rank_all = oracle_rank(scorer, g, 0.5, 2)
         assert rank_all(0, np.setdiff1d(full, pool).tolist(), n) == pool[np.argsort(-want)].tolist()
         if full.size:
             other = int(full[0])
@@ -774,38 +778,66 @@ class TestOracleAddMatchesReference:
         # each unshared pass builds its own queue; the shared passes build one per (graph, seed)
         assert [b is g for b in builds] == [True, True, True, False, False, False, False]
 
+    def test_a_shared_queue_serves_only_its_n_max(self, monkeypatch):
+        g, t = synth(n=300, c=3, d=2, homophily=0.5, avg_degree=3.0, feature_sep=1.0, seed=6)
+        builds = []
+        ranked_pools = refinement._ranked_pools
+        monkeypatch.setattr(refinement, "_ranked_pools",
+                            lambda graph, order, n_max: builds.append(n_max) or ranked_pools(graph, order, n_max))
+        shared = {}
+        oc = OracleClassifier(mode="add", target_p_pre=0.6, seed=2)
+        for n_max in (6, 6, 3, 3, 6):
+            assert_same_additions(g, oracle_scorer(t, oc, _shared=shared), n_max, 0.5,
+                                  reference_oracle_add_scorer(t, oc))
+        assert builds == [6, 3, 6]
+
+    def test_pools_at_or_over_n_max_are_empty(self):
+        g, t = synth(n=300, c=3, d=2, homophily=0.5, avg_degree=6.0, feature_sep=1.0, seed=6)
+        edges = g.edge_array()
+        one_way = Graph.from_edges(g.num_nodes, edges[edges[:, 0] % 3 != 0], add_self_loops=False)
+        for graph in (g, one_way):
+            mirror = graph.both_ways()
+            degrees, whole = mirror.nonself_degrees(), np.diff(reference_two_hop_pools(mirror)[0])
+            for n_max in (1, 3, 6, int(degrees.max()) + 1):
+                oc = OracleClassifier(mode="add", target_p_pre=0.6, seed=n_max)
+                ranked, _ = oracle_scorer(t, oc).walk(graph, n_max)
+                under = degrees < n_max
+                assert np.array_equal(np.diff(ranked.indptr), np.where(under, whole, 0))
+                assert not ranked.lead[~under].any() and ranked.queue.size == whole[under].sum()
+                assert_same_oracle_additions(graph, t, oc, n_max, 0.5)
+
 
 class TestAddPassKeys:
-    """One ``add_edges`` pass hashes the oracle's keys per block of pool entries."""
+    """One ``add_edges`` pass hashes the oracle's keys per block of the two-hop scan."""
 
     def graph(self):
         return synth(n=400, c=4, d=4, homophily=0.4, avg_degree=8.0, feature_sep=1.0, seed=5)
 
-    @pytest.mark.parametrize("block", [1, 7, 1000, refinement.KEY_BLOCK])
+    @pytest.mark.parametrize("block", [1, 7, 1000, 16384])
     def test_hash_calls_bounded_by_blocks(self, block, monkeypatch):
         g, t = self.graph()
-        entries = int(two_hop_pools(g)[0][-1])
-        monkeypatch.setattr(refinement, "KEY_BLOCK", block)
+        monkeypatch.setattr("lagraph.graph.POOL_ROWS", block)
         calls = count_unit_uniform(monkeypatch)
         _, rep = add_edges(g, oracle_scorer(t, OracleClassifier(mode="add", target_p_pre=0.7)), 6, 0.5)
         assert rep.edges_added > 0
-        assert 1 <= len(calls) <= math.ceil(entries / block) + 1
+        assert 1 <= len(calls) <= math.ceil(g.num_nodes / block)
 
     def test_no_pool_or_key_array_outlives_the_pass(self, monkeypatch):
         g, t = self.graph()
         pool_refs = []
 
         def pools(graph):
-            out = two_hop_pools(graph)
-            pool_refs.extend(weakref.ref(a) for a in out)
-            return out
+            for block in two_hop_blocks(graph):
+                pool_refs.extend(weakref.ref(a) for a in block)
+                yield block
 
-        monkeypatch.setattr(refinement, "two_hop_pools", pools)
+        monkeypatch.setattr(refinement, "two_hop_blocks", pools)
+        monkeypatch.setattr("lagraph.graph.POOL_ROWS", 100)
         key_refs = count_unit_uniform(monkeypatch)
         scorer = oracle_scorer(t, OracleClassifier(mode="add", target_p_pre=0.7))
         add_edges(g, scorer, 6, 0.5)
         gc.collect()
-        assert len(pool_refs) == 2 and key_refs
+        assert len(pool_refs) == 2 * math.ceil(g.num_nodes / 100) and key_refs
         assert all(ref() is None for ref in pool_refs + key_refs)
 
     def test_no_queue_outlives_a_pass_that_raises(self, monkeypatch):
