@@ -113,8 +113,9 @@ def _merge(defaults, override, path="config"):
 def _coerce(kind, value):
     """The one coercion rule for typed config values: a bool takes a JSON
     boolean or 0/1, an int rejects a boolean and a fractional part, a float
-    rejects a boolean and a non-finite value (JSON's NaN and Infinity), a float
-    or a tuple of ints converts, and any other type passes through."""
+    rejects a boolean and a non-finite value (JSON's NaN and Infinity), a tuple
+    of ints takes only a list (a string is not read as its characters), a
+    float or a tuple of ints converts, and any other type passes through."""
     if kind is bool:
         if value not in (0, 1):  # False == 0 and True == 1
             raise ValueError(f"expected true, false, 0 or 1, got {value!r}")
@@ -130,6 +131,8 @@ def _coerce(kind, value):
             raise ValueError(f"expected a finite number, got {value!r}")
         return value
     if kind == tuple[int, ...]:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"expected a list of integers, got {value!r}")
         return tuple(_coerce(int, v) for v in value)
     return value
 
@@ -219,6 +222,8 @@ def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> Experimen
         raise ConfigError("seeds must be distinct")
     if min(scalars["seeds"]) < 0:
         raise ConfigError("seeds must be non-negative")
+    if max(scalars["seeds"]) >= 2**64:
+        raise ConfigError("seeds must be below 2**64")
     if scalars["degrade_k"] < 0:
         raise ConfigError("degrade_k must be >= 0")
     if scalars["theory_trials"] < 2:

@@ -225,15 +225,9 @@ def _simulate(arms: tuple, gm: GaussianMixtureParams, seed: int, rows: np.ndarra
     n + 2 n_add). Origin and add arms keep ``(per_trial,)``, filter arms
     ``(num, den)``, one entry per row.
 
-    A block is hashed slot-major: keyed ``(rows[None, blk], slots[:, None])``
-    it is the (slots x rows) transpose of the trial-major block, with the
-    same values, as the key order (row, then slot) is unchanged. Each slot
-    is then one contiguous row, and normals are scaled and shifted in place
-    (exact, as IEEE ``*`` and ``+`` commute). The sums over slots are
-    :func:`_slot_sums`, which adds in the order NumPy's ``sum(axis=1)`` of
-    the trial-major block does; NumPy's own ``sum(axis=0)`` adds the slot
-    rows left to right, which rounds differently from 8 slots up, so every
-    ``McResult`` is bit-identical to the trial-major pass only this way.
+    A block is hashed slot-major, keyed ``(rows[None, blk], slots[:, None])``,
+    so each slot is one contiguous row; the sums over slots are
+    :func:`_slot_sum`.
     """
     from scipy.special import ndtri  # here, so commands that never simulate skip scipy.special
 
@@ -253,7 +247,7 @@ def _simulate(arms: tuple, gm: GaussianMixtureParams, seed: int, rows: np.ndarra
         base = ndtri(u[:n])
         base *= sigma
         base += means
-        base_sum = _slot_sums(base)
+        base_sum = _slot_sum(base)
         add_noise = {k: ndtri(u[n + k:n + 2 * k]) for k in added}
         for z in add_noise.values():
             z *= sigma
@@ -261,46 +255,24 @@ def _simulate(arms: tuple, gm: GaussianMixtureParams, seed: int, rows: np.ndarra
             k = arm.spec.n_added
             if arm.mode == "filter":
                 flags = u[n:2 * n] < keep_probs[arm]
-                arrays[0][blk] = _slot_sums(base * flags)
-                arrays[1][blk] = flags.sum(axis=0)  # counts: exact in any order
+                arrays[0][blk] = _slot_sum(base * flags)
+                arrays[1][blk] = _slot_sum(flags)
             elif arm.mode == "add" and k:
                 add_vals = np.where(u[n:n + k] < arm.p_pre, gm.mu_plus, gm.mu_minus)
                 add_vals += add_noise[k]
-                arrays[0][blk] = (base_sum + _slot_sums(add_vals)) / (n + k)
+                arrays[0][blk] = (base_sum + _slot_sum(add_vals)) / (n + k)
             else:
-                arrays[0][blk] = base_sum / n  # the trial-major base.mean(axis=1)
+                arrays[0][blk] = base_sum / n
     return out
 
 
-def _slot_sums(x: np.ndarray) -> np.ndarray:
-    """The sum over the slots (rows) of ``x`` for each trial (column), bit
-    for bit what ``np.ascontiguousarray(x.T).sum(axis=1)`` gives.
-
-    NumPy sums a contiguous row of under 8 terms left to right from +0.0,
-    and one of 8 to 128 terms in 8 interleaved partial sums combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the remainder in order,
-    then ``+ 0.0``. Its ``x.sum(axis=0)`` adds the rows left to right
-    instead, which rounds differently from 8 terms up, so the same steps
-    are taken here on whole rows. Longer rows are split recursively by
-    NumPy; those are summed by NumPy on a row-major copy.
-    """
-    width = x.shape[0]
-    if width > 128:
-        return np.ascontiguousarray(x.T).sum(axis=1)
-    if width < 8:
-        total = x[0] + 0.0
-        for row in x[1:]:
-            total += row
-        return total
-    tail = width - width % 8
-    r = x[:8].copy()
-    for i in range(8, tail, 8):
-        r += x[i:i + 8]
-    total = (r[0] + r[1]) + (r[2] + r[3])
-    total += (r[4] + r[5]) + (r[6] + r[7])
-    for row in x[tail:]:
+def _slot_sum(x: np.ndarray) -> np.ndarray:
+    """Each trial's (column's) sum over the slots (rows) of ``x``, added in
+    slot order. Not ``x.sum(axis=0)``: NumPy sums a one-column block
+    pairwise, so a trial's sum would depend on the block it lands in."""
+    total = x[0] + 0.0
+    for row in x[1:]:
         total += row
-    total += 0.0
     return total
 
 

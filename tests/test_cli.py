@@ -167,6 +167,10 @@ class TestConfigResolution:
         ({"edge_classifier": {"momentum": 5}}, r"edge_classifier: momentum must lie in \[0, 1\)"),
         ({"edge_classifier": {"momentum": -0.5}}, r"edge_classifier: momentum must lie in \[0, 1\)"),
         ({"edge_classifier": {"learning_rate": 0}}, "edge_classifier: learning_rate must be positive"),
+        ({"seeds": [0, 2**64]}, r"seeds must be below 2\*\*64"),
+        ({"seeds": "12"}, "config: seeds: expected a list of integers, got '12'"),
+        ({"edge_classifier": {"hidden_widths": "16"}},
+         "edge_classifier: hidden_widths: expected a list of integers, got '16'"),
     ])
     def test_validation(self, raw, match):
         with pytest.raises(ConfigError, match=match):
@@ -546,6 +550,16 @@ class TestErrorExits:
             "error: lagraph.cli.ConfigError: refinement: n_max must be >= 1 when adding is enabled"]
         assert loads == [] and not out.exists()
 
+    @pytest.mark.parametrize("argv", [["theory", "--trials", "100"], ["sweep", "--kind", "p_pre"]])
+    def test_seed_of_2_to_the_64_exits_2_before_writing(self, tmp_path, capsys, argv):
+        # the draws key a seed as a uint64
+        cfg_path = write_json(tmp_path, fast_config())
+        out = tmp_path / "o"
+        assert main([*argv, "--config", cfg_path, "--seeds", str(2**64), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: lagraph.cli.ConfigError: seeds must be below 2**64"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["pipeline", "ablation", "sweep", "synth"])
     def test_output_dir_under_a_file_exits_2_before_any_seed(self, tmp_path, capsys, monkeypatch, command):
         blocker = tmp_path / "file"
@@ -887,6 +901,12 @@ class TestTheoryCommand:
                      "--seeds", "1"]) == 0
         rows = read_rows(out / "theory_sweep.csv")
         assert len(rows) == 45
+
+    def test_largest_seed_runs(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["theory", "--output-dir", str(out), "--trials", "100",
+                     "--seeds", str(2**64 - 1)]) == 0
+        assert len(read_rows(out / "theory_sweep.csv")) == 45
 
     def test_one_trial_exits_2_before_writing(self, tmp_path, capsys):
         out = tmp_path / "o"

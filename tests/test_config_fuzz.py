@@ -52,7 +52,7 @@ def floats(lo, hi):
     return st.one_of(st.floats(lo, hi), st.sampled_from([-1e308, 1e308]), NON_FINITE, BOOLS)
 
 
-SEEDS = st.lists(st.integers(-2, 3), max_size=3)
+SEEDS = st.lists(st.one_of(st.integers(-2, 3), st.sampled_from([2**64 - 1, 2**64])), max_size=3)
 
 FIELDS = {
     ("dataset", "n"): ints(-3, 60),

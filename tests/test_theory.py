@@ -234,6 +234,12 @@ def _ref_uniforms(seed, rows, slot0, count):
     return unit_uniform(seed, rows[:, None], slots)
 
 
+def _row_sum(m):
+    """Each row of ``m`` summed left to right from +0.0: NumPy's accumulate
+    adds in order, where its sum adds pairwise."""
+    return np.add.accumulate(np.column_stack([np.zeros(len(m)), m]), axis=1)[:, -1]
+
+
 def reference_mc_aggregate(spec, gm, mode="origin", trials=100_000, seed=0,
                            p=None, q=None, p_pre=None):
     """The single-arm sampler over full trials x n matrices, before the
@@ -247,14 +253,14 @@ def reference_mc_aggregate(spec, gm, mode="origin", trials=100_000, seed=0,
 
     redraws = 0
     if mode == "origin":
-        per_trial = base.mean(axis=1)
+        per_trial = _row_sum(base) / n
         mean_est = float(per_trial.mean())
         se = float(per_trial.std(ddof=1) / math.sqrt(trials))
         cond, cond_se = mean_est, se
     elif mode == "filter":
         keep_prob = np.concatenate([np.full(n_p, p), np.full(n_m, q)])
         flags = _ref_uniforms(seed, rows, n, n) < keep_prob[None, :]
-        num = (base * flags).sum(axis=1)
+        num = _row_sum(base * flags)
         den = flags.sum(axis=1).astype(np.float64)
         den_mean = float(den.mean())
         ratio = float(num.mean()) / den_mean
@@ -273,7 +279,7 @@ def reference_mc_aggregate(spec, gm, mode="origin", trials=100_000, seed=0,
             values[active] = fresh_vals
             flags[active] = fresh_flags
             den[active] = fresh_den
-            num[active] = (fresh_vals * fresh_flags).sum(axis=1)
+            num[active] = _row_sum(fresh_vals * fresh_flags)
             active = active[fresh_den == 0]
             round_no += 1
         per_trial = num / den
@@ -285,9 +291,9 @@ def reference_mc_aggregate(spec, gm, mode="origin", trials=100_000, seed=0,
             pos = _ref_uniforms(seed, rows, n, n_add) < p_pre
             add_means = np.where(pos, gm.mu_plus, gm.mu_minus)
             add_vals = add_means + sigma * _ref_normals(seed, rows, n + n_add, n_add)
-            per_trial = (base.sum(axis=1) + add_vals.sum(axis=1)) / (n + n_add)
+            per_trial = (_row_sum(base) + _row_sum(add_vals)) / (n + n_add)
         else:
-            per_trial = base.mean(axis=1)
+            per_trial = _row_sum(base) / n
         mean_est = float(per_trial.mean())
         se = float(per_trial.std(ddof=1) / math.sqrt(trials))
         cond, cond_se = mean_est, se
@@ -318,7 +324,7 @@ class TestMonteCarloMatchesReference:
     every ``McResult`` field exactly as the full-matrix sampler does."""
 
     @pytest.mark.parametrize("trials", [1_000, MC_BLOCK_ROWS, MC_BLOCK_ROWS + 1])
-    # n = 10 and 17 reach the partial-sum rounds and remainder of the slot sums
+    # n = 8, 10 and 17 reach 8 slots, from which NumPy's pairwise sum and the in-order sum part
     @pytest.mark.parametrize("n_plus,n_minus", [(1, 1), (3, 5), (5, 5), (9, 8)])
     def test_standalone_and_shared_calls(self, trials, n_plus, n_minus):
         arms = neighborhood_arms(n_plus, n_minus)
@@ -441,8 +447,9 @@ class TestOneDrawKernel:
 
 
 class TestSlotSums:
-    """``_slot_sums`` over slot rows equals NumPy's sum of each trial's
-    contiguous row to the bit; ``x.sum(axis=0)`` does not from 8 slots up."""
+    """``_slot_sum`` adds each trial's slots in slot order from +0.0, bit
+    for bit, so a trial's values do not depend on the block it is
+    simulated in."""
 
     @pytest.mark.parametrize("width", [*range(1, 25), 64, 127, 128, 129, 300])
     def test_bit_equal_to_numpy_row_sums(self, width):
@@ -452,5 +459,19 @@ class TestSlotSums:
         flags = rng.random(x.shape) < 0.5
         # a masked product holds -0.0 wherever a negative value is dropped
         for values in (x, x * flags):
-            want = np.ascontiguousarray(values.T).sum(axis=1)
-            assert np.array_equal(theory._slot_sums(values).view(np.int64), want.view(np.int64))
+            want = _row_sum(values.T)
+            assert np.array_equal(theory._slot_sum(values).view(np.int64), want.view(np.int64))
+
+    def test_a_trial_alone_equals_it_inside_a_block(self):
+        # 17 slots, where NumPy's pairwise sum of a one-trial block and the
+        # in-order sum of a wider one part
+        arms = tuple(neighborhood_arms(9, 8))
+        rows = np.arange(300, dtype=np.int64)
+        block = _simulate(arms, GM, 5, rows)
+        differ = set()
+        for row in rows:
+            alone = _simulate(arms, GM, 5, rows[row:row + 1])
+            for arm in arms:
+                if any(a[0] != b[row] for a, b in zip(alone[arm], block[arm])):
+                    differ.add(int(row))
+        assert not differ, f"{len(differ)} of 300 trials differ"
