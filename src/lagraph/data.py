@@ -356,7 +356,7 @@ def synth(n: int, c: int, d: int, homophily: float, avg_degree: float,
     g = Graph.from_edges(n, np.concatenate([np.stack([a, b], axis=1), np.stack([b, a], axis=1)]),
                          add_self_loops=True)
 
-    scale = feature_sep / np.sqrt(2.0 * d)
+    scale = abs(feature_sep) / np.sqrt(2.0 * d)  # -0.0 passes the check, but numpy refuses its sign
     means = rng.normal(0.0, scale, size=(c, d))
     features = means[labels] + rng.normal(0.0, 1.0, size=(n, d))
 

@@ -4,8 +4,9 @@ Two architectures: a linear softmax layer over k-step propagated features,
 and a two-layer network that aggregates, transforms with ReLU, aggregates
 again, and classifies. Both train full-batch with plain gradient descent,
 cross-entropy loss on the train split, and L2 weight decay on the weight
-matrices; gradients are hand-derived, including the transpose-aggregation
-step the two-layer model needs.
+matrices; gradients are hand-derived. The two-layer model's epochs run the
+second aggregation, and backprop through its adjoint, for the labeled train
+rows only, the only logits the loss reads.
 """
 
 from __future__ import annotations
@@ -159,59 +160,66 @@ def sgc_fit(g: Graph, t: NodeTable, cfg: FitConfig = FitConfig(), k: int = 2) ->
 
 @dataclass(frozen=True)
 class _GcnInputs:
-    """What every epoch of one fit shares: the aggregation pair of the graph,
-    the labeled train nodes, and the first-layer aggregate of the features."""
+    """What every epoch of one fit shares: the aggregation step, that step
+    restricted to the labeled train nodes and its adjoint, those nodes and
+    their labels, and the first-layer aggregate of the features."""
 
     agg: Callable[[np.ndarray], np.ndarray]
-    agg_t: Callable[[np.ndarray], np.ndarray]
+    agg_train: Callable[[np.ndarray], np.ndarray]
+    agg_train_t: Callable[[np.ndarray], np.ndarray]
     idx: np.ndarray
     y: np.ndarray
     a1: np.ndarray
 
 
 def _gcn_inputs(g: Graph, t: NodeTable, norm: str) -> _GcnInputs:
-    agg, agg_t = aggregation(g, norm, backward=True)
+    agg, _ = aggregation(g, norm)
+    a1 = agg(_check_inputs(g, t.features))  # before ``rows=`` indexes the adjacency by node id
     idx, y = _train_targets(t)
-    return _GcnInputs(agg, agg_t, idx, y, agg(_check_inputs(g, t.features)))
+    return _GcnInputs(agg, *aggregation(g, norm, rows=idx), idx, y, a1)
 
 
-def _gcn_layers(model: GcnModel, agg, a1: np.ndarray):
-    """Layer-one pre-activation, second-layer aggregate, and logits, given
-    the first-layer aggregate ``a1``."""
-    s1 = a1 @ model.w1 + model.b1
-    a2 = agg(np.maximum(s1, 0.0))
-    return s1, a2, a2 @ model.w2 + model.b2
+def _gcn_logits(model: GcnModel, agg, a1: np.ndarray) -> np.ndarray:
+    """Logits of every node, given the first-layer aggregate ``a1``."""
+    return agg(np.maximum(a1 @ model.w1 + model.b1, 0.0)) @ model.w2 + model.b2
 
 
 def gcn_forward(model: GcnModel, g: Graph, x: np.ndarray) -> np.ndarray:
     """Logits of the two-layer model for every node."""
     agg, _ = aggregation(g, model.norm)
-    return _gcn_layers(model, agg, agg(_check_inputs(g, x)))[2]
+    return _gcn_logits(model, agg, agg(_check_inputs(g, x)))
 
 
 def gcn_loss_and_grad(model: GcnModel, g: Graph, t: NodeTable, weight_decay: float,
                       _inputs: _GcnInputs | None = None):
-    """Loss and parameter gradients; backprop crosses both aggregation steps
-    via the transposed operator.
+    """Loss and parameter gradients.
+
+    The loss reads only the labeled train rows' logits, so the second
+    aggregation and its adjoint run over those rows alone. Their logits
+    product still runs at n rows, zero elsewhere: BLAS can round a row
+    differently at another row count, and these logits must match
+    :func:`gcn_forward`'s to the bit.
 
     ``_inputs`` is what :func:`gcn_fit` prepares once per fit; without it
     they are derived from ``g``, ``t`` and ``model.norm`` on every call.
     """
     inputs = _gcn_inputs(g, t, model.norm) if _inputs is None else _inputs
     idx, y, a1 = inputs.idx, inputs.y, inputs.a1
-    n = idx.shape[0]
-    s1, a2, logits = _gcn_layers(model, inputs.agg, a1)
-    probs = _softmax(logits[idx])
+    m = idx.shape[0]
+    s1 = a1 @ model.w1 + model.b1
+    a2 = inputs.agg_train(np.maximum(s1, 0.0))
+    full = np.zeros((a1.shape[0], a2.shape[1]))
+    full[idx] = a2
+    probs = _softmax((full @ model.w2)[idx] + model.b2)
     loss = _cross_entropy(probs, y)
     loss += 0.5 * weight_decay * float(np.sum(model.w1 ** 2) + np.sum(model.w2 ** 2))
 
-    g_logits = np.zeros_like(logits)
-    delta = probs.copy()
-    delta[np.arange(n), y] -= 1.0
-    g_logits[idx] = delta / n
-    grad_w2 = a2.T @ g_logits + weight_decay * model.w2
-    grad_b2 = g_logits.sum(axis=0)
-    g_h1 = inputs.agg_t(g_logits @ model.w2.T)
+    delta = probs
+    delta[np.arange(m), y] -= 1.0
+    delta /= m
+    grad_w2 = a2.T @ delta + weight_decay * model.w2
+    grad_b2 = delta.sum(axis=0)
+    g_h1 = inputs.agg_train_t(delta @ model.w2.T)
     g_s1 = g_h1 * (s1 > 0.0)
     grad_w1 = a1.T @ g_s1 + weight_decay * model.w1
     grad_b1 = g_s1.sum(axis=0)
@@ -221,7 +229,8 @@ def gcn_loss_and_grad(model: GcnModel, g: Graph, t: NodeTable, weight_decay: flo
 def gcn_fit(g: Graph, t: NodeTable, cfg: FitConfig = FitConfig(learning_rate=0.05)) -> GcnModel:
     """Fit the two-layer model full-batch; deterministic given ``cfg.seed``.
 
-    The aggregation pair (one transpose of ``g``), the train targets and the
+    The aggregation step, its restriction to the train nodes and that
+    restriction's adjoint (one transpose of ``g``), the train targets and the
     first-layer aggregate are built once and shared by every epoch.
     """
     rng = np.random.default_rng(cfg.seed)
@@ -231,7 +240,7 @@ def gcn_fit(g: Graph, t: NodeTable, cfg: FitConfig = FitConfig(learning_rate=0.0
     inputs = _gcn_inputs(g, t, cfg.norm)
     return _descend(model, ("w1", "b1", "w2", "b2"), t, cfg,
                     lambda: gcn_loss_and_grad(model, g, t, cfg.weight_decay, _inputs=inputs),
-                    lambda: _gcn_layers(model, inputs.agg, inputs.a1)[2])
+                    lambda: _gcn_logits(model, inputs.agg, inputs.a1))
 
 
 def predict(model, g: Graph, t: NodeTable) -> np.ndarray:

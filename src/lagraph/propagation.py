@@ -4,7 +4,8 @@ One step replaces each node's row with an aggregate over its neighbor rows
 (self loop included). ``row-mean`` divides by degree, so k-step outputs stay
 inside the convex hull of the inputs; ``symmetric`` scales both endpoints by
 inverse square-root degree. :func:`aggregation` is the one place that builds
-the normalized step (and, for backprop, its adjoint) for SGC and GCN.
+the normalized step for SGC and GCN, and for GCN backprop the step restricted
+to the labeled rows with its adjoint.
 """
 
 from __future__ import annotations
@@ -49,33 +50,43 @@ def transpose(g: Graph) -> Graph:
     return Graph.from_edges(g.num_nodes, edges[:, ::-1], add_self_loops=False)
 
 
-def aggregation(g: Graph, norm: str, backward: bool = False):
-    """The normalized aggregation step of ``g`` and, when ``backward``, its
-    adjoint (the step over the reversed graph) for backprop; else ``None``."""
+def aggregation(g: Graph, norm: str, rows=None):
+    """The normalized aggregation step of ``g`` and ``None``; or, given sorted
+    distinct output ``rows``, that step restricted to them (bit-identical to
+    those rows of the full step) and its adjoint, which maps ``len(rows)``
+    rows back to n through the reversed graph's columns ``rows``."""
     if norm not in NORMS:
         raise ValueError(f"norm must be one of {NORMS}")
     if not g.has_self_loops:
         raise ValueError("propagation requires a graph with self loops")
     deg = g.out_degrees().astype(np.float64)
-    gt = transpose(g) if backward else None
+    out_deg, step, adjoint = deg, lambda x: gather_sum(g, x), None
+    if rows is not None:
+        rows = np.asarray(rows)
+        if (rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer) or np.any(rows[1:] <= rows[:-1])
+                or rows.size and not 0 <= rows[0] <= rows[-1] < g.num_nodes):
+            raise ValueError("rows must be sorted distinct node ids in a 1-D integer array")
+        out_deg, step = deg[rows], g.adjacency[rows].__matmul__
+        adjoint = transpose(g).adjacency[:, rows].__matmul__
     if norm == "row-mean":
 
         def agg(x):
-            return gather_sum(g, x) / deg[:, None]
+            return step(x) / out_deg[:, None]
 
-        def agg_t(x):
-            return gather_sum(gt, x / deg[:, None])
+        def agg_t(y):
+            return adjoint(y / out_deg[:, None])
 
     else:  # symmetric
         scale = 1.0 / np.sqrt(deg)
+        out_scale = 1.0 / np.sqrt(out_deg)
 
         def agg(x):
-            return scale[:, None] * gather_sum(g, x * scale[:, None])
+            return out_scale[:, None] * step(x * scale[:, None])
 
-        def agg_t(x):
-            return scale[:, None] * gather_sum(gt, x * scale[:, None])
+        def agg_t(y):
+            return scale[:, None] * adjoint(y * out_scale[:, None])
 
-    return agg, agg_t if backward else None
+    return agg, None if adjoint is None else agg_t
 
 
 def propagate(g: Graph, x: np.ndarray, cfg: PropagationConfig = PropagationConfig()) -> np.ndarray:

@@ -67,6 +67,24 @@ GOLDEN_DIGESTS = {
 }
 GOLDEN_PATTERNS = ("*.csv", "*_refinement.json", "*_training.json", "theory_propositions.json")
 
+# The same for GCN outputs, which the runs above never reach: a row-mean
+# ``ablation`` over seeds 0 and 1 and a symmetric-norm ``pipeline`` at seed 0,
+# both on the n = 400 synth graph.
+GCN_RUNS = {
+    "ablation": (run_ablation, {"model": {"kind": "gcn"}, "seeds": [0, 1]}),
+    "pipeline": (run_pipeline, {"model": {"kind": "gcn", "norm": "symmetric"}, "seeds": [0]}),
+}
+GCN_GOLDEN_DIGESTS = {
+    ("numpy 2.4.6", "scipy 1.17.1", "scipy-openblas 0.3.31.188.0"): {
+        "ablation.csv": "0e577cc833e144dc",
+        "ablation_refinement.json": "2ab14cce3fc5f64e",
+        "ablation_training.json": "07e3638830f5543f",
+        "pipeline.csv": "7aa31fdc2ec024dd",
+        "pipeline_refinement.json": "74b2c730dcb8572f",
+        "pipeline_training.json": "497f407505fec11f",
+    },
+}
+
 
 @pytest.fixture(scope="module")
 def propositions():
@@ -335,13 +353,33 @@ def test_golden_output_digests(benchmark_pipeline, benchmark_ablation, benchmark
     assert run_theory(theory_cfg) == 0
     dirs = [benchmark_pipeline[3], benchmark_ablation[2], *benchmark_sweeps[1],
             theory_cfg.output_dir]
+    got = assert_digests(dirs, GOLDEN_DIGESTS[fingerprint], "outputs")
+    print(f"PASS golden outputs: {len(got)} files byte-identical to the table for "
+          f"{', '.join(fingerprint)}")
+
+
+def assert_digests(dirs, want: dict, what: str) -> dict:
+    """sha256 prefixes of the golden files under ``dirs``, asserted equal to ``want``."""
     paths = {p for d in dirs for pattern in GOLDEN_PATTERNS for p in Path(d).glob(pattern)
              if not p.name.endswith("_timings.csv")}
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
            for p in sorted(paths)}
-    want = GOLDEN_DIGESTS[fingerprint]
     moved = [f"{name}: {want.get(name)} → {got.get(name)}"
              for name in sorted(want.keys() | got.keys()) if want.get(name) != got.get(name)]
-    assert got == want, "outputs moved: " + "; ".join(moved)
-    print(f"PASS golden outputs: {len(got)} files byte-identical to the table for "
+    assert got == want, f"{what} moved: " + "; ".join(moved)
+    return got
+
+
+def test_golden_gcn_output_digests(tmp_path):
+    fingerprint = numeric_fingerprint()
+    if fingerprint not in GCN_GOLDEN_DIGESTS:
+        pytest.skip(f"no golden GCN digests for {fingerprint}: output bytes depend on the "
+                    "numpy, scipy and BLAS builds")
+    dirs = []
+    for name, (run, raw) in GCN_RUNS.items():
+        cfg = config_from_dict({**raw, "dataset": {"n": 400}}, str(tmp_path / name))
+        assert run(cfg)[1] == 0
+        dirs.append(cfg.output_dir)
+    got = assert_digests(dirs, GCN_GOLDEN_DIGESTS[fingerprint], "GCN outputs")
+    print(f"PASS golden GCN outputs: {len(got)} files byte-identical to the table for "
           f"{', '.join(fingerprint)}")

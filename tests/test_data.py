@@ -243,6 +243,11 @@ class TestSynth:
         # estimated mean distance includes noise/sqrt(n_c) inflation, modest at these sizes
         assert abs(np.linalg.norm(mu0 - mu1) - 6.0) < 1.2
 
+    def test_negative_zero_separation_is_zero(self):
+        a = synth(n=30, c=3, d=4, homophily=0.5, avg_degree=4.0, feature_sep=-0.0, seed=0)[1]
+        b = synth(n=30, c=3, d=4, homophily=0.5, avg_degree=4.0, feature_sep=0.0, seed=0)[1]
+        assert np.array_equal(a.features, b.features)
+
     def test_degree_past_every_pair_builds_the_complete_graph(self):
         # n * avg_degree overflows to inf; the budget is capped at all pairs before rounding
         g, _ = synth(n=12, c=3, d=2, homophily=0.5, avg_degree=1e308, feature_sep=1.0, seed=0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 import lagraph.graph as graph
 import lagraph.models as models
@@ -48,6 +49,19 @@ def random_graph(rng, n, extra):
     return undirected_graph(n, pairs)
 
 
+def directed_problem(rng, n, d, c):
+    """One-way random edges, about 20% unlabeled nodes and a random split:
+    the case where the logits product rounds differently at another row
+    count, so a row-restricted product would show in the last bit."""
+    edges = rng.integers(0, n, size=(4 * n, 2))
+    g = Graph.from_edges(n, edges[edges[:, 0] != edges[:, 1]], add_self_loops=True)
+    labels = rng.integers(0, c, size=n).astype(np.int64)
+    labels[rng.random(n) < 0.2] = -1
+    split = rng.integers(0, 3, size=n).astype(np.int8)
+    labels[0], split[0] = 0, 0  # guarantee a labeled train node
+    return g, NodeTable(features=rng.normal(size=(n, d)), labels=labels, num_classes=c, split=split)
+
+
 class TestSgcGradient:
     def test_finite_difference_check(self, rng):
         d, c, n = 5, 3, 20
@@ -90,6 +104,80 @@ class TestGcnGradient:
         fd = central_difference(
             lambda: gcn_loss_and_grad(model, g, t, 0.0)[0], arrays, range(flat.size))
         assert_gradients_match(flat, fd, rel_tol=1e-4)
+
+    def test_finite_difference_check_directed_partly_labeled(self, rng):
+        n, d, h, c = 16, 3, 5, 3
+        g, t = directed_problem(rng, n, d, c)
+        model = GcnModel(w1=rng.normal(size=(d, h)), b1=rng.normal(size=h),
+                         w2=rng.normal(size=(h, c)), b2=rng.normal(size=c), norm="symmetric")
+        arrays = [model.w1, model.b1, model.w2, model.b2]
+        flat = flatten_params(list(gcn_loss_and_grad(model, g, t, 0.01)[1:]))
+        fd = central_difference(
+            lambda: gcn_loss_and_grad(model, g, t, 0.01)[0], arrays, range(flat.size))
+        assert_gradients_match(flat, fd, rel_tol=1e-4)
+
+
+def reference_gcn_loss_and_grad(model, g, t, weight_decay):
+    """The full-row backward pass: logits for all n nodes, a logits gradient
+    that is zero off the labeled train rows, and the whole reversed graph's
+    adjoint, written out from ``gather_sum`` and ``transpose``."""
+    deg = g.out_degrees().astype(np.float64)[:, None]
+    gt = propagation.transpose(g)
+    if model.norm == "row-mean":
+        def agg(x):
+            return propagation.gather_sum(g, x) / deg
+
+        def agg_t(y):
+            return propagation.gather_sum(gt, y / deg)
+    else:
+        scale = 1.0 / np.sqrt(deg)
+
+        def agg(x):
+            return scale * propagation.gather_sum(g, x * scale)
+
+        def agg_t(y):
+            return scale * propagation.gather_sum(gt, y * scale)
+
+    idx = np.flatnonzero(t.split_mask("train") & t.known_mask())
+    m = idx.size
+    a1 = agg(t.features)
+    s1 = a1 @ model.w1 + model.b1
+    a2 = agg(np.maximum(s1, 0.0))
+    logits = a2 @ model.w2 + model.b2
+    probs = models._softmax(logits[idx])
+    loss = models._cross_entropy(probs, t.labels[idx])
+    loss += 0.5 * weight_decay * float(np.sum(model.w1 ** 2) + np.sum(model.w2 ** 2))
+    g_logits = np.zeros_like(logits)
+    delta = probs.copy()
+    delta[np.arange(m), t.labels[idx]] -= 1.0
+    g_logits[idx] = delta / m
+    grad_w2 = a2.T @ g_logits + weight_decay * model.w2
+    grad_b2 = g_logits.sum(axis=0)
+    g_s1 = agg_t(g_logits @ model.w2.T) * (s1 > 0.0)
+    grad_w1 = a1.T @ g_s1 + weight_decay * model.w1
+    grad_b1 = g_s1.sum(axis=0)
+    return loss, grad_w1, grad_b1, grad_w2, grad_b2
+
+
+class TestGcnLossMatchesFullRowReference:
+    """The second layer over the train rows only must not move a bit."""
+
+    @pytest.mark.parametrize("norm", ["row-mean", "symmetric"])
+    def test_bitwise_over_epochs(self, norm):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            n, d, h, c = 300, 6, 16, 3
+            g, t = directed_problem(rng, n, d, c)
+            model = GcnModel(w1=_uniform_init(rng, d, (d, h)), b1=np.zeros(h),
+                             w2=_uniform_init(rng, h, (h, c)), b2=np.zeros(c), norm=norm)
+            inputs = models._gcn_inputs(g, t, norm)
+            for epoch in range(5):
+                got = gcn_loss_and_grad(model, g, t, 5e-4, _inputs=inputs)
+                want = reference_gcn_loss_and_grad(model, g, t, 5e-4)
+                assert got[0] == want[0], (seed, epoch)
+                for name, a, b in zip(("w1", "b1", "w2", "b2"), got[1:], want[1:]):
+                    assert np.array_equal(a, b), (seed, epoch, name)
+                    setattr(model, name, getattr(model, name) - 0.5 * a)
 
 
 def mlp_loss_and_grad(model, x, idx, y, wd):
@@ -289,6 +377,40 @@ class TestGcnFitPreparesOnce:
             monkeypatch.setattr(module, name, counted)
         gcn_fit(g, t, FitConfig(learning_rate=0.05, epochs=7))
         assert calls == {"transpose": 1, "gcn_loss_and_grad": 7}
+
+    def test_restricted_step_and_adjoint_built_once_per_fit(self, monkeypatch):
+        # the epochs only multiply: no sparse matrix is built or sliced inside
+        # gcn_loss_and_grad once gcn_fit hands it the prepared inputs
+        g, t = self.problem()
+        events, inside = [], [False]
+
+        def spy(kind, original):
+            def wrapped(*args, **kwargs):
+                events.append((kind, inside[0], kwargs.get("rows") is not None))
+                return original(*args, **kwargs)
+            return wrapped
+
+        original_loss = models.gcn_loss_and_grad
+
+        def loss(*args, **kwargs):
+            assert kwargs.get("_inputs") is not None
+            inside[0] = True
+            try:
+                return original_loss(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(models, "gcn_loss_and_grad", loss)
+        monkeypatch.setattr(models, "aggregation", spy("aggregation", models.aggregation))
+        monkeypatch.setattr(propagation, "transpose", spy("transpose", propagation.transpose))
+        for name in ("__init__", "__getitem__"):
+            monkeypatch.setattr(csr_array, name, spy(name, getattr(csr_array, name)))
+        gcn_fit(g, t, FitConfig(learning_rate=0.05, epochs=7))
+        assert not [e for e in events if e[1]]
+        assert [e for e in events if e[0] == "aggregation"] == [
+            ("aggregation", False, False), ("aggregation", False, True)]
+        assert [e for e in events if e[0] == "transpose"] == [("transpose", False, False)]
+        assert [e for e in events if e[0] == "__getitem__"]
 
     def test_one_csr_for_the_graph_and_one_for_its_transpose(self, monkeypatch):
         g, t = self.problem()

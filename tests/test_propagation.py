@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lagraph.propagation as propagation
 from lagraph.graph import Graph, NodeTable
 from lagraph.propagation import (
     EdgeFeatureConfig,
@@ -116,22 +117,29 @@ class TestTranspose:
         assert np.array_equal(dense_adjacency(gt), dense_adjacency(g).T)
 
     def test_propagate_transpose_matches_dense(self, rng):
-        # the transposed step that GCN backprop applies
+        # restricted to every row, the adjoint is the whole transposed step
         g = random_graph(rng, 20, 35)
         x = rng.normal(size=(20, 3))
         for norm, dense in (("row-mean", dense_row_mean), ("symmetric", dense_symmetric)):
-            _, agg_t = aggregation(g, norm, backward=True)
-            assert np.allclose(agg_t(x), dense(g).T @ x, atol=1e-10)
+            agg_r, agg_rt = aggregation(g, norm, rows=np.arange(20))
+            assert np.array_equal(agg_r(x), aggregation(g, norm)[0](x))
+            assert np.allclose(agg_rt(x), dense(g).T @ x, atol=1e-10)
 
     def test_adjoint_identity(self, rng):
-        # <Sx, y> == <x, S^T y> ties the forward and transpose operators
-        g = random_graph(rng, 18, 30)
+        # <S_r x, y> == <x, S_r^T y> ties the restricted step to its adjoint
+        g = directed_graph(rng, 18, 40)
+        rows = np.sort(rng.choice(18, size=7, replace=False))
         x = rng.normal(size=(18, 2))
-        y = rng.normal(size=(18, 2))
-        lhs = np.sum(propagate(g, x, PropagationConfig(k=1)) * y)
-        _, agg_t = aggregation(g, "row-mean", backward=True)
-        rhs = np.sum(x * agg_t(y))
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+        y = rng.normal(size=(7, 2))
+        for norm in ("row-mean", "symmetric"):
+            agg_r, agg_rt = aggregation(g, norm, rows=rows)
+            assert np.sum(agg_r(x) * y) == pytest.approx(np.sum(x * agg_rt(y)), rel=1e-10)
+
+
+def directed_graph(rng, n, num_edges):
+    """Random one-way edges plus self loops, so the step is not symmetric."""
+    edges = np.array([(u, v) for u, v in rng.integers(0, n, size=(num_edges, 2)) if u != v])
+    return Graph.from_edges(n, edges, add_self_loops=True)
 
 
 class TestAggregation:
@@ -149,18 +157,50 @@ class TestAggregation:
     def test_adjoint_matches_dense_transpose_on_a_directed_graph(self, rng, norm):
         # one-directional edges, so the adjoint must use the reversed graph
         n = 15
-        edges = np.array([(u, v) for u, v in rng.integers(0, n, size=(30, 2)) if u != v])
-        g = Graph.from_edges(n, edges, add_self_loops=True)
+        g = directed_graph(rng, n, 30)
         dense = dense_row_mean(g) if norm == "row-mean" else dense_symmetric(g)
         assert not np.array_equal(dense, dense.T)
-        y = rng.normal(size=(n, 2))
-        _, agg_t = aggregation(g, norm, backward=True)
-        assert np.allclose(agg_t(y), dense.T @ y, atol=1e-10)
+        rows = np.array([0, 3, 4, 9, 14])
+        x = rng.normal(size=(n, 2))
+        y = rng.normal(size=(rows.size, 2))
+        agg_r, agg_rt = aggregation(g, norm, rows=rows)
+        assert np.allclose(agg_r(x), dense[rows] @ x, atol=1e-10)
+        assert np.allclose(agg_rt(y), dense[rows].T @ y, atol=1e-10)
+
+    @pytest.mark.parametrize("norm", ["row-mean", "symmetric"])
+    def test_restriction_is_bitwise_the_full_step(self, rng, norm):
+        # a row of the restricted step sums the same terms in the same order
+        # as the full step; the adjoint skips only products with exact zeros
+        n = 40
+        g = directed_graph(rng, n, 160)
+        rows = np.flatnonzero(rng.random(n) < 0.3)
+        x = rng.normal(size=(n, 5))
+        y = rng.normal(size=(rows.size, 5))
+        padded = np.zeros((n, 5))
+        padded[rows] = y
+        agg_r, agg_rt = aggregation(g, norm, rows=rows)
+        _, full_t = aggregation(g, norm, rows=np.arange(n))
+        assert np.array_equal(agg_r(x), aggregation(g, norm)[0](x)[rows])
+        assert np.array_equal(agg_rt(y), full_t(padded))
+
+    @pytest.mark.parametrize("rows", [
+        np.array([[0, 1]]), np.array([0.0, 1.0]), np.array([True, False, True, False]),
+        np.array([1, 0]), np.array([1, 1]), np.array([-1, 2]), np.array([0, 4]), [0, 2, 2],
+    ])
+    def test_rows_must_be_sorted_distinct_node_ids(self, monkeypatch, rows):
+        g = random_graph(np.random.default_rng(0), 4, 4)
+
+        def no_transpose(_):
+            raise AssertionError("rows checked after the transpose")
+
+        monkeypatch.setattr(propagation, "transpose", no_transpose)
+        with pytest.raises(ValueError, match="rows must be sorted distinct node ids"):
+            aggregation(g, "row-mean", rows=rows)
 
     def test_graph_without_self_loops_rejected(self):
         g = Graph.from_edges(4, np.array([[0, 1], [1, 0], [1, 2], [2, 1]]), add_self_loops=False)
         x = np.ones((4, 2))
-        for call in (lambda: aggregation(g, "row-mean", backward=True),
+        for call in (lambda: aggregation(g, "row-mean", rows=np.arange(4)),
                      lambda: propagate(g, x, PropagationConfig(k=0)),
                      lambda: edge_input_features(g, node_table(np.random.default_rng(0), 4),
                                                  EdgeFeatureConfig(k=1, binary=True))):
