@@ -69,13 +69,19 @@ def _narrow(values, dtype, lo: int, hi: int, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for edge classifier training."""
+    """Hyperparameters for edge classifier training.
+
+    ``epochs`` is a fixed budget with no stopping rule. The loss settles
+    within a few epochs and then bounces, and a long budget lets momentum
+    carry a gradient spike to a divergence."""
 
     proj_dim: int = 64
     hidden_widths: tuple[int, ...] = (32,)
     learning_rate: float = 0.1
     momentum: float = 0.9
-    epochs: int = 100
+    # seeds failing the benchmark's quality gate at 5/10/20/40/100 epochs, of 220 (CLI pipeline
+    # n = 1000 and 16000, GCN ablation n = 2000): 1/1/2/3/9, 6 of the 9 diverged; fewest, then shortest
+    epochs: int = 5
     batch_size: int = 256
     seed: int = 0
     class_weighting: str = "balanced"  # or "none"

@@ -51,18 +51,18 @@ CORA_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "cor
 # depend on. A change that moves a digit updates its row here and says why.
 GOLDEN_DIGESTS = {
     ("numpy 2.4.6", "scipy 1.17.1", "scipy-openblas 0.3.31.188.0"): {
-        "ablation.csv": "2e6ed1390deed859",
-        "ablation_refinement.json": "06f26ef6117f31cf",
-        "ablation_training.json": "ba9f9eaa801f26d1",
-        "pipeline.csv": "a7fdd4773be86130",
-        "pipeline_refinement.json": "3ae45c3daafc37e4",
-        "pipeline_training.json": "ba9f9eaa801f26d1",
-        "sweep_pmq.csv": "d63cf9aeac348413",
+        "ablation.csv": "f00c53df3b87c614",
+        "ablation_refinement.json": "a2c369bf419c1928",
+        "ablation_training.json": "d3e4de170d42c721",
+        "pipeline.csv": "02ee96c4a806d60a",
+        "pipeline_refinement.json": "fe4d64cc88eac0cb",
+        "pipeline_training.json": "d3e4de170d42c721",
+        "sweep_pmq.csv": "05230f345c290d9b",
         "sweep_pmq_refinement.json": "4fa82d7fe9834a82",
-        "sweep_ppre.csv": "a0cee216bb22f30d",
+        "sweep_ppre.csv": "6a591f0ff3c3b450",
         "sweep_ppre_refinement.json": "9accf46316e01e6f",
         "theory_propositions.json": "8b1675963d156de7",
-        "theory_sweep.csv": "11f133dd89ba87d9",
+        "theory_sweep.csv": "82d069789700a017",
     },
 }
 GOLDEN_PATTERNS = ("*.csv", "*_refinement.json", "*_training.json", "theory_propositions.json")
@@ -76,12 +76,12 @@ GCN_RUNS = {
 }
 GCN_GOLDEN_DIGESTS = {
     ("numpy 2.4.6", "scipy 1.17.1", "scipy-openblas 0.3.31.188.0"): {
-        "ablation.csv": "0e577cc833e144dc",
-        "ablation_refinement.json": "2ab14cce3fc5f64e",
-        "ablation_training.json": "07e3638830f5543f",
-        "pipeline.csv": "7aa31fdc2ec024dd",
-        "pipeline_refinement.json": "74b2c730dcb8572f",
-        "pipeline_training.json": "497f407505fec11f",
+        "ablation.csv": "0891bcc77a3c4c4b",
+        "ablation_refinement.json": "f71a023ab9175e0d",
+        "ablation_training.json": "69214b8261b44d3b",
+        "pipeline.csv": "d732adb125a5eb69",
+        "pipeline_refinement.json": "097be7862650d260",
+        "pipeline_training.json": "3453e24695109422",
     },
 }
 

@@ -113,8 +113,8 @@ class TestConfigResolution:
     def test_hash_of_defaults_is_pinned(self):
         # the defaults are read from the config dataclasses; a changed default
         # or a removed key moves every hash, so it must be a deliberate change
-        assert config_from_dict({}).config_hash == "9f9547d8ecbc"
-        assert config_from_dict({"dataset": {"n": 16000}}).config_hash == "b570e466d72d"
+        assert config_from_dict({}).config_hash == "e89aa55e470f"
+        assert config_from_dict({"dataset": {"n": 16000}}).config_hash == "894aa3a11b74"
 
     def test_hash_covers_coerced_values(self):
         typed = config_from_dict({"model": {"epochs": 7}, "seeds": [1, 2]})
@@ -124,7 +124,7 @@ class TestConfigResolution:
     def test_sweep_values_hash_as_coerced(self):
         as_float = config_from_dict({"sweep": {"values": [1.0]}})
         as_int = config_from_dict({"sweep": {"values": [1]}})
-        assert as_int.config_hash == as_float.config_hash == "34583bc52d4a"
+        assert as_int.config_hash == as_float.config_hash == "b6e247a83662"
         assert as_int.sweep["values"] == [1.0] and isinstance(as_int.sweep["values"][0], float)
         assert config_from_dict({"sweep": {"values": ["1"]}}).config_hash == as_float.config_hash
 
@@ -281,6 +281,15 @@ class TestPipelineCommand:
         assert (out1 / "pipeline.csv").read_bytes() == (out2 / "pipeline.csv").read_bytes()
         assert ((out1 / "pipeline_refinement.json").read_bytes()
                 == (out2 / "pipeline_refinement.json").read_bytes())
+
+    @pytest.mark.filterwarnings("error")
+    def test_default_budget_trains_the_seeds_100_epochs_diverged_on(self, tmp_path, capsys):
+        # at 100 epochs the default classifier diverged on each of these seeds, at epochs 41-93
+        out = tmp_path / "o"
+        assert main(["pipeline", "--seeds", "7,15,22,29", "--output-dir", str(out)]) == 0
+        assert "FAILED" not in capsys.readouterr().err
+        assert [r["seed"] for r in read_rows(out / "pipeline.csv") if r["arm"] == "refined"] == [
+            "7", "15", "22", "29", "mean", "std"]
 
     def test_perfect_graph_unchanged_by_oracle_filter(self, tmp_path):
         raw = fast_config(
