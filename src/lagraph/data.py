@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 
 import numpy as np
 
@@ -217,81 +216,40 @@ def _edge_budget(n: int, avg_degree: float) -> tuple[int, int]:
     return target, 200 * target + 1000
 
 
-_RAW_BLOCK = 65536
-_UINT32 = 1 << 32
+def _edge_keys(rng: np.random.Generator, labels: np.ndarray, c: int, homophily: float,
+               target: int, cap: int) -> np.ndarray:
+    """Keys ``a * n + b`` (``a < b``) of the ``target`` pairs :func:`synth` places,
+    in placement order.
 
-
-class _Pcg64Draws:
-    """Scalar ``integers(k)`` and ``random()`` draws of a PCG64 ``Generator``,
-    served in plain Python arithmetic from ``random_raw`` blocks.
-
-    Every draw equals the one the generator would return itself. This
-    depends on NumPy's private bounded-integer and double algorithms, as
-    written out below (checked against NumPy 2.4); the test suite compares
-    the two directly, and its ``GOLDEN_DIGESTS`` are keyed by the NumPy
-    build, so a NumPy that changes them shows there:
-
-    - ``integers(k)`` for ``1 < k < 2**32`` is Lemire's method over PCG64's
-      buffered ``next_uint32``: a fresh 64-bit word gives its low half and
-      keeps its high half for the next draw; a product whose low 32 bits
-      fall below ``(2**32 - k) % k`` is redrawn.
-    - ``integers(1)`` is 0 and consumes nothing; ``integers(2**32)`` is one
-      ``next_uint32``.
-    - ``random()`` is ``(next_uint64 >> 11) * 2**-53`` on a fresh word; it
-      leaves the uint32 buffer alone.
-
-    :meth:`finish` puts the generator exactly where those draws would have
-    left it, uint32 buffer included, so later draws continue the sequence.
+    Each attempt draws a uniform node ``u``, a same-class coin, another class
+    and a partner in the chosen class. It places ``{u, partner}`` unless the
+    partner is ``u``, the pair is placed already, or ``c`` is 1 and the coin
+    asks for another class. Attempts come in batches of generator draws; the
+    attempts of a batch past ``cap`` are drawn but not made, so the draws do
+    not depend on ``cap``.
     """
-
-    def __init__(self, rng: np.random.Generator):
-        self._bg = rng.bit_generator
-        self._start = self._bg.state
-        # PCG64's uint32 buffer; like NumPy, spending the half keeps its value
-        self._has_half, self._half = self._start["has_uint32"], self._start["uinteger"]
-        self._block = iter(())
-        self._drawn = 0  # words in all blocks so far; the unused tail is the iterator's length hint
-
-    def _word(self) -> int:
-        try:
-            return next(self._block)
-        except StopIteration:
-            self._block = iter(self._bg.random_raw(_RAW_BLOCK).tolist())
-            self._drawn += _RAW_BLOCK
-            return next(self._block)
-
-    def _uint32(self) -> int:
-        if self._has_half:
-            self._has_half = 0
-            return self._half
-        word = self._word()
-        self._has_half, self._half = 1, word >> 32
-        return word & 0xFFFFFFFF
-
-    def integers(self, k: int) -> int:
-        if k < _UINT32:
-            if k == 1:
-                return 0
-            m = self._uint32() * k
-            if (m & 0xFFFFFFFF) < k:
-                threshold = (_UINT32 - k) % k
-                while (m & 0xFFFFFFFF) < threshold:
-                    m = self._uint32() * k
-            return m >> 32
-        if k == _UINT32:
-            return self._uint32()
-        raise ValueError(f"integers: bound {k} exceeds 2**32")
-
-    def random(self) -> float:
-        return (self._word() >> 11) * 2.0 ** -53
-
-    def finish(self) -> None:
-        bg = self._bg
-        bg.state = self._start
-        bg.advance(self._drawn - operator.length_hint(self._block))
-        state = bg.state
-        state["has_uint32"], state["uinteger"] = self._has_half, self._half
-        bg.state = state
+    n = labels.size
+    by_class = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=c)
+    starts = np.cumsum(sizes) - sizes
+    placed = np.zeros(0, dtype=np.int64)
+    attempts = 0
+    while placed.size < target:
+        if attempts >= cap:
+            raise RuntimeError("synth: edge sampling failed to place the requested edges")
+        m = max(4096, 2 * (target - placed.size))
+        u = rng.integers(n, size=m)
+        coin = rng.random(m) < homophily
+        cls = rng.integers(max(c - 1, 1), size=m)  # the other class, skipping u's own
+        cls = np.where(coin, labels[u], cls + (cls >= labels[u])) % c  # % c keeps c = 1's void cross draws in range
+        w = by_class[starts[cls] + rng.integers(sizes[cls])]
+        made = (u != w) & (coin | (c > 1)) & (np.arange(m) < cap - attempts)
+        attempts += m
+        keys = (np.minimum(u, w) * n + np.maximum(u, w))[made]
+        keys = keys[np.sort(np.unique(keys, return_index=True)[1])]  # first attempt of each, in order
+        keys = keys[~np.isin(keys, placed)][:target - placed.size]
+        placed = np.concatenate([placed, keys])
+    return placed
 
 
 def synth(n: int, c: int, d: int, homophily: float, avg_degree: float,
@@ -320,39 +278,8 @@ def synth(n: int, c: int, d: int, homophily: float, avg_degree: float,
 
     labels = np.arange(n, dtype=np.int64) % c
     rng.shuffle(labels)
-    members = [np.flatnonzero(labels == cls) for cls in range(c)]
 
-    target_edges, cap = _edge_budget(n, avg_degree)
-    label_of = labels.tolist()
-    pools = [m.tolist() for m in members]
-    draws = _Pcg64Draws(rng)
-    seen: set[int] = set()  # each placed pair a < b as its key a * n + b
-    attempts = 0
-    while len(seen) < target_edges:
-        attempts += 1
-        if attempts > cap:
-            raise RuntimeError("synth: edge sampling failed to place the requested edges")
-        u = draws.integers(n)
-        lab = label_of[u]
-        if draws.random() < homophily:
-            pool = pools[lab]
-        else:
-            if c == 1:
-                continue
-            other = draws.integers(c - 1)
-            other = other + 1 if other >= lab else other
-            pool = pools[other]
-        w = pool[draws.integers(len(pool))]
-        if w == u:
-            continue
-        a, b = (u, w) if u < w else (w, u)
-        key = a * n + b
-        if key in seen:
-            continue
-        seen.add(key)
-    draws.finish()
-    a, b = np.divmod(np.fromiter(seen, dtype=np.int64, count=len(seen)), n)
-    del draws  # its last raw block, before the edge arrays are sorted
+    a, b = np.divmod(_edge_keys(rng, labels, c, homophily, *_edge_budget(n, avg_degree)), n)
     g = Graph.from_edges(n, np.concatenate([np.stack([a, b], axis=1), np.stack([b, a], axis=1)]),
                          add_self_loops=True)
 
@@ -362,7 +289,7 @@ def synth(n: int, c: int, d: int, homophily: float, avg_degree: float,
 
     split = np.full(n, SPLIT_CODES["test"], dtype=np.int8)
     for cls in range(c):
-        idx = members[cls].copy()
+        idx = np.flatnonzero(labels == cls)
         rng.shuffle(idx)
         size = idx.shape[0]
         n_train = max(1, int(round(0.1 * size)))

@@ -323,8 +323,8 @@ def train(pairset: PairSet, features: np.ndarray, cfg: TrainConfig = TrainConfig
     Mini-batch gradient descent with optional momentum; per-epoch order is
     drawn from the seeded generator, so identical configs reproduce the
     trained parameters bit for bit. Raises on a single-class pair set and
-    aborts with diagnostics, the largest feature magnitude among them, if a
-    batch loss goes non-finite.
+    aborts with diagnostics, the largest feature and parameter magnitudes
+    among them, if a batch loss goes non-finite.
     """
     if len(pairset) == 0:
         raise ValueError("empty pair set")
@@ -355,7 +355,8 @@ def train(pairset: PairSet, features: np.ndarray, cfg: TrainConfig = TrainConfig
                     raise RuntimeError(
                         f"training diverged: non-finite loss at epoch {epoch}, "
                         f"batch offset {start} (lr={cfg.learning_rate}, "
-                        f"largest |feature| {np.abs(features).max():.3g})")
+                        f"largest |feature| {np.abs(features).max():.3g}, "
+                        f"largest |parameter| {np.abs(params).max():.3g})")
                 total += loss * idx.shape[0]
                 np.concatenate([g_proj, *(g for layer in g_layers for g in layer)], axis=None, out=grad)
                 vel *= cfg.momentum

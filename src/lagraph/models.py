@@ -162,7 +162,7 @@ def sgc_fit(g: Graph, t: NodeTable, cfg: FitConfig = FitConfig(), k: int = 2) ->
 class _GcnInputs:
     """What every epoch of one fit shares: the aggregation step, that step
     restricted to the labeled train nodes and its adjoint, those nodes and
-    their labels, and the first-layer aggregate of the features."""
+    their labels, the first-layer aggregate of the features, and ``work``."""
 
     agg: Callable[[np.ndarray], np.ndarray]
     agg_train: Callable[[np.ndarray], np.ndarray]
@@ -170,13 +170,14 @@ class _GcnInputs:
     idx: np.ndarray
     y: np.ndarray
     a1: np.ndarray
+    work: np.ndarray  # (3, n, h), written over by each epoch, not allocated: s1, relu(s1), a2 on the train rows
 
 
-def _gcn_inputs(g: Graph, t: NodeTable, norm: str) -> _GcnInputs:
+def _gcn_inputs(g: Graph, t: NodeTable, norm: str, h: int) -> _GcnInputs:
     agg, _ = aggregation(g, norm)
     a1 = agg(_check_inputs(g, t.features))  # before ``rows=`` indexes the adjacency by node id
     idx, y = _train_targets(t)
-    return _GcnInputs(agg, *aggregation(g, norm, rows=idx), idx, y, a1)
+    return _GcnInputs(agg, *aggregation(g, norm, rows=idx), idx, y, a1, np.zeros((3, g.num_nodes, h)))
 
 
 def _gcn_logits(model: GcnModel, agg, a1: np.ndarray) -> np.ndarray:
@@ -203,12 +204,13 @@ def gcn_loss_and_grad(model: GcnModel, g: Graph, t: NodeTable, weight_decay: flo
     ``_inputs`` is what :func:`gcn_fit` prepares once per fit; without it
     they are derived from ``g``, ``t`` and ``model.norm`` on every call.
     """
-    inputs = _gcn_inputs(g, t, model.norm) if _inputs is None else _inputs
+    inputs = _gcn_inputs(g, t, model.norm, model.w1.shape[1]) if _inputs is None else _inputs
     idx, y, a1 = inputs.idx, inputs.y, inputs.a1
+    s1, h1, full = inputs.work  # full stays zero off the train rows
     m = idx.shape[0]
-    s1 = a1 @ model.w1 + model.b1
-    a2 = inputs.agg_train(np.maximum(s1, 0.0))
-    full = np.zeros((a1.shape[0], a2.shape[1]))
+    np.matmul(a1, model.w1, out=s1)
+    s1 += model.b1
+    a2 = inputs.agg_train(np.maximum(s1, 0.0, out=h1))
     full[idx] = a2
     probs = _softmax((full @ model.w2)[idx] + model.b2)
     loss = _cross_entropy(probs, y)
@@ -220,7 +222,7 @@ def gcn_loss_and_grad(model: GcnModel, g: Graph, t: NodeTable, weight_decay: flo
     grad_w2 = a2.T @ delta + weight_decay * model.w2
     grad_b2 = delta.sum(axis=0)
     g_h1 = inputs.agg_train_t(delta @ model.w2.T)
-    g_s1 = g_h1 * (s1 > 0.0)
+    g_s1 = np.multiply(g_h1, s1 > 0.0, out=g_h1)
     grad_w1 = a1.T @ g_s1 + weight_decay * model.w1
     grad_b1 = g_s1.sum(axis=0)
     return loss, grad_w1, grad_b1, grad_w2, grad_b2
@@ -237,7 +239,7 @@ def gcn_fit(g: Graph, t: NodeTable, cfg: FitConfig = FitConfig(learning_rate=0.0
     d, h, c = t.feature_dim, cfg.hidden_width, t.num_classes
     model = GcnModel(w1=_uniform_init(rng, d, (d, h)), b1=np.zeros(h),
                      w2=_uniform_init(rng, h, (h, c)), b2=np.zeros(c), norm=cfg.norm)
-    inputs = _gcn_inputs(g, t, cfg.norm)
+    inputs = _gcn_inputs(g, t, cfg.norm, h)
     return _descend(model, ("w1", "b1", "w2", "b2"), t, cfg,
                     lambda: gcn_loss_and_grad(model, g, t, cfg.weight_decay, _inputs=inputs),
                     lambda: _gcn_logits(model, inputs.agg, inputs.a1))

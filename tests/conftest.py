@@ -325,43 +325,47 @@ def reference_oracle_add_scorer(t, oc):
 
 
 def reference_synth(n, c, d, homophily, avg_degree, feature_sep, seed):
-    """``synth`` with its edge loop drawing straight from ``rng.integers`` and
-    ``rng.random``, one NumPy call per scalar draw."""
+    """``synth`` with its edge process run one attempt at a time over the same
+    batch draws, keeping placed pairs in a Python set. Returns the graph, the
+    node table and the attempt that placed the last edge (0 if none)."""
     rng = np.random.default_rng(seed)
 
     labels = np.arange(n, dtype=np.int64) % c
     rng.shuffle(labels)
     members = [np.flatnonzero(labels == cls) for cls in range(c)]
 
-    target_edges = int(round(n * avg_degree / 2.0))
-    max_undirected = n * (n - 1) // 2
-    target_edges = min(target_edges, max_undirected)
+    target_edges = min(int(round(n * avg_degree / 2.0)), n * (n - 1) // 2)
     seen: set[int] = set()
     pairs: list[tuple[int, int]] = []
-    attempts = 0
+    attempts = last = 0
     while len(pairs) < target_edges:
-        attempts += 1
-        if attempts > 200 * target_edges + 1000:
-            raise RuntimeError("synth: edge sampling failed to place the requested edges")
-        u = int(rng.integers(n))
-        lab = int(labels[u])
-        if rng.random() < homophily:
-            pool = members[lab]
-        else:
-            if c == 1:
+        m = max(4096, 2 * (target_edges - len(pairs)))
+        u_draws = rng.integers(n, size=m).tolist()
+        coins = rng.random(m).tolist()
+        others = rng.integers(max(c - 1, 1), size=m).tolist()
+        classes = []  # the class each attempt draws its partner from; any class if the attempt is void
+        for u, coin, other in zip(u_draws, coins, others):
+            lab = int(labels[u])
+            classes.append(lab if coin < homophily or c == 1 else other + 1 if other >= lab else other)
+        partners = rng.integers([members[cls].shape[0] for cls in classes]).tolist()
+        for u, coin, cls, partner in zip(u_draws, coins, classes, partners):
+            if len(pairs) == target_edges:
+                break
+            attempts += 1
+            if attempts > 200 * target_edges + 1000:
+                raise RuntimeError("synth: edge sampling failed to place the requested edges")
+            if coin >= homophily and c == 1:
                 continue
-            other = int(rng.integers(c - 1))
-            other = other + 1 if other >= lab else other
-            pool = members[other]
-        w = int(pool[rng.integers(pool.shape[0])])
-        if w == u:
-            continue
-        a, b = (u, w) if u < w else (w, u)
-        key = a * n + b
-        if key in seen:
-            continue
-        seen.add(key)
-        pairs.append((a, b))
+            w = int(members[cls][partner])
+            if w == u:
+                continue
+            a, b = (u, w) if u < w else (w, u)
+            key = a * n + b
+            if key in seen:
+                continue
+            seen.add(key)
+            pairs.append((a, b))
+            last = attempts
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     both = np.concatenate([arr, arr[:, ::-1]], axis=0) if arr.size else arr
     g = Graph.from_edges(n, both, add_self_loops=True)
@@ -384,7 +388,7 @@ def reference_synth(n, c, d, homophily, avg_degree, feature_sep, seed):
         split[idx[n_train:n_train + n_val]] = SPLIT_CODES["val"]
 
     t = NodeTable(features=features, labels=labels, num_classes=c, split=split)
-    return g, t
+    return g, t, last
 
 
 @pytest.fixture

@@ -51,16 +51,16 @@ CORA_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "cor
 # depend on. A change that moves a digit updates its row here and says why.
 GOLDEN_DIGESTS = {
     ("numpy 2.4.6", "scipy 1.17.1", "scipy-openblas 0.3.31.188.0"): {
-        "ablation.csv": "f00c53df3b87c614",
-        "ablation_refinement.json": "a2c369bf419c1928",
-        "ablation_training.json": "d3e4de170d42c721",
-        "pipeline.csv": "02ee96c4a806d60a",
-        "pipeline_refinement.json": "fe4d64cc88eac0cb",
-        "pipeline_training.json": "d3e4de170d42c721",
-        "sweep_pmq.csv": "05230f345c290d9b",
-        "sweep_pmq_refinement.json": "4fa82d7fe9834a82",
-        "sweep_ppre.csv": "6a591f0ff3c3b450",
-        "sweep_ppre_refinement.json": "9accf46316e01e6f",
+        "ablation.csv": "540e082f88494cdb",
+        "ablation_refinement.json": "cd735839b77da433",
+        "ablation_training.json": "18ebe9dcfde4c236",
+        "pipeline.csv": "c5a58698b6c0b17d",
+        "pipeline_refinement.json": "a203a6441862cacd",
+        "pipeline_training.json": "18ebe9dcfde4c236",
+        "sweep_pmq.csv": "53aa1ad9e2ed63a8",
+        "sweep_pmq_refinement.json": "2e61d4291369f2af",
+        "sweep_ppre.csv": "5b5194bf49d19dd7",
+        "sweep_ppre_refinement.json": "3439c0dd35f970d8",
         "theory_propositions.json": "8b1675963d156de7",
         "theory_sweep.csv": "82d069789700a017",
     },
@@ -76,12 +76,12 @@ GCN_RUNS = {
 }
 GCN_GOLDEN_DIGESTS = {
     ("numpy 2.4.6", "scipy 1.17.1", "scipy-openblas 0.3.31.188.0"): {
-        "ablation.csv": "0891bcc77a3c4c4b",
-        "ablation_refinement.json": "f71a023ab9175e0d",
-        "ablation_training.json": "69214b8261b44d3b",
-        "pipeline.csv": "d732adb125a5eb69",
-        "pipeline_refinement.json": "097be7862650d260",
-        "pipeline_training.json": "3453e24695109422",
+        "ablation.csv": "ccbbd87101fd0b33",
+        "ablation_refinement.json": "c1cc89e7b9b7f3c9",
+        "ablation_training.json": "d39df6f7b3941a3c",
+        "pipeline.csv": "c2633be1f280d1a5",
+        "pipeline_refinement.json": "d019969e0bc4a4e2",
+        "pipeline_training.json": "97bf424d312d4a2a",
     },
 }
 
@@ -118,6 +118,19 @@ def benchmark_sweeps(tmp_path_factory):
         out[kind] = rows
         dirs.append(cfg.output_dir)
     return out, dirs
+
+
+# Absolute floors on the 5-seed mean test accuracy of the default config's
+# origin and refined (filter + add) arms, the SGC read 0.7488 and 0.8660 less
+# 0.01. A gain over the origin grows when the origin learns less: at 100 and
+# 50 node-model epochs the origin read 0.743 and 0.727, refined 0.868 and 0.869.
+ORIGIN_ACC_FLOOR = 0.739
+REFINED_ACC_FLOOR = 0.856
+
+
+def assert_accuracy_floors(acc_origin, acc_refined):
+    assert acc_origin >= ORIGIN_ACC_FLOOR, f"origin mean acc {acc_origin:.4f} < {ORIGIN_ACC_FLOOR}"
+    assert acc_refined >= REFINED_ACC_FLOOR, f"refined mean acc {acc_refined:.4f} < {REFINED_ACC_FLOOR}"
 
 
 def arm_means(rows, column):
@@ -256,11 +269,12 @@ def test_criterion_5_synthetic_end_to_end(benchmark_pipeline):
     acc_origin = float(np.mean([r["acc_test"] for r in origin]))
     assert acc_refined >= acc_origin + 0.03, (
         f"refined {acc_refined:.4f} vs origin {acc_origin:.4f}")
+    assert_accuracy_floors(acc_origin, acc_refined)
     assert elapsed < 120.0
     print(f"PASS criterion 5: over 5 seeds held-out p-q >= {worst_pq:.3f} (need 0.3), "
           f"ratio gain >= {worst_gain:.3f} (need 0.10), test acc {acc_origin:.4f} -> "
-          f"{acc_refined:.4f} (+{acc_refined - acc_origin:.4f}, need +0.03), "
-          f"{elapsed:.1f}s < 120s")
+          f"{acc_refined:.4f} (+{acc_refined - acc_origin:.4f}, need +0.03; floors "
+          f"{ORIGIN_ACC_FLOOR} and {REFINED_ACC_FLOOR}), {elapsed:.1f}s < 120s")
 
 
 def test_criterion_6_accuracy_tracks_scorer_quality(benchmark_sweeps):
@@ -290,8 +304,11 @@ def test_criterion_7_stages_compose(benchmark_ablation):
         means[arm] = float(np.mean([r["acc_test"] for r in rows if r["arm"] == arm]))
     floor = max(means["filter"], means["add"]) - 0.01
     assert means["filter_add"] >= floor, f"{means}"
+    acc_origin = float(np.mean([r["acc_test"] for r in rows if r["arm"] == "origin"]))
+    assert_accuracy_floors(acc_origin, means["filter_add"])
     print(f"PASS criterion 7: filter+add mean acc {means['filter_add']:.4f} >= "
-          f"max(filter {means['filter']:.4f}, add {means['add']:.4f}) - 0.01 over 5 seeds")
+          f"max(filter {means['filter']:.4f}, add {means['add']:.4f}) - 0.01 over 5 seeds; "
+          f"origin {acc_origin:.4f} >= {ORIGIN_ACC_FLOOR}, filter+add >= {REFINED_ACC_FLOOR}")
 
 
 @pytest.mark.skipif(not (CORA_NODES and CORA_EDGES),

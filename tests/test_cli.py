@@ -597,13 +597,14 @@ class TestErrorExits:
 
     @pytest.mark.filterwarnings("error")
     def test_divergence_names_the_feature_scale(self, tmp_path, capsys):
-        # binary adjacency powers reach 1.75e8 at k = 8 (raw features: 4.4)
+        # binary adjacency powers reach 1.91e8 at k = 8 (raw features: 5.1)
         cfg_path = write_json(tmp_path, {"edge_features": {"k": 8, "binary": True},
                                          "dataset": {"n": 300}, "seeds": [0]})
         assert main(["pipeline", "--config", cfg_path, "--output-dir", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "FAILED pipeline/refined/seed0: builtins.RuntimeError: training diverged: non-finite loss "
-            "at epoch 1, batch offset 256 (lr=0.1, largest |feature| 1.75e+08)"]
+            "at epoch 1, batch offset 256 (lr=0.1, largest |feature| 1.91e+08, "
+            "largest |parameter| 7.33e+163)"]
 
 
 class TestAblationCommand:
@@ -651,7 +652,7 @@ class TestAblationCommand:
         out = tmp_path / "o"
         assert main(["ablation", "--config", cfg_path, "--output-dir", str(out)]) == 1
         reason = ("builtins.RuntimeError: training diverged: non-finite loss at epoch 1, batch offset 256 "
-                  "(lr=0.1, largest |feature| 1.75e+08)")
+                  "(lr=0.1, largest |feature| 1.91e+08, largest |parameter| 7.33e+163)")
         assert capsys.readouterr().err.splitlines() == [
             f"FAILED ablation/{arm}/seed0: {reason}" for arm, _, _ in cli.ABLATION_ARMS]
         assert [(r["arm"], r["seed"]) for r in read_rows(out / "ablation.csv")] == [

@@ -1,18 +1,20 @@
 """TSV loading and saving, the synthetic generator, and graph degradation."""
 
 import logging
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import lagraph
+from lagraph import data
 from lagraph.data import (
-    _RAW_BLOCK,
     DataFormatError,
     _edge_budget,
-    _Pcg64Draws,
     check_synth_args,
     degrade,
     l1_normalize,
@@ -203,13 +205,13 @@ class TestSynth:
         assert not np.array_equal(g1.col_targets, g3.col_targets)
 
     def test_memory_is_bounded(self):
-        # the graph and node table it returns; one raw block of the generator, _RAW_BLOCK
-        # Python ints at 40 bytes each with their list slot; and the set of placed edge
-        # keys, at 128 bytes a key, room for its table to grow. n = 4000 traces about
-        # 4.3 MB; keeping a list of pair tuples beside the keys traces about 7.8 MB
+        # the graph and node table it returns, and eight int64 arrays the length of the
+        # first batch of edge attempts, twice the edge target. n = 4000 traces about
+        # 2.5 MB, the batch's arrays 1.7 MB of it; holding every array of the batch
+        # through the dedup traces about 3.3 MB
         (g, t), peak = traced_peak(synth, 4000, 4, 16, 0.4, 8.0, 4.0, 0)
         out = sum(a.nbytes for a in (g.row_offsets, g.col_targets, t.features, t.labels, t.split))
-        bound = out + _RAW_BLOCK * 40 + _edge_budget(4000, 8.0)[0] * 128
+        bound = out + 8 * 8 * 2 * _edge_budget(4000, 8.0)[0]
         assert peak <= bound, f"traced peak {peak / 2**20:.2f} MB over {bound / 2**20:.2f} MB"
 
     def test_homophily_law_of_large_numbers(self):
@@ -330,7 +332,7 @@ class TestSynth:
     def test_one_class_builds_at_a_reachable_homophily(self, n, homophily):
         args = dict(n=n, c=1, d=2, homophily=homophily, avg_degree=8.0, feature_sep=1.0, seed=0)
         g, t = synth(**args)
-        g_ref, t_ref = reference_synth(**args)
+        g_ref, t_ref, _ = reference_synth(**args)
         assert g.nonself_degrees().sum() == 8 * n
         assert np.array_equal(g.row_offsets, g_ref.row_offsets)
         assert np.array_equal(g.col_targets, g_ref.col_targets)
@@ -360,76 +362,39 @@ class TestSynth:
         except ValueError:
             assume(False)
         g, t = synth(**args, seed=seed)
-        g_ref, t_ref = reference_synth(**args, seed=seed)
+        g_ref, t_ref, _ = reference_synth(**args, seed=seed)
         assert np.array_equal(g.row_offsets, g_ref.row_offsets)
         assert np.array_equal(g.col_targets, g_ref.col_targets)
         assert np.array_equal(t.features.view(np.uint64), t_ref.features.view(np.uint64))
         assert np.array_equal(t.labels, t_ref.labels)
         assert np.array_equal(t.split, t_ref.split)
 
+    @pytest.mark.parametrize("args", [
+        dict(n=300, c=3, d=2, homophily=0.5, avg_degree=6.0, feature_sep=1.0, seed=4),  # one batch
+        dict(n=200, c=1, d=2, homophily=0.01, avg_degree=8.0, feature_sep=1.0, seed=0),  # many batches
+    ])
+    def test_cap_counts_attempts_exactly(self, args, monkeypatch):
+        """With K the attempt that places the last edge, a cap of K builds the
+        same graph and a cap of K - 1 gives up: the batch draws past the cap
+        are drawn but not made."""
+        g_ref, t_ref, last = reference_synth(**args)
+        budget = data._edge_budget
+        # the feasibility rule would refuse caps this tight before any draw
+        monkeypatch.setattr(data, "check_synth_args", lambda *a, **k: None)
+        monkeypatch.setattr(data, "_edge_budget", lambda n, deg: (budget(n, deg)[0], last))
+        g, t = synth(**args)
+        assert np.array_equal(g.col_targets, g_ref.col_targets)
+        assert np.array_equal(t.features.view(np.uint64), t_ref.features.view(np.uint64))
+        monkeypatch.setattr(data, "_edge_budget", lambda n, deg: (budget(n, deg)[0], last - 1))
+        with pytest.raises(RuntimeError, match="failed to place the requested edges"):
+            synth(**args)
 
-def _replay(ops, seed, prime=False):
-    """Run ``ops`` (a bound ``k`` for ``integers(k)``, ``None`` for ``random()``)
-    on a generator and on a stream over an equal one; return both generators
-    after the stream's ``finish``."""
-    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-    if prime:  # leaves the high half of a word in the uint32 buffer
-        assert rng.integers(7) == twin.integers(7)
-        assert twin.bit_generator.state["has_uint32"] == 1
-    draws = _Pcg64Draws(twin)
-    for i, k in enumerate(ops):
-        got = draws.random() if k is None else draws.integers(k)
-        want = rng.random() if k is None else int(rng.integers(k))
-        assert got == want and type(got) is type(want), (i, k)
-    draws.finish()
-    return rng, twin
-
-
-class TestPcg64Draws:
-    @pytest.mark.parametrize("prime", [False, True])
-    @pytest.mark.parametrize("ops", [
-        [2**31 + 1] * 300,  # about half of all draws rejected
-        [2] * 300,
-        [2**32] * 301,  # odd count: ends with the buffer full
-        [1] * 20 + [5, 1, None, 1],
-        [None, 3, 2**31 + 1, None, 1, 2**32, 16000, None, 2, 97, 2**31 + 1, 5] * 60,
-    ], ids=["k=2^31+1", "k=2", "k=2^32", "k=1", "mixed"])
-    def test_draws_and_final_state_match_the_generator(self, ops, prime):
-        for seed in (0, 1, 41):
-            rng, twin = _replay(ops, seed, prime)
-            assert twin.bit_generator.state == rng.bit_generator.state
-            assert np.array_equal(twin.normal(size=5), rng.normal(size=5))
-            assert np.array_equal(twin.integers(1000, size=5), rng.integers(1000, size=5))
-
-    def test_runs_across_blocks(self, monkeypatch):
-        ops = [None] * 65530 + [3, None, 2**31 + 1, 7] * 10  # crosses the first 65,536-word block
-        rng, twin = _replay(ops, seed=5)
-        assert twin.bit_generator.state == rng.bit_generator.state
-        monkeypatch.setattr("lagraph.data._RAW_BLOCK", 3)  # a boundary every third word
-        mixed = [None, 3, 2**31 + 1, 1, 2**32, None, 16000] * 40
-        rng, twin = _replay(mixed, seed=6, prime=True)
-        assert twin.bit_generator.state == rng.bit_generator.state
-        assert rng.normal() == twin.normal()
-
-    @pytest.mark.parametrize("k", [3, 16001, 2**31 + 1, 2**32 - 1])
-    def test_lemire_rejects_exactly_below_its_threshold(self, k):
-        # buffer the uint32 whose product with k leaves exactly `left` in the low
-        # 32 bits: below the threshold the draw is redone, at it the draw is kept
-        threshold = (2**32 - k) % k
-        for left in (threshold - 1, threshold):
-            rng, twin = np.random.default_rng(k), np.random.default_rng(k)
-            for g in (rng, twin):
-                state = g.bit_generator.state
-                state["has_uint32"], state["uinteger"] = 1, left * pow(k, -1, 2**32) % 2**32
-                g.bit_generator.state = state
-            draws = _Pcg64Draws(twin)
-            assert [draws.integers(k) for _ in range(3)] == [int(rng.integers(k)) for _ in range(3)]
-            draws.finish()
-            assert twin.bit_generator.state == rng.bit_generator.state
-
-    def test_bounds_above_2_to_the_32_are_refused(self):
-        with pytest.raises(ValueError, match="exceeds 2\\*\\*32"):
-            _Pcg64Draws(np.random.default_rng(0)).integers(2**32 + 1)
+    def test_no_module_reads_the_generator_state(self):
+        # outputs rest on the public Generator draws alone, not on a copy of its private algorithms
+        private = re.compile(r"random_raw|bit_generator\.state|\.advance\(")
+        for path in sorted(Path(lagraph.__file__).parent.glob("*.py")):
+            for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+                assert not private.search(line), f"{path.name}:{lineno}: {line.strip()}"
 
 
 class TestDegrade:

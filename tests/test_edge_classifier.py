@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -554,8 +555,20 @@ class TestTraining:
         features = rng.normal(size=(6, 2))
         features[0, 0] = np.inf
         pairs = random_pairset(rng, 6, 8)
-        with pytest.raises(RuntimeError, match=r"non-finite loss at epoch 0, .*largest \|feature\| inf\)"):
+        with pytest.raises(RuntimeError, match=r"non-finite loss at epoch 0, .*largest \|feature\| inf, "):
             train(pairs, features, TrainConfig(epochs=2, seed=0))
+
+    @pytest.mark.filterwarnings("error")
+    def test_late_divergence_names_the_parameter_scale(self):
+        # a momentum blow-up many epochs in: the features are ordinary, the parameters are not
+        g, t = synth(n=300, c=4, d=16, homophily=0.4, avg_degree=8.0, feature_sep=4.0, seed=0)
+        cfg = TrainConfig(learning_rate=1.0, epochs=100)
+        with pytest.raises(RuntimeError) as err:
+            train(build_pairs(g, t, cfg), t.features, cfg)
+        epoch, feature, parameter = re.search(r"non-finite loss at epoch (\d+), .*largest \|feature\| (\S+), "
+                                              r"largest \|parameter\| (\S+)\)$", str(err.value)).groups()
+        assert int(epoch) >= 10
+        assert float(parameter) > 1e50 * float(feature)
 
     @pytest.mark.filterwarnings("error")
     def test_divergence_in_the_last_step_is_reported(self):

@@ -170,7 +170,7 @@ class TestGcnLossMatchesFullRowReference:
             g, t = directed_problem(rng, n, d, c)
             model = GcnModel(w1=_uniform_init(rng, d, (d, h)), b1=np.zeros(h),
                              w2=_uniform_init(rng, h, (h, c)), b2=np.zeros(c), norm=norm)
-            inputs = models._gcn_inputs(g, t, norm)
+            inputs = models._gcn_inputs(g, t, norm, h)
             for epoch in range(5):
                 got = gcn_loss_and_grad(model, g, t, 5e-4, _inputs=inputs)
                 want = reference_gcn_loss_and_grad(model, g, t, 5e-4)

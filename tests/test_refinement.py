@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from lagraph import refinement
 from lagraph.data import synth
-from lagraph.edge_classifier import TrainConfig, build_pairs, init_classifier, make_scorer, train
-from lagraph.graph import Graph, NodeTable, positive_ratio, two_hop_blocks
+from lagraph.edge_classifier import TrainConfig, build_pairs, init_classifier, make_scorer, pair_quality, train
+from lagraph.graph import Graph, NodeTable, positive_ratio, two_hop_blocks, unordered_pairs
 from lagraph.hashing import unit_uniform
 from lagraph.propagation import EdgeFeatureConfig, edge_input_features
 from lagraph.refinement import (
@@ -437,6 +437,29 @@ class TestRefine:
         assert rep.edges_before - rep.edges_removed + rep.edges_added == rep.edges_after
         assert rep.ratio_before == positive_ratio(g, t).graph_ratio
         assert rep.ratio_after == positive_ratio(got, t).graph_ratio
+
+    @pytest.mark.parametrize("kind", ["trained", "oracle"])
+    def test_filter_ratio_counts_the_kept_pairs(self, kind):
+        """On an undirected, fully labeled graph a filter-only pass keeps both
+        directions of each input pair that scores at or above the threshold, so
+        the refined graph holds 2 tp same-label edges among 2 (tp + fp)."""
+        g, t = synth(n=400, c=4, d=16, homophily=0.4, avg_degree=8.0, feature_sep=4.0, seed=2)
+        rcfg = RefinementConfig(threshold=0.5, do_add=False)
+        if kind == "trained":
+            features = edge_input_features(g, t, EdgeFeatureConfig())
+            cfg = TrainConfig(proj_dim=8, hidden_widths=(8,), num_sampled=400)
+            clf = train(build_pairs(g, t, cfg), features, cfg)
+            refined, rep = refine(g, t, clf, rcfg, features=features)
+            scorer = make_scorer(clf, features)
+        else:
+            scorer = oracle_scorer(t, OracleClassifier(target_p=0.8, target_q=0.3, seed=1))
+            refined, rep = refine(g, t, scorer, rcfg)
+        lo, hi, _, _ = unordered_pairs(g.edge_sources(), g.col_targets, g.num_nodes)
+        q = pair_quality(scorer(lo, hi) >= rcfg.threshold, t.labels[lo] == t.labels[hi])
+        assert q.tp > 0 and q.fp > 0 and q.fn + q.tn > 0
+        after = positive_ratio(refined, t)
+        assert (after.positive_edges, after.counted_edges) == (2 * q.tp, 2 * (q.tp + q.fp))
+        assert rep.ratio_after == q.tp / (q.tp + q.fp)
 
     def test_memory_is_bounded(self):
         # the refined graph and the added pairs; the scorer's node projection; and the
