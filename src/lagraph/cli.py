@@ -39,7 +39,7 @@ from .graph import Graph, NodeTable, positive_ratio, unordered_pairs
 from .models import FitConfig, accuracy, gcn_fit, predict, sgc_fit
 from .propagation import EdgeFeatureConfig, PropagationConfig, edge_input_features
 from .refinement import OracleClassifier, RefinementConfig, oracle_scorer, refine
-from .theory import SWEEP_MIXTURE, check_propositions, mc_aggregate, sweep_passes
+from .theory import MC_BLOCK_ROWS, SWEEP_MIXTURE, check_propositions, mc_aggregate, sweep_passes
 
 METRICS_HEADER = ("experiment", "arm", "seed", "ratio_before", "ratio_after",
                   "p", "q", "p_pre", "acc_train", "acc_val", "acc_test", "config_hash")
@@ -542,9 +542,48 @@ THEORY_SWEEP_HEADER = ("mode", "n_plus", "n_minus", "n_added", "p", "q", "p_pre"
                        "gap", "config_hash")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sweep_pass(shared, gm, trials: int, seed: int) -> list:
+    """The ``McResult`` of each arm of one ``theory.sweep_passes`` pass, in arm order."""
+    return [mc_aggregate(arm.spec, gm, mode=arm.mode, trials=trials, seed=seed,
+                         p=arm.p, q=arm.q, p_pre=arm.p_pre, shared=shared)
+            for arm in shared.arms]
+
+
+def _forked_sweep(cpus: int, gm, trials: int, seed: int) -> list:
+    """``(arms, results)`` of each sweep pass, in sweep order, each pass
+    computed whole in one forked worker, one worker per CPU and pass."""
+    import concurrent.futures
+    import multiprocessing
+
+    import scipy.special  # noqa: F401 -- loaded once here, so no worker imports it
+
+    passes = list(sweep_passes())  # the parent's copies never hold arrays
+    largest_first = sorted(passes, key=lambda s: s.arms[0].spec.n_plus + s.arms[0].spec.n_minus,
+                           reverse=True)
+    # fork, not spawn: a spawned worker imports numpy, scipy and lagraph again, which
+    # took the 20,000-trial sweep from 0.1 s to 0.6 s on a 2-vCPU Xeon
+    pool = concurrent.futures.ProcessPoolExecutor(min(cpus, len(passes)),
+                                                  mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = {s: pool.submit(_sweep_pass, s, gm, trials, seed) for s in largest_first}
+        return [(s.arms, futures[s].result()) for s in passes]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_theory(cfg: ExperimentConfig) -> int:
     """Check the expectation inequalities on the full grid and emit a CSV
-    comparing closed forms against Monte Carlo over ``theory.sweep_passes``."""
+    comparing closed forms against Monte Carlo over ``theory.sweep_passes``.
+    From 2 usable CPUs and ``2 * MC_BLOCK_ROWS`` trials on, the passes run on
+    forked workers; the bytes are the same, as each pass runs whole in one
+    process."""
     os.makedirs(cfg.output_dir, exist_ok=True)
     start = time.perf_counter()
     report = check_propositions()
@@ -553,11 +592,14 @@ def run_theory(cfg: ExperimentConfig) -> int:
     write_json(prop_path, report.to_dict())
 
     gm, seed, trials = SWEEP_MIXTURE, cfg.seeds[0], cfg.theory_trials
+    cpus = _usable_cpus()
+    if cpus >= 2 and trials >= 2 * MC_BLOCK_ROWS:
+        swept = _forked_sweep(cpus, gm, trials, seed)
+    else:
+        swept = [(shared.arms, _sweep_pass(shared, gm, trials, seed)) for shared in sweep_passes()]
     rows = []
-    for shared in sweep_passes():
-        for arm in shared.arms:
-            res = mc_aggregate(arm.spec, gm, mode=arm.mode, trials=trials, seed=seed,
-                               p=arm.p, q=arm.q, p_pre=arm.p_pre, shared=shared)
+    for arms, results in swept:
+        for arm, res in zip(arms, results):
             rows.append({"mode": arm.mode, "n_plus": arm.spec.n_plus, "n_minus": arm.spec.n_minus,
                          "n_added": arm.spec.n_added, "p": arm.p, "q": arm.q,
                          "p_pre": arm.p_pre, "mu_plus": gm.mu_plus, "mu_minus": gm.mu_minus,

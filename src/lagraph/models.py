@@ -170,14 +170,19 @@ class _GcnInputs:
     idx: np.ndarray
     y: np.ndarray
     a1: np.ndarray
-    work: np.ndarray  # (3, n, h), written over by each epoch, not allocated: s1, relu(s1), a2 on the train rows
+    # written over by each epoch, not allocated: s1, relu(s1) and a2 (n, h),
+    # and the logits' gradient (n, c); the last two are zero off the train rows
+    work: tuple[np.ndarray, ...]
 
 
 def _gcn_inputs(g: Graph, t: NodeTable, norm: str, h: int) -> _GcnInputs:
     agg, _ = aggregation(g, norm)
     a1 = agg(_check_inputs(g, t.features))  # before ``rows=`` indexes the adjacency by node id
     idx, y = _train_targets(t)
-    return _GcnInputs(agg, *aggregation(g, norm, rows=idx), idx, y, a1, np.zeros((3, g.num_nodes, h)))
+    n = g.num_nodes
+    # work last, so the restricted step's temporaries are freed before it is allocated
+    return _GcnInputs(agg, *aggregation(g, norm, rows=idx), idx, y, a1,
+                      (*np.zeros((3, n, h)), np.zeros((n, t.num_classes))))
 
 
 def _gcn_logits(model: GcnModel, agg, a1: np.ndarray) -> np.ndarray:
@@ -197,16 +202,17 @@ def gcn_loss_and_grad(model: GcnModel, g: Graph, t: NodeTable, weight_decay: flo
 
     The loss reads only the labeled train rows' logits, so the second
     aggregation and its adjoint run over those rows alone. Their logits
-    product still runs at n rows, zero elsewhere: BLAS can round a row
-    differently at another row count, and these logits must match
-    :func:`gcn_forward`'s to the bit.
+    product, and the ``w2`` gradient's reduction over rows, still run at n
+    rows, zero elsewhere: BLAS can round a row, or order a sum, differently
+    at another row count, and these must match the full-row pass to the bit
+    on any kernel.
 
     ``_inputs`` is what :func:`gcn_fit` prepares once per fit; without it
     they are derived from ``g``, ``t`` and ``model.norm`` on every call.
     """
     inputs = _gcn_inputs(g, t, model.norm, model.w1.shape[1]) if _inputs is None else _inputs
     idx, y, a1 = inputs.idx, inputs.y, inputs.a1
-    s1, h1, full = inputs.work  # full stays zero off the train rows
+    s1, h1, full, g_full = inputs.work  # full and g_full stay zero off the train rows
     m = idx.shape[0]
     np.matmul(a1, model.w1, out=s1)
     s1 += model.b1
@@ -219,7 +225,8 @@ def gcn_loss_and_grad(model: GcnModel, g: Graph, t: NodeTable, weight_decay: flo
     delta = probs
     delta[np.arange(m), y] -= 1.0
     delta /= m
-    grad_w2 = a2.T @ delta + weight_decay * model.w2
+    g_full[idx] = delta
+    grad_w2 = full.T @ g_full + weight_decay * model.w2
     grad_b2 = delta.sum(axis=0)
     g_h1 = inputs.agg_train_t(delta @ model.w2.T)
     g_s1 = np.multiply(g_h1, s1 > 0.0, out=g_h1)

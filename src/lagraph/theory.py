@@ -203,7 +203,11 @@ SWEEP_MIXTURE = GaussianMixtureParams(mu_plus=1.0, mu_minus=-1.0, sigma2=1.0, ta
 
 def sweep_passes():
     """The sweep's neighborhoods as one :class:`SharedPass` each. A pass is
-    built when the previous one is done with, so only one holds arrays."""
+    built when the previous one is done with, so only one holds arrays in
+    a process. ``lagraph theory`` runs the passes on forked workers, one per
+    usable CPU, when it may use 2 or more CPUs and has at least
+    ``2 * MC_BLOCK_ROWS`` trials; each pass is computed whole in one process,
+    so its outputs are the same bytes at any worker count."""
     for n_plus in (1, 3, 5):
         for n_minus in (1, 3, 5):
             spec = NeighborhoodSpec(n_plus=n_plus, n_minus=n_minus)

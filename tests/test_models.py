@@ -1,5 +1,11 @@
 """Linear and two-layer node classifiers: gradients, fitting, prediction."""
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
@@ -178,6 +184,18 @@ class TestGcnLossMatchesFullRowReference:
                 for name, a, b in zip(("w1", "b1", "w2", "b2"), got[1:], want[1:]):
                     assert np.array_equal(a, b), (seed, epoch, name)
                     setattr(model, name, getattr(model, name) - 0.5 * a)
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="OPENBLAS_CORETYPE names x86-64 kernels")
+    @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+    def test_bitwise_under_another_blas_kernel(self, coretype):
+        # OpenBLAS picks its kernel when it loads, so the check runs in a
+        # child process with the variable set in the child's environment only
+        test = f"{Path(__file__).name}::{type(self).__name__}::test_bitwise_over_epochs"
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+                              cwd=Path(__file__).parent, env=dict(os.environ, OPENBLAS_CORETYPE=coretype),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-2000:]
 
 
 def mlp_loss_and_grad(model, x, idx, y, wd):

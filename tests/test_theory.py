@@ -2,6 +2,8 @@
 the exhaustive inequality grid."""
 
 import math
+import multiprocessing
+import os
 import weakref
 
 import numpy as np
@@ -420,6 +422,51 @@ class TestTheoryDrawsOnce:
         assert run_theory(config_from_dict({"theory_trials": 200,
                                             "output_dir": str(tmp_path)})) == 0
         assert len(passes) == 9
+
+
+class TestForkedSweep:
+    """At ``2 * MC_BLOCK_ROWS`` trials or more, on 2 or more CPUs, the sweep's
+    passes run on forked workers."""
+
+    pytestmark = pytest.mark.skipif(cli._usable_cpus() < 2, reason="one usable CPU: no workers")
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_workers_write_the_bytes_of_one_process(self, monkeypatch, tmp_path, seed):
+        forked = []
+        original_sweep = cli._forked_sweep
+
+        def counted_sweep(*args):
+            forked.append(args)
+            return original_sweep(*args)
+
+        def outputs(out):
+            assert run_theory(config_from_dict({"theory_trials": 3 * MC_BLOCK_ROWS, "seeds": [seed],
+                                                "output_dir": str(out)})) == 0
+            return [(out / name).read_bytes() for name in ("theory_sweep.csv", "theory_propositions.json")]
+
+        monkeypatch.setattr(cli, "_forked_sweep", counted_sweep)
+        on_workers = outputs(tmp_path / "workers")
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        assert outputs(tmp_path / "one") == on_workers
+        assert len(forked) == 1
+
+    def test_no_worker_outlives_the_sweep(self, monkeypatch, tmp_path):
+        cfg = config_from_dict({"theory_trials": 2 * MC_BLOCK_ROWS, "output_dir": str(tmp_path)})
+        assert run_theory(cfg) == 0
+        assert multiprocessing.active_children() == []
+
+        original_mc = cli.mc_aggregate
+
+        def failing_mc(spec, *args, **kwargs):
+            if spec.n_plus == 3 and spec.n_minus == 5:
+                raise FloatingPointError("pass failed", os.getpid())
+            return original_mc(spec, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "mc_aggregate", failing_mc)
+        with pytest.raises(FloatingPointError, match="pass failed") as err:
+            run_theory(cfg)
+        assert err.value.args[1] != os.getpid()  # raised in a worker
+        assert multiprocessing.active_children() == []
 
 
 class TestOneDrawKernel:
