@@ -32,10 +32,10 @@ from .edge_classifier import (
     build_pairs,
     evaluate_quality,
     holdout_pairs,
-    pair_quality,
+    quality_from_counts,
     train,
 )
-from .graph import Graph, NodeTable, positive_ratio, unordered_pairs
+from .graph import Graph, NodeTable, positive_ratio
 from .models import FitConfig, accuracy, gcn_fit, predict, sgc_fit
 from .propagation import EdgeFeatureConfig, PropagationConfig, edge_input_features
 from .refinement import OracleClassifier, RefinementConfig, oracle_scorer, refine
@@ -149,23 +149,17 @@ def _coerced(values: dict, types: dict, path: str) -> dict:
     return out
 
 
-def _typed(cls, section: dict, path: str) -> dict:
-    """``section`` with each key that names a field of config dataclass
-    ``cls`` coerced to the field's declared type."""
-    return _coerced(section, typing.get_type_hints(cls), path)
-
-
-def _build(cls, section: dict, path: str, **fixed):
+def _build(cls, section: dict, path: str):
     """Instantiate config dataclass ``cls`` from the keys of a config section
     that name its fields, each coerced to the field's declared type.
 
-    ``fixed`` supplies fields the section does not carry. ``__post_init__``
-    errors become a :class:`ConfigError` naming the section.
+    Returns the instance and the section with those keys coerced.
+    ``__post_init__`` errors become a :class:`ConfigError` naming the section.
     """
-    typed = _typed(cls, section, path)
+    typed = _coerced(section, typing.get_type_hints(cls), path)
     kwargs = {f.name: typed[f.name] for f in dataclasses.fields(cls) if f.name in typed}
     try:
-        return cls(**kwargs, **fixed)
+        return cls(**kwargs), typed
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -208,13 +202,11 @@ def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> Experimen
     if scorer["kind"] not in ("trained", "oracle"):
         raise ConfigError("scorer.kind must be 'trained' or 'oracle'")
     if scorer["kind"] == "oracle":
-        scorer = _typed(OracleClassifier, scorer, "scorer")
-        oracle = _build(OracleClassifier, scorer, "scorer")
+        oracle, scorer = _build(OracleClassifier, scorer, "scorer")
     if model["kind"] not in ("sgc", "gcn"):
         raise ConfigError("model.kind must be 'sgc' or 'gcn'")
     if model["kind"] == "sgc":
-        model = _typed(PropagationConfig, model, "model")
-        _build(PropagationConfig, model, "model")
+        _, model = _build(PropagationConfig, model, "model")
     scalars = _coerced(resolved, _SCALAR_TYPES, "config")
     if not scalars["seeds"]:
         raise ConfigError("seeds must be non-empty")
@@ -236,16 +228,16 @@ def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> Experimen
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"sweep.values: {exc}") from exc
     classes = {"edge_features": EdgeFeatureConfig, "edge_classifier": TrainConfig, "refinement": RefinementConfig}
-    sections = {name: _typed(cls, resolved[name], name) for name, cls in classes.items()}
-    model = _typed(FitConfig, model, "model")
+    built = {name: _build(cls, resolved[name], name) for name, cls in classes.items()}
+    fit, model = _build(FitConfig, model, "model")
     # hash covers everything that shapes the numbers, as coerced; where they land does not
-    hashed = {**{k: v for k, v in scalars.items() if k != "output_dir"},
-              "dataset": ds, "scorer": scorer, "model": model, "sweep": sweep, **sections}
+    hashed = {**{k: v for k, v in scalars.items() if k != "output_dir"}, "dataset": ds, "scorer": scorer,
+              "model": model, "sweep": sweep, **{name: typed for name, (_, typed) in built.items()}}
     blob = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
     return ExperimentConfig(
         dataset=ds,
-        **{name: _build(cls, sections[name], name) for name, cls in classes.items()},
-        fit=_build(FitConfig, model, "model"),
+        **{name: instance for name, (instance, _) in built.items()},
+        fit=fit,
         scorer=oracle,
         model=model,
         seeds=scalars["seeds"],
@@ -343,21 +335,6 @@ def _fit_metrics(g: Graph, t: NodeTable, model_cfg: dict, fit: FitConfig) -> dic
     return {f"acc_{split}": accuracy(pred, t, split) for split in ("train", "val", "test")}
 
 
-def _oracle(g: Graph, t: NodeTable, oc: OracleClassifier, threshold: float, shared: dict | None = None):
-    """The oracle's ``(scorer, None, quality_cols)``: no features, as it reads
-    labels. The columns hold, in filter mode, the (p, q) it realizes at
-    ``threshold`` over the pairs ``filter_edges`` scores; in add mode all NaN
-    (p_pre comes from the refinement report). Add-mode scorers given one
-    ``shared`` dict share one sorted queue per graph."""
-    scorer = oracle_scorer(t, oc, _shared=shared)
-    cols = {"p": float("nan"), "q": float("nan"), "p_pre": float("nan")}
-    if oc.mode == "filter":
-        u, v, _, _ = unordered_pairs(g.edge_sources(), g.col_targets, g.num_nodes)
-        quality = pair_quality(scorer(u, v) >= threshold, t.labels[u] == t.labels[v])
-        cols.update(p=quality.p, q=quality.q)
-    return scorer, None, cols
-
-
 def _trained(cfg: ExperimentConfig, g: Graph, t: NodeTable, seed: int):
     """The seed's classifier as ``(classifier, features, quality_cols)``: its
     held-out p/q/p_pre, counted at ``refinement.threshold`` like every other rate."""
@@ -437,17 +414,21 @@ def _run_experiment(cfg: ExperimentConfig, experiment: str,
         try:
             trained = _trained(cfg, g, t, seed) if any(oc is None for _, _, oc in arms) else None
             shared = {}  # the add-mode oracles of a seed sort its pools once
+            # an oracle reads labels, not features; its rates are the ones its refinement realizes
             scorers = [trained if oc is None else
-                       _oracle(g, t, dataclasses.replace(oc, seed=seed), rcfg.threshold, shared)
-                       for _, rcfg, oc in arms]
+                       (oracle_scorer(t, dataclasses.replace(oc, seed=seed), _shared=shared), None, {})
+                       for _, _, oc in arms]
         except Exception as exc:  # noqa: BLE001
             for arm, _, _ in arms:
                 fail(arm, seed, exc)
             return
         if trained:
-            sidecars["training"][f"seed{seed}"] = {"final_loss": float(trained[0].final_loss),
-                                                   "loss_history": trained[0].loss_history.tolist()}
-        for (arm, rcfg, _), (scorer, features, cols) in zip(arms, scorers):
+            # at write_csv's 10 digits, where a BLAS kernel's last-bit differences do not show
+            clf = trained[0]
+            sidecars["training"][f"seed{seed}"] = {
+                "final_loss": float(_fmt(clf.final_loss)),
+                "loss_history": [float(_fmt(x)) for x in clf.loss_history.tolist()]}
+        for (arm, rcfg, oc), (scorer, features, cols) in zip(arms, scorers):
             def refined_arm():
                 refined, report = refine(g, t, scorer, rcfg, features=features)
                 sidecars["refinement"][f"seed{seed}/{arm}"] = report.to_dict()
@@ -455,11 +436,14 @@ def _run_experiment(cfg: ExperimentConfig, experiment: str,
                 if cfg.dump_refined:
                     base = os.path.join(cfg.output_dir, f"{experiment}_{arm}_seed{seed}")
                     data.save(refined, t, base + ".nodes.tsv", base + ".edges.tsv")
-                p_pre = cols["p_pre"]
-                if rcfg.do_add and math.isnan(p_pre):
-                    p_pre = report.added_precision
+                quality = dict(cols)
+                if oc is not None and report.filter_counts is not None:
+                    realized = quality_from_counts(**report.filter_counts)
+                    quality.update(p=realized.p, q=realized.q)
+                if rcfg.do_add and math.isnan(quality.get("p_pre", math.nan)):
+                    quality["p_pre"] = report.added_precision
                 return _row(experiment, arm, seed, cfg, report.ratio_before,
-                            report.ratio_after, dict(cols, p_pre=p_pre), metrics)
+                            report.ratio_after, quality, metrics)
 
             run(arm, seed, refined_arm)
 
@@ -481,7 +465,7 @@ def _run_experiment(cfg: ExperimentConfig, experiment: str,
 def _stages(cfg: ExperimentConfig, do_filter: bool, do_add: bool) -> RefinementConfig:
     """``cfg.refinement`` with the given stages on; an ``n_max`` that cannot add is refused."""
     stages = {**dataclasses.asdict(cfg.refinement), "do_filter": do_filter, "do_add": do_add}
-    return _build(RefinementConfig, stages, "refinement")
+    return _build(RefinementConfig, stages, "refinement")[0]
 
 
 def run_pipeline(cfg: ExperimentConfig, experiment: str = "pipeline",

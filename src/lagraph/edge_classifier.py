@@ -304,19 +304,6 @@ def loss_and_grad(clf: EdgeClassifier, features: np.ndarray, pairset: PairSet,
     return loss, grad_proj, grad_layers
 
 
-def _bind_flat(clf: EdgeClassifier) -> np.ndarray:
-    """Copy every parameter of ``clf`` into one float64 buffer and point
-    ``clf.proj`` and ``clf.layers`` at views of it, so one in-place update
-    steps them all. Returns the buffer."""
-    arrays = [clf.proj, *(a for layer in clf.layers for a in layer)]
-    flat = np.concatenate(arrays, axis=None, dtype=np.float64)
-    parts = np.split(flat, np.cumsum([a.size for a in arrays])[:-1])
-    views = [part.reshape(a.shape) for part, a in zip(parts, arrays)]
-    clf.proj = views[0]
-    clf.layers = list(zip(views[1::2], views[2::2]))
-    return flat
-
-
 def train(pairset: PairSet, features: np.ndarray, cfg: TrainConfig = TrainConfig()) -> EdgeClassifier:
     """Fit the classifier on a pair set over the given node features.
 
@@ -337,9 +324,8 @@ def train(pairset: PairSet, features: np.ndarray, cfg: TrainConfig = TrainConfig
     n = len(pairset)
     batch = min(cfg.batch_size, n)
 
-    params = _bind_flat(clf)
-    grad = np.empty_like(params)
-    vel = np.zeros_like(params)
+    params = [clf.proj, *(a for layer in clf.layers for a in layer)]
+    vels = [np.zeros_like(p) for p in params]
     history = []
     # an overflow makes a batch loss non-finite (by the next batch, or the
     # final loss, at the latest), which the checks report; numpy's warnings
@@ -356,12 +342,12 @@ def train(pairset: PairSet, features: np.ndarray, cfg: TrainConfig = TrainConfig
                         f"training diverged: non-finite loss at epoch {epoch}, "
                         f"batch offset {start} (lr={cfg.learning_rate}, "
                         f"largest |feature| {np.abs(features).max():.3g}, "
-                        f"largest |parameter| {np.abs(params).max():.3g})")
+                        f"largest |parameter| {np.abs(np.concatenate(params, axis=None)).max():.3g})")
                 total += loss * idx.shape[0]
-                np.concatenate([g_proj, *(g for layer in g_layers for g in layer)], axis=None, out=grad)
-                vel *= cfg.momentum
-                vel -= cfg.learning_rate * grad
-                params += vel
+                for p, vel, grad in zip(params, vels, [g_proj, *(g for layer in g_layers for g in layer)]):
+                    vel *= cfg.momentum
+                    vel -= cfg.learning_rate * grad
+                    p += vel
             history.append(total / n)
         logits = np.empty(n)
         for start in range(0, n, SCORE_BLOCK):

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .edge_classifier import EdgeClassifier, make_scorer, pair_quality
-from .graph import Graph, NodeTable, positive_ratio, two_hop_blocks, unordered_pairs
+from .graph import UNKNOWN_LABEL, Graph, NodeTable, positive_ratio, two_hop_blocks, unordered_pairs
 from .hashing import unit_uniform
 # bound for the benchmark tracer (perfbench/spans.py wraps these module names); unused here
 from .graph import two_hop_candidates  # noqa: F401
@@ -54,7 +54,9 @@ class RefinementReport:
     ``edges_before - edges_removed + edges_added == edges_after`` exactly.
     Ratios are NaN when labels were unavailable; ``added_precision`` is the
     same-label fraction among added pairs with both labels known (NaN when
-    there are none).
+    there are none). ``filter_counts`` holds the filter's tp, fp, fn and tn
+    over pairs with both labels known, kept ones predicted same-label (None
+    without a filter stage).
     """
 
     edges_before: int
@@ -66,6 +68,7 @@ class RefinementReport:
     degree_hist_before: list[int] = field(default_factory=list)
     degree_hist_after: list[int] = field(default_factory=list)
     added_precision: float = float("nan")
+    filter_counts: dict[str, int] | None = None
     added_pairs: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
 
     def to_dict(self) -> dict:
@@ -96,18 +99,24 @@ def _report(before: Graph, after: Graph, removed: int = 0, added_pairs: np.ndarr
     )
 
 
-def filter_edges(g: Graph, scorer: PairScorer, threshold: float) -> tuple[Graph, RefinementReport]:
-    """Drop non-self edges whose unordered pair scores under ``threshold``."""
+def filter_edges(g: Graph, scorer: PairScorer, threshold: float,
+                 labels: np.ndarray) -> tuple[Graph, RefinementReport]:
+    """Drop non-self edges whose unordered pair scores under ``threshold``,
+    counting the ``filter_counts`` of the kept pairs against ``labels``."""
     sources, targets = g.edge_sources(), g.col_targets
     pu, pv, nonself, inverse = unordered_pairs(sources, targets, g.num_nodes)
-    keep = np.ones(g.num_edges, dtype=bool)
-    if pu.size:
-        scores = np.asarray(scorer(pu, pv), dtype=np.float64)
-        if scores.shape != pu.shape:
-            raise ValueError("scorer must return one score per pair")
-        keep[nonself] = (scores >= threshold)[inverse]
+    scores = np.asarray(scorer(pu, pv), dtype=np.float64) if pu.size else np.zeros(0)
+    if scores.shape != pu.shape:
+        raise ValueError("scorer must return one score per pair")
+    kept, keep = scores >= threshold, np.ones(g.num_edges, dtype=bool)
+    keep[nonself] = kept[inverse]
+    known = labels != UNKNOWN_LABEL
+    counted = known[pu] & known[pv]
+    q = pair_quality(kept[counted], labels[pu[counted]] == labels[pv[counted]])
     refined = Graph.from_sorted(g.num_nodes, sources[keep], targets[keep])
-    return refined, _report(g, refined, removed=int(np.count_nonzero(~keep)))
+    report = _report(g, refined, removed=int(np.count_nonzero(~keep)))
+    report.filter_counts = {"tp": q.tp, "fp": q.fp, "fn": q.fn, "tn": q.tn}
+    return refined, report
 
 
 def add_edges(g: Graph, scorer: PairScorer, n_max: int, threshold: float) -> tuple[Graph, RefinementReport]:
@@ -135,6 +144,7 @@ def add_edges(g: Graph, scorer: PairScorer, n_max: int, threshold: float) -> tup
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    n_max = min(n_max, g.num_nodes)  # a non-self degree is under n, so a larger bound adds the same
     walk = getattr(scorer, "walk", None)
     if walk is not None:
         (ranked, p_pre), cut = walk(g, n_max), threshold
@@ -152,8 +162,9 @@ def add_edges(g: Graph, scorer: PairScorer, n_max: int, threshold: float) -> tup
     degrees, indptr, lead = ranked.degrees.tolist(), ranked.indptr.tolist(), ranked.lead.tolist()
     n = g.num_nodes
     # each node is walked once, in id order, so a walk changes only the degrees and
-    # exclusions of the nodes it picks; it picks at most n_max - its starting degree
-    arr = np.empty((int(np.maximum(n_max - ranked.degrees, 0).sum()), 2), dtype=np.int64)
+    # exclusions of the nodes it picks; it picks at most n_max - its starting degree,
+    # and no more than its pool holds
+    arr = np.empty((int(np.clip(n_max - ranked.degrees, 0, np.diff(ranked.indptr)).sum()), 2), dtype=np.int64)
     added_adj: list[list[int]] = [[] for _ in range(n)]
     k = 0
     for v in range(n):
@@ -241,7 +252,7 @@ def refine(g: Graph, t: NodeTable, classifier, cfg: RefinementConfig = Refinemen
     before = positive_ratio(g, t)
     current, stages = g, []
     if cfg.do_filter:
-        current, rep = filter_edges(current, scorer, cfg.threshold)
+        current, rep = filter_edges(current, scorer, cfg.threshold, t.labels)
         stages.append(rep)
     if cfg.do_add:
         current, rep = add_edges(current, scorer, cfg.n_max, cfg.threshold)
@@ -251,6 +262,7 @@ def refine(g: Graph, t: NodeTable, classifier, cfg: RefinementConfig = Refinemen
     report = _report(g, current, first.edges_removed, last.added_pairs,
                      (first.degree_hist_before, last.degree_hist_after))
     report.ratio_before, report.ratio_after = before.graph_ratio, positive_ratio(current, t).graph_ratio
+    report.filter_counts = first.filter_counts
     pairs, known = report.added_pairs, t.known_mask()
     ok = known[pairs[:, 0]] & known[pairs[:, 1]]
     same = t.labels[pairs[ok, 0]] == t.labels[pairs[ok, 1]]

@@ -10,6 +10,9 @@ import hashlib
 import json
 import math
 import os
+import platform
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -52,15 +55,15 @@ CORA_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "cor
 GOLDEN_DIGESTS = {
     ("numpy 2.4.6", "scipy 1.17.1", "scipy-openblas 0.3.31.188.0"): {
         "ablation.csv": "540e082f88494cdb",
-        "ablation_refinement.json": "cd735839b77da433",
-        "ablation_training.json": "18ebe9dcfde4c236",
+        "ablation_refinement.json": "16d45e9adee8d2da",
+        "ablation_training.json": "e24bc7c8411c84a8",
         "pipeline.csv": "c5a58698b6c0b17d",
-        "pipeline_refinement.json": "a203a6441862cacd",
-        "pipeline_training.json": "18ebe9dcfde4c236",
+        "pipeline_refinement.json": "acf1080fa00b6102",
+        "pipeline_training.json": "e24bc7c8411c84a8",
         "sweep_pmq.csv": "53aa1ad9e2ed63a8",
-        "sweep_pmq_refinement.json": "2e61d4291369f2af",
+        "sweep_pmq_refinement.json": "5a9a45a869f87564",
         "sweep_ppre.csv": "5b5194bf49d19dd7",
-        "sweep_ppre_refinement.json": "3439c0dd35f970d8",
+        "sweep_ppre_refinement.json": "6bbe3327d95e5271",
         "theory_propositions.json": "8b1675963d156de7",
         "theory_sweep.csv": "82d069789700a017",
     },
@@ -77,11 +80,11 @@ GCN_RUNS = {
 GCN_GOLDEN_DIGESTS = {
     ("numpy 2.4.6", "scipy 1.17.1", "scipy-openblas 0.3.31.188.0"): {
         "ablation.csv": "ccbbd87101fd0b33",
-        "ablation_refinement.json": "c1cc89e7b9b7f3c9",
-        "ablation_training.json": "d39df6f7b3941a3c",
+        "ablation_refinement.json": "2b7dfd4b64c5d0eb",
+        "ablation_training.json": "6738a8b67b663bfe",
         "pipeline.csv": "c2633be1f280d1a5",
-        "pipeline_refinement.json": "d019969e0bc4a4e2",
-        "pipeline_training.json": "97bf424d312d4a2a",
+        "pipeline_refinement.json": "2026d771210c7a98",
+        "pipeline_training.json": "6b48175bb3f69ab2",
     },
 }
 
@@ -271,10 +274,19 @@ def test_criterion_5_synthetic_end_to_end(benchmark_pipeline):
         f"refined {acc_refined:.4f} vs origin {acc_origin:.4f}")
     assert_accuracy_floors(acc_origin, acc_refined)
     assert elapsed < 120.0
+    # reported, not gated: how many SDs of a 5-seed mean (SE = SD / sqrt 5) lie
+    # between each floor and its mean
+    spread = []
+    for name, arm, mean, floor in (("origin", origin, acc_origin, ORIGIN_ACC_FLOOR),
+                                   ("refined", refined, acc_refined, REFINED_ACC_FLOOR)):
+        accs = [r["acc_test"] for r in arm]
+        sd = float(np.std(accs, ddof=1))
+        spread.append(f"{name} per seed {', '.join(f'{a:.4f}' for a in accs)} (SD {sd:.4f}), "
+                      f"mean {(mean - floor) / (sd / math.sqrt(len(accs))):.1f} SE above its floor")
     print(f"PASS criterion 5: over 5 seeds held-out p-q >= {worst_pq:.3f} (need 0.3), "
           f"ratio gain >= {worst_gain:.3f} (need 0.10), test acc {acc_origin:.4f} -> "
           f"{acc_refined:.4f} (+{acc_refined - acc_origin:.4f}, need +0.03; floors "
-          f"{ORIGIN_ACC_FLOOR} and {REFINED_ACC_FLOOR}), {elapsed:.1f}s < 120s")
+          f"{ORIGIN_ACC_FLOOR} and {REFINED_ACC_FLOOR}), {elapsed:.1f}s < 120s; {'; '.join(spread)}")
 
 
 def test_criterion_6_accuracy_tracks_scorer_quality(benchmark_sweeps):
@@ -406,3 +418,17 @@ def test_golden_gcn_output_digests(tmp_path):
     got = assert_digests(dirs, GCN_GOLDEN_DIGESTS[fingerprint], "GCN outputs")
     print(f"PASS golden GCN outputs: {len(got)} files byte-identical to the table for "
           f"{', '.join(fingerprint)}")
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_golden_digests_under_another_blas_kernel(coretype):
+    # OpenBLAS picks its kernel when it loads, so both digest tests rerun in a
+    # child process with the variable set in the child's environment only
+    tests = [f"{Path(__file__).name}::{name}"
+             for name in ("test_golden_output_digests", "test_golden_gcn_output_digests")]
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+                          cwd=Path(__file__).parent, env=dict(os.environ, OPENBLAS_CORETYPE=coretype),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-2000:]

@@ -26,7 +26,7 @@ from lagraph.edge_classifier import (
 )
 from lagraph.propagation import edge_input_features
 from lagraph.graph import Graph, NodeTable
-from lagraph.refinement import OracleClassifier, filter_edges
+from lagraph.refinement import OracleClassifier
 from lagraph.cli import (
     DEFAULT_CONFIG,
     METRICS_HEADER,
@@ -272,6 +272,10 @@ class TestPipelineCommand:
         assert set(reports) == {"seed0/refined", "seed1/refined"}
         rep = reports["seed0/refined"]
         assert rep["edges_before"] - rep["edges_removed"] + rep["edges_added"] == rep["edges_after"]
+        # the filter's own count: both directions of each dropped pair go, every label is known
+        counts = rep["filter_counts"]
+        assert set(counts) == {"tp", "fp", "fn", "tn"}
+        assert rep["edges_removed"] == 2 * (counts["fn"] + counts["tn"]) > 0
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_path = write_json(tmp_path, fast_config())
@@ -346,8 +350,10 @@ class TestPipelineCommand:
             pairs = build_pairs(g, t, dataclasses.replace(cfg.edge_classifier, seed=seed))
             weights = pair_weights(pairs, cfg.edge_classifier.class_weighting)
             curve = curves[f"seed{seed}"]
-            assert curve["loss_history"] == clf.loss_history.tolist() and len(curve["loss_history"]) == 15
-            assert curve["final_loss"] == loss_and_grad(clf, features, pairs, weights)[0]
+            # written at 10 significant digits, as the metrics CSV is
+            assert curve["loss_history"] == [float(f"{x:.10g}") for x in clf.loss_history]
+            assert len(curve["loss_history"]) == 15
+            assert curve["final_loss"] == float(f"{loss_and_grad(clf, features, pairs, weights)[0]:.10g}")
         header = (out1 / "pipeline.csv").read_text(encoding="utf-8").splitlines()[0]
         assert header == ",".join(METRICS_HEADER)
 
@@ -370,7 +376,7 @@ class TestRealizedFilterQuality:
                       split=np.array([0, 0, 1, 2], dtype=np.int8))
         return g, t
 
-    def test_scores_the_pairs_filter_edges_scores(self, monkeypatch):
+    def test_scores_the_pairs_filter_edges_scores(self, monkeypatch, tmp_path):
         g, t = self.one_way_graph()
         seen = []
         build = cli.oracle_scorer
@@ -385,11 +391,15 @@ class TestRealizedFilterQuality:
             return scorer
 
         monkeypatch.setattr(cli, "oracle_scorer", recording_oracle)
-        scorer, features, cols = cli._oracle(g, t, OracleClassifier(mode="filter"), 0.5)
-        assert features is None
-        filter_edges(g, scorer, 0.5)
-        assert (cols["p"], cols["q"]) == (1.0, 0.0) and math.isnan(cols["p_pre"])
-        assert seen == [([0, 1], [2, 3])] * 2
+        monkeypatch.setattr(cli, "_load_dataset", lambda cfg, seed: (g, t))
+        raw = fast_config(scorer={"kind": "oracle", "mode": "filter", "target_p": 1.0, "target_q": 0.0},
+                          refinement={"do_add": False})
+        rows, code = run_pipeline(config_from_dict(raw, str(tmp_path / "o")))
+        assert code == 0
+        # the filter pass scores each pair once, and its own count gives the rates
+        assert seen == [([0, 1], [2, 3])]
+        refined = next(r for r in rows if r["arm"] == "refined")
+        assert (refined["p"], refined["q"]) == (1.0, 0.0) and math.isnan(refined["p_pre"])
 
     def test_one_way_tsv_reports_p_and_q(self, tmp_path):
         (tmp_path / "nodes.tsv").write_text(

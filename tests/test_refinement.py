@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from lagraph import refinement
 from lagraph.data import synth
-from lagraph.edge_classifier import TrainConfig, build_pairs, init_classifier, make_scorer, pair_quality, train
+from lagraph.edge_classifier import TrainConfig, build_pairs, init_classifier, make_scorer, train
 from lagraph.graph import Graph, NodeTable, positive_ratio, two_hop_blocks, unordered_pairs
 from lagraph.hashing import unit_uniform
 from lagraph.propagation import EdgeFeatureConfig, edge_input_features
@@ -50,6 +50,10 @@ def dict_scorer(table, default=0.0):
     return scorer
 
 
+def unknown_labels(n):
+    return np.full(n, -1)
+
+
 def label_scorer(labels):
     labels = np.asarray(labels)
     return lambda u, v: (labels[np.asarray(u)] == labels[np.asarray(v)]).astype(np.float64)
@@ -59,30 +63,34 @@ class TestFilterEdges:
     def test_perfect_scorer_purifies(self):
         g, t = synth(n=200, c=3, d=2, homophily=0.5, avg_degree=6.0, feature_sep=1.0, seed=0)
         assert positive_ratio(g, t).graph_ratio < 0.9
-        refined, rep = filter_edges(g, label_scorer(t.labels), threshold=0.5)
+        refined, rep = filter_edges(g, label_scorer(t.labels), 0.5, t.labels)
         assert positive_ratio(refined, t).graph_ratio == 1.0
         edges = refined.edge_array()
         nonself = edges[:, 0] != edges[:, 1]
         assert np.all(t.labels[edges[nonself, 0]] == t.labels[edges[nonself, 1]])
         assert rep.edges_before - rep.edges_removed + rep.edges_added == rep.edges_after
+        assert rep.filter_counts["fp"] == rep.filter_counts["fn"] == 0 < rep.filter_counts["tp"]
 
     def test_zero_threshold_keeps_everything(self):
         g = path_graph(6)
-        refined, rep = filter_edges(g, dict_scorer({}, default=0.0), threshold=0.0)
+        refined, rep = filter_edges(g, dict_scorer({}, default=0.0), 0.0, unknown_labels(6))
         assert np.array_equal(refined.row_offsets, g.row_offsets)
         assert np.array_equal(refined.col_targets, g.col_targets)
         assert rep.edges_removed == 0
 
     def test_both_directions_dropped_together(self):
         g = undirected_graph(4, [(0, 1), (1, 2), (2, 3)])
-        refined, rep = filter_edges(g, dict_scorer({(0, 1): 0.9, (1, 2): 0.1, (2, 3): 0.9}), 0.5)
+        refined, rep = filter_edges(g, dict_scorer({(0, 1): 0.9, (1, 2): 0.1, (2, 3): 0.9}), 0.5,
+                                    np.array([0, 0, 1, -1]))
         assert rep.edges_removed == 2
+        # (0, 1) kept and same-label, (1, 2) dropped and not; node 3's label is unknown
+        assert rep.filter_counts == {"tp": 1, "fp": 0, "fn": 0, "tn": 1}
         assert 2 not in refined.neighbors(1) and 1 not in refined.neighbors(2)
         assert 1 in refined.neighbors(0) and 0 in refined.neighbors(1)
 
     def test_self_loops_survive_any_threshold(self):
         g = path_graph(4)
-        refined, _ = filter_edges(g, dict_scorer({}, default=0.0), threshold=1.0)
+        refined, _ = filter_edges(g, dict_scorer({}, default=0.0), 1.0, unknown_labels(4))
         for v in range(4):
             assert v in refined.neighbors(v)
         assert refined.num_edges == 4
@@ -91,22 +99,31 @@ class TestFilterEdges:
     @given(st.data())
     def test_refined_graph_is_the_from_edges_rebuild(self, data):
         """The kept CSR entries, taken as they are, build the graph that
-        ``Graph.from_edges`` builds from the kept edges."""
+        ``Graph.from_edges`` builds from the kept edges; the counts compare
+        each unordered pair with two known labels once."""
         g = draw_graph(data)
+        labels = draw_table(data, g.num_nodes).labels
         threshold = data.draw(st.sampled_from([0.0, 0.5, 0.75, 1.0]), label="threshold")
         scorer = coarse_hash_scorer(data.draw(st.integers(0, 99), label="seed"))
-        got, rep = filter_edges(g, scorer, threshold)
+        got, rep = filter_edges(g, scorer, threshold, labels)
         edges = g.edge_array()
         keep = (edges[:, 0] == edges[:, 1]) | (scorer(edges[:, 0], edges[:, 1]) >= threshold)
         assert_same_graph(got, Graph.from_edges(g.num_nodes, edges[keep], add_self_loops=False))
         assert rep.edges_removed == np.count_nonzero(~keep)
+        cell = {(True, True): "tp", (True, False): "fp", (False, True): "fn", (False, False): "tn"}
+        counts = dict.fromkeys(cell.values(), 0)
+        for a, b in {(min(a, b), max(a, b)) for a, b in edges.tolist() if a != b}:
+            if labels[a] >= 0 and labels[b] >= 0:
+                kept = bool(scorer(np.array([a]), np.array([b]))[0] >= threshold)
+                counts[cell[kept, bool(labels[a] == labels[b])]] += 1
+        assert rep.filter_counts == counts
 
     def test_self_loop_flag_read_from_the_kept_edges(self):
         """A graph stored with every self loop but flagged without them comes
         back flagged as ``from_edges`` would flag it."""
         g = path_graph(4)
         unflagged = Graph(4, g.row_offsets, g.col_targets, has_self_loops=False)
-        assert filter_edges(unflagged, dict_scorer({}, default=1.0), 0.5)[0].has_self_loops
+        assert filter_edges(unflagged, dict_scorer({}, default=1.0), 0.5, unknown_labels(4))[0].has_self_loops
         assert add_edges(unflagged, dict_scorer({}, default=1.0), 3, 0.5)[0].has_self_loops
 
 
@@ -415,6 +432,22 @@ class TestTrainedAddPass:
         with pytest.raises(ValueError, match="one score per pair"):
             add_edges(g, lambda u, v: np.ones((u.shape[0], 1)), 6, 0.5)
 
+    @pytest.mark.parametrize("kind", ["hash", "oracle"])
+    def test_a_bound_past_every_degree_adds_as_n_does(self, kind):
+        """No node reaches degree n, so any larger ``n_max`` adds what n does;
+        the pick buffer is sized by the pools, not by ``n_max``."""
+        g, t = synth(n=300, c=4, d=4, homophily=0.4, avg_degree=6.0, feature_sep=1.0, seed=3)
+        if kind == "hash":
+            scorer = coarse_hash_scorer(5)
+        else:
+            scorer = oracle_scorer(t, OracleClassifier(mode="add", target_p_pre=0.7, seed=5))
+        want, want_rep = add_edges(g, scorer, g.num_nodes, 0.5)
+        assert want_rep.edges_added > 0
+        for n_max in (10**12, 10**20):
+            got, rep = add_edges(g, scorer, n_max, 0.5)
+            assert_same_graph(got, want)
+            assert np.array_equal(rep.added_pairs, want_rep.added_pairs)
+
 
 class TestRefine:
     def graph(self):
@@ -428,7 +461,7 @@ class TestRefine:
         got, rep = refine(g, t, clf, cfg, features=features)
 
         scorer = make_scorer(clf, features)
-        mid, frep = filter_edges(g, scorer, cfg.threshold)
+        mid, frep = filter_edges(g, scorer, cfg.threshold, t.labels)
         want, arep = add_edges(mid, scorer, cfg.n_max, cfg.threshold)
         assert np.array_equal(got.row_offsets, want.row_offsets)
         assert np.array_equal(got.col_targets, want.col_targets)
@@ -442,7 +475,8 @@ class TestRefine:
     def test_filter_ratio_counts_the_kept_pairs(self, kind):
         """On an undirected, fully labeled graph a filter-only pass keeps both
         directions of each input pair that scores at or above the threshold, so
-        the refined graph holds 2 tp same-label edges among 2 (tp + fp)."""
+        the refined graph holds 2 tp same-label edges among 2 (tp + fp), as
+        the report counts them."""
         g, t = synth(n=400, c=4, d=16, homophily=0.4, avg_degree=8.0, feature_sep=4.0, seed=2)
         rcfg = RefinementConfig(threshold=0.5, do_add=False)
         if kind == "trained":
@@ -450,16 +484,15 @@ class TestRefine:
             cfg = TrainConfig(proj_dim=8, hidden_widths=(8,), num_sampled=400)
             clf = train(build_pairs(g, t, cfg), features, cfg)
             refined, rep = refine(g, t, clf, rcfg, features=features)
-            scorer = make_scorer(clf, features)
         else:
             scorer = oracle_scorer(t, OracleClassifier(target_p=0.8, target_q=0.3, seed=1))
             refined, rep = refine(g, t, scorer, rcfg)
-        lo, hi, _, _ = unordered_pairs(g.edge_sources(), g.col_targets, g.num_nodes)
-        q = pair_quality(scorer(lo, hi) >= rcfg.threshold, t.labels[lo] == t.labels[hi])
-        assert q.tp > 0 and q.fp > 0 and q.fn + q.tn > 0
+        tp, fp, fn, tn = (rep.filter_counts[cell] for cell in ("tp", "fp", "fn", "tn"))
+        assert tp > 0 and fp > 0 and fn + tn > 0
+        assert tp + fp + fn + tn == unordered_pairs(g.edge_sources(), g.col_targets, g.num_nodes)[0].size
         after = positive_ratio(refined, t)
-        assert (after.positive_edges, after.counted_edges) == (2 * q.tp, 2 * (q.tp + q.fp))
-        assert rep.ratio_after == q.tp / (q.tp + q.fp)
+        assert (after.positive_edges, after.counted_edges) == (2 * tp, 2 * (tp + fp))
+        assert rep.ratio_after == tp / (tp + fp)
 
     def test_memory_is_bounded(self):
         # the refined graph and the added pairs; the scorer's node projection; and the
@@ -571,17 +604,17 @@ class TestRefine:
             degs = graph.nonself_degrees()
             return np.bincount(degs).tolist() if degs.size else []
 
-        filtered, removed = g, 0
+        filtered, removed, counts = g, 0, None
         if do_filter:
-            filtered, filter_rep = filter_edges(g, scorer, cfg.threshold)
-            removed = filter_rep.edges_removed
+            filtered, filter_rep = filter_edges(g, scorer, cfg.threshold, t.labels)
+            removed, counts = filter_rep.edges_removed, filter_rep.filter_counts
         added = np.zeros((0, 2), dtype=np.int64)
         if do_add:
             _, add_rep = add_edges(filtered, scorer, cfg.n_max, cfg.threshold)
             added = add_rep.added_pairs
         assert (rep.edges_before, rep.degree_hist_before) == (g.num_edges, hist(g))
         assert (rep.edges_after, rep.degree_hist_after) == (got.num_edges, hist(got))
-        assert rep.edges_removed == removed
+        assert rep.edges_removed == removed and rep.filter_counts == counts
         assert np.array_equal(rep.added_pairs, added) and rep.added_pairs.shape == added.shape
         assert rep.edges_before - rep.edges_removed + rep.edges_added == rep.edges_after
 
