@@ -115,7 +115,8 @@ def _coerce(kind, value):
     boolean or 0/1, an int rejects a boolean and a fractional part, a float
     rejects a boolean and a non-finite value (JSON's NaN and Infinity), a tuple
     of ints takes only a list (a string is not read as its characters), a
-    float or a tuple of ints converts, and any other type passes through."""
+    string or null takes only a string or JSON null, a float or a tuple of ints
+    converts, and any other type passes through."""
     if kind is bool:
         if value not in (0, 1):  # False == 0 and True == 1
             raise ValueError(f"expected true, false, 0 or 1, got {value!r}")
@@ -134,6 +135,8 @@ def _coerce(kind, value):
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"expected a list of integers, got {value!r}")
         return tuple(_coerce(int, v) for v in value)
+    if kind == str | None and not (value is None or isinstance(value, str)):
+        raise ValueError(f"expected a string or null, got {value!r}")
     return value
 
 
@@ -164,9 +167,9 @@ def _build(cls, section: dict, path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-_DATASET_TYPES = {key: type(val) for key, val in DEFAULT_CONFIG["dataset"].items()}
+_DATASET_TYPES = {key: str | None if val is None else type(val) for key, val in DEFAULT_CONFIG["dataset"].items()}
 _SCALAR_TYPES = {"seeds": tuple[int, ...], "degrade_k": int, "dump_refined": bool,
-                 "theory_trials": int}
+                 "theory_trials": int, "output_dir": str | None}
 
 
 @dataclass(frozen=True)
@@ -191,22 +194,22 @@ class ExperimentConfig:
 
 def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> ExperimentConfig:
     resolved = _merge(DEFAULT_CONFIG, raw)
-    out = output_dir_flag or resolved["output_dir"] or os.environ.get(OUTPUT_DIR_ENV) or "out"
     ds = _coerced(resolved["dataset"], _DATASET_TYPES, "dataset")
     if ds["kind"] not in ("synth", "files"):
         raise ConfigError("dataset.kind must be 'synth' or 'files'")
     if ds["kind"] == "files" and not (ds["nodes_path"] and ds["edges_path"]):
         raise ConfigError("dataset.kind 'files' needs nodes_path and edges_path")
     _check_synth(ds)
-    scorer, model, oracle = resolved["scorer"], resolved["model"], None
+    # typed whatever their kind; only the kind that builds an instance checks ranges
+    scorer = _coerced(resolved["scorer"], typing.get_type_hints(OracleClassifier), "scorer")
+    model = _coerced(resolved["model"], typing.get_type_hints(PropagationConfig), "model")
     if scorer["kind"] not in ("trained", "oracle"):
         raise ConfigError("scorer.kind must be 'trained' or 'oracle'")
-    if scorer["kind"] == "oracle":
-        oracle, scorer = _build(OracleClassifier, scorer, "scorer")
+    oracle = _build(OracleClassifier, scorer, "scorer")[0] if scorer["kind"] == "oracle" else None
     if model["kind"] not in ("sgc", "gcn"):
         raise ConfigError("model.kind must be 'sgc' or 'gcn'")
     if model["kind"] == "sgc":
-        _, model = _build(PropagationConfig, model, "model")
+        _build(PropagationConfig, model, "model")
     scalars = _coerced(resolved, _SCALAR_TYPES, "config")
     if not scalars["seeds"]:
         raise ConfigError("seeds must be non-empty")
@@ -241,7 +244,7 @@ def config_from_dict(raw: dict, output_dir_flag: str | None = None) -> Experimen
         scorer=oracle,
         model=model,
         seeds=scalars["seeds"],
-        output_dir=out,
+        output_dir=output_dir_flag or scalars["output_dir"] or os.environ.get(OUTPUT_DIR_ENV) or "out",
         degrade_k=scalars["degrade_k"],
         sweep=sweep,
         dump_refined=scalars["dump_refined"],
@@ -351,27 +354,79 @@ def _describe(exc: BaseException) -> str:
     return f"{exc.__class__.__module__}.{exc.__class__.__qualname__}: {exc}"
 
 
-def _row(experiment, arm, seed, cfg, ratio_before, ratio_after, quality_cols, metrics) -> dict:
-    row = {"experiment": experiment, "arm": arm, "seed": str(seed),
-           "ratio_before": ratio_before, "ratio_after": ratio_after,
-           "p": float("nan"), "q": float("nan"), "p_pre": float("nan"),
-           "acc_train": float("nan"), "acc_val": float("nan"), "acc_test": float("nan"),
-           "config_hash": cfg.config_hash}
-    row.update(quality_cols)
-    row.update(metrics)
-    return row
+def _seed_arms(cfg: ExperimentConfig, experiment: str,
+               arms: list[tuple[str, RefinementConfig, OracleClassifier | None]],
+               degrade_k: int, seed: int, sidecars: dict):
+    """One seed of an experiment, as ``(arm, row or exception, wall_ms or None)``.
+
+    Builds the dataset (wiring ``degrade_k`` different-label neighbors per node
+    when >= 1) and fits the origin arm, then builds every arm's scorer and
+    refines and fits each arm in order. Arms without an oracle share the seed's
+    classifier, whose loss curve goes to ``sidecars["training"]``; each report
+    goes to ``sidecars["refinement"]``. A dataset that cannot be built yields one
+    ``dataset`` failure; a scorer that cannot be built fails every arm but origin."""
+    try:
+        g, t = _load_dataset(cfg, seed)
+        if degrade_k >= 1:
+            g = data.degrade(g, t, degrade_k, seed)
+    except Exception as exc:  # noqa: BLE001 - arm failures are enumerated
+        yield "dataset", exc, None
+        return
+    fit = dataclasses.replace(cfg.fit, seed=seed)
+    ratio = positive_ratio(g, t).graph_ratio
+    base = {"experiment": experiment, "seed": str(seed), **dict.fromkeys(NUMERIC_COLUMNS, math.nan),
+            "ratio_before": ratio, "ratio_after": ratio, "config_hash": cfg.config_hash}
+    start = time.perf_counter()
+    try:
+        row = {**base, "arm": "origin", **_fit_metrics(g, t, cfg.model, fit)}
+    except Exception as exc:  # noqa: BLE001
+        yield "origin", exc, None
+    else:
+        yield "origin", row, (time.perf_counter() - start) * 1000.0
+    try:
+        trained = _trained(cfg, g, t, seed) if any(oc is None for _, _, oc in arms) else None
+        shared = {}  # the add-mode oracles of a seed sort its pools once
+        # an oracle reads labels, not features; its rates are the ones its refinement realizes
+        scorers = [trained if oc is None else
+                   (oracle_scorer(t, dataclasses.replace(oc, seed=seed), _shared=shared), None, {})
+                   for _, _, oc in arms]
+    except Exception as exc:  # noqa: BLE001
+        for arm, _, _ in arms:
+            yield arm, exc, None
+        return
+    if trained:
+        # at write_csv's 10 digits, where a BLAS kernel's last-bit differences do not show
+        clf = trained[0]
+        sidecars["training"][f"seed{seed}"] = {
+            "final_loss": float(_fmt(clf.final_loss)),
+            "loss_history": [float(_fmt(x)) for x in clf.loss_history.tolist()]}
+    for (arm, rcfg, oc), (scorer, features, cols) in zip(arms, scorers):
+        start = time.perf_counter()
+        try:
+            refined, report = refine(g, t, scorer, rcfg, features=features)
+            sidecars["refinement"][f"seed{seed}/{arm}"] = report.to_dict()
+            row = {**base, "arm": arm, "ratio_before": report.ratio_before,
+                   "ratio_after": report.ratio_after, **cols, **_fit_metrics(refined, t, cfg.model, fit)}
+            if cfg.dump_refined:
+                path = os.path.join(cfg.output_dir, f"{experiment}_{arm}_seed{seed}")
+                data.save(refined, t, path + ".nodes.tsv", path + ".edges.tsv")
+            if oc is not None and report.filter_counts is not None:
+                realized = quality_from_counts(**report.filter_counts)
+                row.update(p=realized.p, q=realized.q)
+            if rcfg.do_add and math.isnan(row["p_pre"]):
+                row["p_pre"] = report.added_precision
+        except Exception as exc:  # noqa: BLE001
+            yield arm, exc, None
+        else:
+            yield arm, row, (time.perf_counter() - start) * 1000.0
+        refined = report = None  # freed before the next arm refines
 
 
 def _run_experiment(cfg: ExperimentConfig, experiment: str,
                     arms: list[tuple[str, RefinementConfig, OracleClassifier | None]],
                     degrade_k: int = 0) -> tuple[list[dict], int]:
-    """The one experiment loop behind ``pipeline``, ``degrade``, ``ablation`` and ``sweep``.
-
-    Per seed: build the dataset (wiring ``degrade_k`` different-label
-    neighbors per node when >= 1), fit the origin arm, build every arm's
-    scorer, then refine and fit each arm. Arms without an oracle share the
-    seed's classifier, whose loss curve goes to ``*_training.json``. If a
-    scorer cannot be built, every arm fails for that seed."""
+    """The one experiment loop behind ``pipeline``, ``degrade``, ``ablation`` and
+    ``sweep``: runs :func:`_seed_arms` for each seed and writes what it yields."""
     if any(rcfg.do_filter and oc is not None and oc.mode == "add" for _, rcfg, oc in arms):
         # it ranks pools only through add_edges and cannot score the edges of the graph
         raise ConfigError("scorer: an add-mode oracle cannot score the filter stage")
@@ -381,75 +436,18 @@ def _run_experiment(cfg: ExperimentConfig, experiment: str,
                           "two nodes, so the test split is empty")
     rows, timings, failures = [], [], []
     sidecars = {"refinement": {}, "training": {}}
-
-    def fail(arm, seed, exc):
-        failures.append(f"{experiment}/{arm}/seed{seed}: {_describe(exc)}")
-
-    def run(arm, seed, fn):
-        start = time.perf_counter()
-        try:
-            row = fn()
-        except Exception as exc:  # noqa: BLE001 - arm failures are enumerated
-            fail(arm, seed, exc)
-            return
-        timings.append({"experiment": experiment, "arm": arm, "seed": str(seed),
-                        "wall_ms": (time.perf_counter() - start) * 1000.0,
-                        "config_hash": cfg.config_hash})
-        rows.append(row)
-
-    # one function call per seed, so what a seed builds (graph, scorers, an
-    # add-mode oracle's queue) is freed before the next seed's dataset
-    def run_seed(seed):
-        try:
-            g, t = _load_dataset(cfg, seed)
-            if degrade_k >= 1:
-                g = data.degrade(g, t, degrade_k, seed)
-        except Exception as exc:  # noqa: BLE001
-            fail("dataset", seed, exc)
-            return
-        fit = dataclasses.replace(cfg.fit, seed=seed)
-        ratio = positive_ratio(g, t).graph_ratio
-        run("origin", seed, lambda: _row(experiment, "origin", seed, cfg, ratio, ratio, {},
-                                         _fit_metrics(g, t, cfg.model, fit)))
-        try:
-            trained = _trained(cfg, g, t, seed) if any(oc is None for _, _, oc in arms) else None
-            shared = {}  # the add-mode oracles of a seed sort its pools once
-            # an oracle reads labels, not features; its rates are the ones its refinement realizes
-            scorers = [trained if oc is None else
-                       (oracle_scorer(t, dataclasses.replace(oc, seed=seed), _shared=shared), None, {})
-                       for _, _, oc in arms]
-        except Exception as exc:  # noqa: BLE001
-            for arm, _, _ in arms:
-                fail(arm, seed, exc)
-            return
-        if trained:
-            # at write_csv's 10 digits, where a BLAS kernel's last-bit differences do not show
-            clf = trained[0]
-            sidecars["training"][f"seed{seed}"] = {
-                "final_loss": float(_fmt(clf.final_loss)),
-                "loss_history": [float(_fmt(x)) for x in clf.loss_history.tolist()]}
-        for (arm, rcfg, oc), (scorer, features, cols) in zip(arms, scorers):
-            def refined_arm():
-                refined, report = refine(g, t, scorer, rcfg, features=features)
-                sidecars["refinement"][f"seed{seed}/{arm}"] = report.to_dict()
-                metrics = _fit_metrics(refined, t, cfg.model, fit)
-                if cfg.dump_refined:
-                    base = os.path.join(cfg.output_dir, f"{experiment}_{arm}_seed{seed}")
-                    data.save(refined, t, base + ".nodes.tsv", base + ".edges.tsv")
-                quality = dict(cols)
-                if oc is not None and report.filter_counts is not None:
-                    realized = quality_from_counts(**report.filter_counts)
-                    quality.update(p=realized.p, q=realized.q)
-                if rcfg.do_add and math.isnan(quality.get("p_pre", math.nan)):
-                    quality["p_pre"] = report.added_precision
-                return _row(experiment, arm, seed, cfg, report.ratio_before,
-                            report.ratio_after, quality, metrics)
-
-            run(arm, seed, refined_arm)
-
     os.makedirs(cfg.output_dir, exist_ok=True)  # an unusable directory fails before any seed runs
     for seed in cfg.seeds:
-        run_seed(seed)
+        # what a seed builds (graph, scorers, an add-mode oracle's queue) lives in the
+        # generator's frame, released once it is exhausted, before the next seed's dataset
+        for arm, result, wall_ms in _seed_arms(cfg, experiment, arms, degrade_k, seed, sidecars):
+            if wall_ms is None:
+                failures.append(f"{experiment}/{arm}/seed{seed}: {_describe(result)}")
+            else:
+                rows.append(result)
+                timings.append({"experiment": experiment, "arm": arm, "seed": str(seed),
+                                "wall_ms": wall_ms, "config_hash": cfg.config_hash})
+        del result  # a failure's traceback would hold that frame
     metrics_path = os.path.join(cfg.output_dir, f"{experiment}.csv")
     write_csv(metrics_path, METRICS_HEADER, append_summary_rows(rows))
     write_csv(os.path.join(cfg.output_dir, f"{experiment}_timings.csv"), TIMINGS_HEADER, timings)
@@ -468,18 +466,16 @@ def _stages(cfg: ExperimentConfig, do_filter: bool, do_add: bool) -> RefinementC
     return _build(RefinementConfig, stages, "refinement")[0]
 
 
-def run_pipeline(cfg: ExperimentConfig, experiment: str = "pipeline",
-                 degrade_k: int | None = None) -> tuple[list[dict], int]:
-    """Baseline model on the input graph vs the same model on the refined one."""
-    k = cfg.degrade_k if degrade_k is None else degrade_k
-    _check_synth(cfg.dataset, k)
-    return _run_experiment(cfg, experiment, [("refined", cfg.refinement, cfg.scorer)], k)
+def run_pipeline(cfg: ExperimentConfig, experiment: str = "pipeline") -> tuple[list[dict], int]:
+    """Baseline model on the input graph vs the same model on the refined one,
+    the graph first degraded by ``cfg.degrade_k`` when that is >= 1."""
+    _check_synth(cfg.dataset, cfg.degrade_k)
+    return _run_experiment(cfg, experiment, [("refined", cfg.refinement, cfg.scorer)], cfg.degrade_k)
 
 
-def run_degradation(cfg: ExperimentConfig, k: int | None = None) -> tuple[list[dict], int]:
-    """Pipeline on a graph degraded with k different-label neighbors per node."""
-    k = cfg.degrade_k if k is None else k
-    return run_pipeline(cfg, experiment=f"degrade_k{k}", degrade_k=k)
+def run_degradation(cfg: ExperimentConfig) -> tuple[list[dict], int]:
+    """Pipeline on a graph degraded with ``cfg.degrade_k`` different-label neighbors per node."""
+    return run_pipeline(cfg, experiment=f"degrade_k{cfg.degrade_k}")
 
 
 ABLATION_ARMS = (

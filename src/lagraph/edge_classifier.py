@@ -396,27 +396,20 @@ class ClassifierQuality:
     p: float
     q: float
     p_pre: float
-    base_rate: float
     tp: int
     fp: int
     fn: int
     tn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
 
 
 def quality_from_counts(tp: int, fp: int, fn: int, tn: int) -> ClassifierQuality:
     pos = tp + fn
     neg = fp + tn
     pred_pos = tp + fp
-    total = pos + neg
     p = tp / pos if pos else float("nan")
     q = fp / neg if neg else float("nan")
     p_pre = tp / pred_pos if pred_pos else float("nan")
-    base = pos / total if total else float("nan")
-    return ClassifierQuality(p=p, q=q, p_pre=p_pre, base_rate=base, tp=tp, fp=fp, fn=fn, tn=tn)
+    return ClassifierQuality(p=p, q=q, p_pre=p_pre, tp=tp, fp=fp, fn=fn, tn=tn)
 
 
 def pair_quality(predicted: np.ndarray, same: np.ndarray) -> ClassifierQuality:

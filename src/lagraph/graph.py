@@ -13,7 +13,6 @@ UNKNOWN_LABEL = -1
 TRAIN, VAL, TEST = 0, 1, 2
 SPLIT_CODES = {"train": TRAIN, "val": VAL, "test": TEST}
 SPLIT_NAMES = {code: name for name, code in SPLIT_CODES.items()}
-ALL_SPLITS = ("train", "val", "test")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -180,45 +179,29 @@ class NodeTable:
 
 @dataclass(frozen=True)
 class PositiveRatioReport:
-    """Share of same-label neighbors, per node and graph-wide.
+    """Share of same-label neighbors over the whole graph.
 
-    Entries of ``per_node`` are NaN for nodes with no counted edges; the
-    graph ratio is NaN when no edge is counted at all. Self loops and edges
-    touching a node whose label is unavailable never count.
+    The ratio is NaN when no edge is counted. Self loops and edges touching a
+    node whose label is unavailable never count.
     """
 
-    per_node: np.ndarray
     graph_ratio: float
     positive_edges: int
     counted_edges: int
 
 
-def positive_ratio(g: Graph, t: NodeTable, use_splits=ALL_SPLITS) -> PositiveRatioReport:
-    """Fraction of same-label directed edges, excluding self loops.
-
-    Only edges whose two endpoints both have known labels and sit in
-    ``use_splits`` are counted.
-    """
+def positive_ratio(g: Graph, t: NodeTable) -> PositiveRatioReport:
+    """Fraction of same-label directed edges among those counted."""
     if t.num_nodes != g.num_nodes:
         raise ValueError("graph and node table disagree on node count")
-    eligible = t.known_mask()
-    allowed = np.zeros(g.num_nodes, dtype=bool)
-    for name in use_splits:
-        allowed |= t.split_mask(name)
-    eligible &= allowed
+    known = t.known_mask()
     rows = g.edge_sources()
     cols = g.col_targets
-    counted = (rows != cols) & eligible[rows] & eligible[cols]
-    same = counted & (t.labels[rows] == t.labels[cols])
-    num = np.bincount(rows[same], minlength=g.num_nodes).astype(np.float64)
-    den = np.bincount(rows[counted], minlength=g.num_nodes).astype(np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        per_node = num / den
-    per_node[den == 0] = np.nan
-    pos = int(num.sum())
-    tot = int(den.sum())
-    ratio = pos / tot if tot else float("nan")
-    return PositiveRatioReport(per_node=per_node, graph_ratio=ratio, positive_edges=pos, counted_edges=tot)
+    counted = (rows != cols) & known[rows] & known[cols]
+    pos = int(np.count_nonzero(counted & (t.labels[rows] == t.labels[cols])))
+    tot = int(np.count_nonzero(counted))
+    return PositiveRatioReport(graph_ratio=pos / tot if tot else float("nan"),
+                               positive_edges=pos, counted_edges=tot)
 
 
 def unordered_pairs(sources: np.ndarray, targets: np.ndarray, num_nodes: int) -> tuple[np.ndarray, ...]:
@@ -231,13 +214,7 @@ def unordered_pairs(sources: np.ndarray, targets: np.ndarray, num_nodes: int) ->
     """
     nonself = sources != targets
     keys = np.minimum(sources, targets)[nonself] * np.int64(num_nodes) + np.maximum(sources, targets)[nonself]
-    order = np.argsort(keys)  # np.unique's steps, holding fewer arrays at once
-    keys = keys[order]
-    first = np.diff(keys, prepend=-1) != 0  # keys are >= 0
-    uniq = keys[first]
-    del keys
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(first) - 1
+    uniq, inverse = np.unique(keys, return_inverse=True)
     return uniq // num_nodes, uniq % num_nodes, nonself, inverse
 
 

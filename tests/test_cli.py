@@ -120,6 +120,9 @@ class TestConfigResolution:
         typed = config_from_dict({"model": {"epochs": 7}, "seeds": [1, 2]})
         assert config_from_dict({"model": {"epochs": "7"}, "seeds": [1.0, "2"]}).config_hash == typed.config_hash
         assert config_from_dict({"model": {"epochs": 8}, "seeds": [1, 2]}).config_hash != typed.config_hash
+        # also where the section's kind builds nothing from the field
+        assert config_from_dict({"scorer": {"target_p": 1}, "model": {"kind": "gcn", "k": 2.0}}).config_hash == \
+            config_from_dict({"model": {"kind": "gcn"}}).config_hash
 
     def test_sweep_values_hash_as_coerced(self):
         as_float = config_from_dict({"sweep": {"values": [1.0]}})
@@ -182,8 +185,8 @@ class TestConfigResolution:
         assert cfg.edge_classifier.hidden_widths == (8, 4)
         assert cfg.fit.epochs == 7 and cfg.fit.early_stop is True
         assert cfg.fit.learning_rate == DEFAULT_CONFIG["model"]["learning_rate"]
-        # an unused scorer section is not checked: a trained scorer builds no oracle
-        assert config_from_dict({"scorer": {"mode": "bogus"}}).scorer is None
+        # an unused section is typed but not range-checked: a trained scorer builds no oracle
+        assert config_from_dict({"scorer": {"mode": "bogus", "target_p": 2}}).scorer is None
         oracle = config_from_dict({"scorer": {"kind": "oracle", "target_p": "0.9"}}).scorer
         assert oracle == OracleClassifier(mode="filter", target_p=0.9)
 
@@ -591,6 +594,37 @@ class TestErrorExits:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert loads == []
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"output_dir": 5}, "config: output_dir: expected a string or null, got 5"),
+        ({"dataset": {"kind": "files", "nodes_path": 5, "edges_path": 6}},
+         "dataset: nodes_path: expected a string or null, got 5"),
+        ({"dataset": {"kind": "files", "nodes_path": "n.tsv", "edges_path": True}},
+         "dataset: edges_path: expected a string or null, got True"),
+        ({"dataset": {"edges_path": ["e.tsv"]}}, "dataset: edges_path: expected a string or null, got ['e.tsv']"),
+    ])
+    def test_non_string_path_exits_2_before_any_seed(self, tmp_path, capsys, monkeypatch, raw, message):
+        # data.load's open(5) would read file descriptor 5
+        loads = []
+        monkeypatch.setattr(cli, "_load_dataset", lambda *args: loads.append(args))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+        cfg_path = write_json(tmp_path, fast_config(**raw))
+        assert main(["pipeline", "--config", cfg_path]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: lagraph.cli.ConfigError: {message}"]
+        assert loads == [] and sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("section, message", [
+        ({"scorer": {"kind": "trained", "target_p": math.nan}}, "scorer: target_p: expected a finite number, got nan"),
+        ({"scorer": {"kind": "trained", "target_q": True}}, "scorer: target_q: expected a number, got True"),
+        ({"model": {"kind": "gcn", "k": 2.5}}, "model: k: expected an integer, got 2.5"),
+    ])
+    def test_field_its_kind_does_not_use_is_typed_before_any_seed(self, tmp_path, capsys, section, message):
+        cfg_path = write_json(tmp_path, fast_config(**section))
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", cfg_path, "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: lagraph.cli.ConfigError: {message}"]
+        assert not out.exists()
+
     def test_add_oracle_without_filter_runs(self, tmp_path):
         raw = fast_config(scorer={"kind": "oracle", "mode": "add"},
                           refinement={"do_filter": False})
@@ -668,6 +702,51 @@ class TestAblationCommand:
         assert [(r["arm"], r["seed"]) for r in read_rows(out / "ablation.csv")] == [
             ("origin", "0"), ("origin", "mean"), ("origin", "std")]
         assert not (out / "ablation_training.json").exists()
+
+
+    def test_a_failed_arm_writes_no_row_timing_or_report(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        refine = cli.refine
+
+        def failing_refine(g, t, scorer, rcfg, features=None):
+            calls.append((rcfg.do_filter, rcfg.do_add))
+            if len(calls) == 5:  # seed 1's second arm
+                assert calls[-1] == (False, True)
+                raise RuntimeError("refine failed")
+            return refine(g, t, scorer, rcfg, features=features)
+
+        monkeypatch.setattr(cli, "refine", failing_refine)
+        cfg_path = write_json(tmp_path, fast_config(seeds=[0, 1]))
+        out = tmp_path / "o"
+        assert main(["ablation", "--config", cfg_path, "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "FAILED ablation/add/seed1: builtins.RuntimeError: refine failed"]
+        ran = [(arm, seed) for seed in ("0", "1") for arm in ("origin", "filter", "add", "filter_add")
+               if (arm, seed) != ("add", "1")]
+        assert [(r["arm"], r["seed"]) for r in read_rows(out / "ablation.csv")
+                if r["seed"] in ("0", "1")] == ran
+        assert [(r["arm"], r["seed"]) for r in read_rows(out / "ablation_timings.csv")] == ran
+        reports = json.loads((out / "ablation_refinement.json").read_text(encoding="utf-8"))
+        assert sorted(reports) == sorted(f"seed{seed}/{arm}" for arm, seed in ran if arm != "origin")
+
+    def test_a_failed_dataset_fails_its_seed_only(self, tmp_path, capsys, monkeypatch):
+        load = cli._load_dataset
+
+        def failing_load(cfg, seed):
+            if seed == 0:
+                raise OSError("no such dataset")
+            return load(cfg, seed)
+
+        monkeypatch.setattr(cli, "_load_dataset", failing_load)
+        cfg_path = write_json(tmp_path, fast_config(seeds=[0, 1]))
+        out = tmp_path / "o"
+        assert main(["ablation", "--config", cfg_path, "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "FAILED ablation/dataset/seed0: builtins.OSError: no such dataset"]
+        ran = [(arm, "1") for arm in ("origin", "filter", "add", "filter_add")]
+        assert [(r["arm"], r["seed"]) for r in read_rows(out / "ablation.csv") if r["seed"] == "1"] == ran
+        assert not any(r["seed"] == "0" for r in read_rows(out / "ablation.csv"))
+        assert [(r["arm"], r["seed"]) for r in read_rows(out / "ablation_timings.csv")] == ran
 
 
 class TestSweepCommand:
@@ -821,8 +900,8 @@ class TestDegradeCommand:
     def test_k_zero_matches_pipeline(self, tmp_path):
         cfg1 = config_from_dict(fast_config(), str(tmp_path / "a"))
         pipe_rows, _ = run_pipeline(cfg1)
-        cfg2 = config_from_dict(fast_config(), str(tmp_path / "b"))
-        deg_rows, code = run_degradation(cfg2, k=0)
+        cfg2 = config_from_dict(fast_config(degrade_k=0), str(tmp_path / "b"))
+        deg_rows, code = run_degradation(cfg2)
         assert code == 0
         assert (tmp_path / "b" / "degrade_k0.csv").exists()
         for a, b in zip(pipe_rows, deg_rows):
@@ -850,12 +929,12 @@ class TestDegradeCommand:
         with pytest.raises(ConfigError, match="degrade_k must be <= 66"):
             run_degradation(cfg)
         with pytest.raises(ConfigError, match="degrade_k must be <= 66"):
-            run_pipeline(dataclasses.replace(cfg, degrade_k=0), degrade_k=67)
+            run_pipeline(cfg)
         assert not (tmp_path / "o").exists()
 
     def test_degradation_lowers_ratio(self, tmp_path):
-        cfg = config_from_dict(fast_config(), str(tmp_path / "o"))
-        rows, code = run_degradation(cfg, k=2)
+        cfg = config_from_dict(fast_config(degrade_k=2), str(tmp_path / "o"))
+        rows, code = run_degradation(cfg)
         assert code == 0
         origin = next(r for r in rows if r["arm"] == "origin")
         refined = next(r for r in rows if r["arm"] == "refined")

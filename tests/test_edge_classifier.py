@@ -708,7 +708,7 @@ class TestBlockedScoring:
         v = u + 1 + rng.integers(0, n - 1 - u)
         pairs = PairSet(u=u, v=v, labels=rng.integers(0, 2, size=count), provenance=np.zeros(count))
         quality, peak = traced_peak(evaluate_quality, clf, pairs, features, 0.5)
-        assert quality.total == count
+        assert quality.tp + quality.fp + quality.fn + quality.tn == count
         bound = count * (8 + 2) + n * p * 8 + 2 * 1024 * 9 * p * 8
         assert peak <= bound, f"traced peak {peak / 2**20:.2f} MB over {bound / 2**20:.2f} MB"
 
@@ -756,7 +756,7 @@ class TestQuality:
         want = quality_from_counts(tp=1, fp=1, fn=2, tn=2)
         assert got == want
         assert got.p == pytest.approx(1 / 3) and got.q == pytest.approx(1 / 3)
-        assert got.p_pre == pytest.approx(1 / 2) and got.base_rate == pytest.approx(1 / 2)
+        assert got.p_pre == pytest.approx(1 / 2)
 
     def test_threshold_override(self):
         clf = self.threshold_classifier()
@@ -793,7 +793,7 @@ class TestQuality:
         if tp + fp + fn + tn == 0:
             return
         q = quality_from_counts(tp, fp, fn, tn)
-        n = q.total
+        n = q.tp + q.fp + q.fn + q.tn
         if tp + fp > 0 and tp + fn > 0:
             assert q.p_pre * ((tp + fp) / n) == pytest.approx(q.p * ((tp + fn) / n), abs=1e-15)
 
@@ -802,8 +802,8 @@ class TestQuality:
         pairs = PairSet(u=np.zeros(0, dtype=np.int64), v=np.zeros(0, dtype=np.int64),
                         labels=np.zeros(0, dtype=np.int64), provenance=np.zeros(0, dtype=np.int8))
         q = evaluate_quality(clf, pairs, np.zeros((1, 1)), 0.5)
-        assert q.total == 0
-        assert all(math.isnan(x) for x in (q.p, q.q, q.p_pre, q.base_rate))
+        assert q.tp + q.fp + q.fn + q.tn == 0
+        assert all(math.isnan(x) for x in (q.p, q.q, q.p_pre))
 
 
 class TestPairSetValidation:

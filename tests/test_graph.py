@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lagraph.graph as graph
-from lagraph.graph import Graph, NodeTable, positive_ratio, two_hop_blocks, two_hop_candidates
+from lagraph.graph import UNKNOWN_LABEL, Graph, NodeTable, positive_ratio, two_hop_blocks, two_hop_candidates
 
 from conftest import dense_adjacency, draw_graph, reference_two_hop_pools, undirected_graph
 
@@ -172,13 +172,22 @@ class TestNodeTable:
             t.split_mask("holdout")
 
 
+def walked_ratio_counts(g, t):
+    """(positive, counted) edges of :func:`positive_ratio`, by a walk over the edge list."""
+    pos = tot = 0
+    for u, v in g.edge_array().tolist():
+        if u != v and t.labels[u] != UNKNOWN_LABEL and t.labels[v] != UNKNOWN_LABEL:
+            tot += 1
+            pos += int(t.labels[u] == t.labels[v])
+    return pos, tot
+
+
 class TestPositiveRatio:
-    def chain(self, labels, split=None):
+    def chain(self, labels):
         # path over the labeled nodes: 0-1, 1-2, 2-3
         g = undirected_graph(4, [(0, 1), (1, 2), (2, 3)])
-        split = np.zeros(4, dtype=np.int8) if split is None else np.asarray(split, dtype=np.int8)
         t = NodeTable(features=np.zeros((4, 1)), labels=np.asarray(labels, dtype=np.int64),
-                      num_classes=2, split=split)
+                      num_classes=2, split=np.zeros(4, dtype=np.int8))
         return g, t
 
     def test_hand_counted_ratio(self):
@@ -186,39 +195,35 @@ class TestPositiveRatio:
         g, t = self.chain([0, 0, 1, 1])
         rep = positive_ratio(g, t)
         assert rep.graph_ratio == pytest.approx(2.0 / 3.0)
-        assert rep.positive_edges == 4 and rep.counted_edges == 6
-        assert rep.per_node.tolist() == [1.0, 0.5, 0.5, 1.0]
+        assert (rep.positive_edges, rep.counted_edges) == (4, 6) == walked_ratio_counts(g, t)
 
     def test_unknown_label_edges_excluded(self):
         g, t = self.chain([0, 0, 1, -1])
         rep = positive_ratio(g, t)
-        assert rep.counted_edges == 4
+        assert (rep.positive_edges, rep.counted_edges) == (2, 4) == walked_ratio_counts(g, t)
         assert rep.graph_ratio == pytest.approx(0.5)
-        assert np.isnan(rep.per_node[3])
-        assert rep.per_node[2] == 0.0
-
-    def test_split_restriction(self):
-        g, t = self.chain([0, 0, 1, 1], split=[0, 0, 2, 2])
-        rep = positive_ratio(g, t, use_splits=("train",))
-        assert rep.counted_edges == 2 and rep.graph_ratio == 1.0
-        rep_all = positive_ratio(g, t, use_splits=("train", "test"))
-        assert rep_all.counted_edges == 6
 
     def test_self_loops_never_counted(self):
         g = Graph.from_edges(2, np.zeros((0, 2), dtype=np.int64))
         t = NodeTable(features=np.zeros((2, 1)), labels=np.array([0, 0], dtype=np.int64),
                       num_classes=1, split=np.zeros(2, dtype=np.int8))
         rep = positive_ratio(g, t)
-        assert rep.counted_edges == 0
+        assert (rep.positive_edges, rep.counted_edges) == (0, 0)
         assert np.isnan(rep.graph_ratio)
-        assert np.all(np.isnan(rep.per_node))
 
-    def test_identity_per_node_vs_graph(self):
-        # graph ratio equals positive count over counted count, which equals
-        # the degree-weighted mean of defined per-node ratios
-        g, t = self.chain([0, 1, 0, 1])
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_counts_equal_a_walk_over_the_edge_list(self, data):
+        # on any drawn graph, unknown labels and self loops included; the ratio is their quotient
+        g = draw_graph(data)
+        labels = data.draw(st.lists(st.integers(UNKNOWN_LABEL, 2), min_size=g.num_nodes,
+                                    max_size=g.num_nodes), label="labels")
+        t = NodeTable(features=np.zeros((g.num_nodes, 1)), labels=np.asarray(labels, dtype=np.int64),
+                      num_classes=3, split=np.zeros(g.num_nodes, dtype=np.int8))
         rep = positive_ratio(g, t)
-        assert rep.graph_ratio == pytest.approx(rep.positive_edges / rep.counted_edges)
+        pos, tot = walked_ratio_counts(g, t)
+        assert (rep.positive_edges, rep.counted_edges) == (pos, tot)
+        assert rep.graph_ratio == pos / tot if tot else np.isnan(rep.graph_ratio)
 
 
 def bfs_two_hop(g, v):
